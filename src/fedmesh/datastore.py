@@ -12,7 +12,7 @@ import csv
 import datetime as dt
 import io
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -227,6 +227,8 @@ class ClinicStore:
     observations: tuple[ClinicalObservation, ...]
     patients: tuple[PatientRecord, ...]
     tables: Mapping[str, Table]
+    # Lookup index built by the loader: canonical patient id -> observation.
+    observations_by_id: Mapping[str, ClinicalObservation] = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -234,6 +236,10 @@ class InsurerStore:
     enrollment: tuple[EnrollmentRow, ...]
     rules: tuple[CoverageRule, ...]
     tables: Mapping[str, Table]
+    # Lookup indexes built by the loader: token hex -> row, and
+    # (plan_id, treatment_code) -> rule.
+    enrollment_by_token: Mapping[str, EnrollmentRow] = field(repr=False)
+    rules_by_key: Mapping[tuple[str, str], CoverageRule] = field(repr=False)
 
 
 def load_clinic_store(observations_path: Path | str, patients_path: Path | str) -> ClinicStore:
@@ -250,21 +256,20 @@ def load_clinic_store(observations_path: Path | str, patients_path: Path | str) 
         seen_ids.add(rec.patient_id.value)
         patients.append(rec)
 
-    observations: list[ClinicalObservation] = []
-    obs_ids: set[str] = set()
+    observations: dict[str, ClinicalObservation] = {}
     for row, line in zip(obs_table.rows, _row_lines(obs_table)):
         obs = _parse_observation(row, line)
-        if obs.patient_id.value in obs_ids:
+        if obs.patient_id.value in observations:
             raise RowError(line, f"duplicate patient_id {obs.patient_id.value!r}")
         if obs.patient_id.value not in seen_ids:
             raise RowError(line, f"observation {obs.patient_id.value!r} has no patient record")
-        obs_ids.add(obs.patient_id.value)
-        observations.append(obs)
+        observations[obs.patient_id.value] = obs
 
     return ClinicStore(
-        observations=tuple(observations),
+        observations=tuple(observations.values()),
         patients=tuple(patients),
         tables={"observations": obs_table, "patients": patients_table},
+        observations_by_id=observations,
     )
 
 
@@ -272,61 +277,42 @@ def load_insurer_store(enrollment_path: Path | str, rules_path: Path | str) -> I
     enrollment_table = read_table(enrollment_path, "enrollment", ENROLLMENT_COLUMNS)
     rules_table = read_table(rules_path, "coverage_rules", COVERAGE_RULE_COLUMNS)
 
-    enrollment: list[EnrollmentRow] = []
-    seen_tokens: set[str] = set()
+    enrollment: dict[str, EnrollmentRow] = {}
     for row, line in zip(enrollment_table.rows, _row_lines(enrollment_table)):
         rec = _parse_enrollment(row, line)
-        if rec.subject_token.hex in seen_tokens:
+        if rec.subject_token.hex in enrollment:
             raise RowError(line, "duplicate subject_token")
-        seen_tokens.add(rec.subject_token.hex)
-        enrollment.append(rec)
+        enrollment[rec.subject_token.hex] = rec
 
-    rules: list[CoverageRule] = []
-    seen_rules: set[tuple[str, str]] = set()
+    rules: dict[tuple[str, str], CoverageRule] = {}
     for row, line in zip(rules_table.rows, _row_lines(rules_table)):
         rule = _parse_coverage_rule(row, line)
         key = (rule.plan_id, rule.treatment_code)
-        if key in seen_rules:
+        if key in rules:
             raise RowError(line, f"duplicate rule for {key}")
-        seen_rules.add(key)
-        rules.append(rule)
+        rules[key] = rule
 
     return InsurerStore(
-        enrollment=tuple(enrollment),
-        rules=tuple(rules),
+        enrollment=tuple(enrollment.values()),
+        rules=tuple(rules.values()),
         tables={"enrollment": enrollment_table, "coverage_rules": rules_table},
+        enrollment_by_token=enrollment,
+        rules_by_key=rules,
     )
 
 
 def lookup_observation(store: ClinicStore, cid: CanonicalId) -> ClinicalObservation | None:
-    for obs in store.observations:
-        if obs.patient_id == cid:
-            return obs
-    return None
-
-
-def lookup_patient(store: ClinicStore, cid: CanonicalId) -> PatientRecord | None:
-    for rec in store.patients:
-        if rec.patient_id == cid:
-            return rec
-    return None
+    return store.observations_by_id.get(cid.value)
 
 
 def match_enrollment(store: InsurerStore, token: CaseToken | str) -> EnrollmentRow | None:
     """Exact, case-sensitive match on the stored lowercase-hex token."""
-    wanted = token.hex if isinstance(token, CaseToken) else token
-    for row in store.enrollment:
-        if row.subject_token.hex == wanted:
-            return row
-    return None
+    return store.enrollment_by_token.get(token.hex if isinstance(token, CaseToken) else token)
 
 
 def coverage_rule(store: InsurerStore, plan_id: str, treatment_code: str) -> CoverageRule | None:
     """Unique rule for (plan, treatment); absent means not covered."""
-    for rule in store.rules:
-        if rule.plan_id == plan_id and rule.treatment_code == treatment_code:
-            return rule
-    return None
+    return store.rules_by_key.get((plan_id, treatment_code))
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +499,7 @@ class MatchMode(str, Enum):
     TEXT = "text"  # case-insensitive substring (human names)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProtectedValue:
     value: str
     source_column: str
@@ -536,13 +522,81 @@ class ProtectedSpec:
     allowed_to: frozenset[str] = frozenset()
 
 
+# Needle length -> {needle: entry position}; the position becomes a tuple
+# only when several entries share the needle.
+_Buckets = dict[int, dict[str, "int | tuple[int, ...]"]]
+
+
 @dataclass(frozen=True)
 class ProtectedValueIndex:
+    """A node's protected values, compiled for matching when constructed.
+
+    Each entry's needle is its value (``exact``) or its casefolded value
+    (``text``), bucketed per match mode by the needle's length. Text
+    needles go by their folded length, since folding can lengthen a value
+    (``ß`` -> ``ss``).
+    """
+
     node_id: str
     entries: tuple[ProtectedValue, ...]
+    _exact: _Buckets = field(init=False, repr=False, compare=False)
+    _text: _Buckets = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        exact: _Buckets = {}
+        text: _Buckets = {}
+        for pos, entry in enumerate(self.entries):
+            if entry.match is MatchMode.TEXT:
+                needle, buckets = entry.value.casefold(), text
+            else:
+                needle, buckets = entry.value, exact
+            bucket = buckets.setdefault(len(needle), {})
+            shared = bucket.get(needle)
+            if shared is None:
+                bucket[needle] = pos
+            else:
+                bucket[needle] = (shared if isinstance(shared, tuple) else (shared,)) + (pos,)
+        object.__setattr__(self, "_exact", exact)
+        object.__setattr__(self, "_text", text)
 
     def values(self) -> set[str]:
         return {entry.value for entry in self.entries}
+
+    def find(self, body: str) -> list[int]:
+        """Positions, ascending, of the entries whose needle occurs in
+        ``body`` (exact needles) or in ``body.casefold()`` (text needles)."""
+        hits: list[int] = []
+        if self._exact:
+            _search(body, self._exact, hits)
+        if self._text:
+            _search(body.casefold(), self._text, hits)
+        hits.sort()
+        return hits
+
+
+def _search(subject: str, buckets: _Buckets, hits: list[int]) -> None:
+    """Add the positions of every needle occurring in ``subject`` to ``hits``.
+
+    A bucket with more needles than ``subject`` has windows of its length
+    is searched by looking each window up; any other bucket by testing each
+    needle with ``in``. Either way a bucket costs at most one lookup or one
+    ``in`` test per window, however many entries it holds.
+    """
+    size = len(subject)
+    for length, bucket in buckets.items():
+        windows = size - length + 1
+        if windows <= 0:
+            continue
+        if len(bucket) > windows:
+            found = bucket.keys() & {subject[i:i + length] for i in range(windows)}
+        else:
+            found = filter(subject.__contains__, bucket)
+        for needle in found:
+            pos = bucket[needle]
+            if isinstance(pos, tuple):
+                hits.extend(pos)
+            else:
+                hits.append(pos)
 
 
 def protected_values(

@@ -23,7 +23,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .datastore import ProtectedValueIndex, MatchMode
+from .datastore import ProtectedValueIndex
 from .errors import TraceFormatError
 
 HEX64_RE = re.compile(r"[0-9a-fA-F]{64}")
@@ -170,19 +170,14 @@ def scan_outbound(body: str, index: ProtectedValueIndex, edge: tuple[str, str]) 
     Matching is plain substring search: case-insensitive for values marked
     as human-readable text (names), case-sensitive for identifiers, dates,
     and tokens. Values whitelisted for the destination node are skipped.
-    The body is never mutated; the caller decides whether to abort the send.
+    Findings come one per matching entry, in index order. The body is never
+    mutated; the caller decides whether to abort the send.
     """
     _, to_node = edge
     findings: list[LeakFinding] = []
-    folded = body.casefold()
-    for entry in index.entries:
-        if to_node in entry.allowed_to:
-            continue
-        if entry.match is MatchMode.TEXT:
-            hit = entry.value.casefold() in folded
-        else:
-            hit = entry.value in body
-        if hit:
+    for pos in index.find(body):
+        entry = index.entries[pos]
+        if to_node not in entry.allowed_to:
             findings.append(LeakFinding(entry.value, entry.source_column, edge))
     return LeakVerdict(clean=not findings, findings=tuple(findings))
 

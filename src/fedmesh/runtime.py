@@ -43,7 +43,7 @@ from .errors import (
     ToolNotPermitted,
 )
 from .locality import TraceLog
-from .pseudonym import SecretSource, derive_token, load_secret, normalize_id
+from .pseudonym import SecretKey, SecretSource, derive_token, load_secret, normalize_id
 
 if TYPE_CHECKING:
     from .relay import RelayTarget, Transport
@@ -159,6 +159,7 @@ class Node:
     loop_limit: int = DEFAULT_LOOP_LIMIT
     enforce_guard: bool = True
     outbound_mutators: list[Callable[[str, str], str]] = field(default_factory=list)
+    _hmac_key: SecretKey | None = field(default=None, init=False, repr=False)
     _conversation_locks: dict[str, threading.Lock] = field(
         default_factory=dict, init=False, repr=False
     )
@@ -175,6 +176,14 @@ class Node:
                 raise ConfigError(f"operation {op.operation_id!r} has no policy instance")
         if self.loop_limit < 1:
             raise ConfigError("loop_limit must be at least 1")
+
+    def hmac_key(self) -> SecretKey:
+        """The key named by ``hmac_secret``, resolved on first use and then
+        kept. A failed resolution is not kept, so the next call retries it;
+        two threads racing on the first call both resolve the same key."""
+        if self._hmac_key is None:
+            self._hmac_key = load_secret(self.hmac_secret, self.secrets)  # type: ignore[arg-type]
+        return self._hmac_key
 
     def conversation_lock(self, conversation_id: str) -> threading.Lock:
         with self._locks_guard:
@@ -312,13 +321,12 @@ def tool_guidance_search(ctx: ToolContext, args: Mapping[str, str]) -> str:
 
 
 def tool_hmac_token(ctx: ToolContext, args: Mapping[str, str]) -> str:
-    """Derive the case token for an id. The key resolves here, at execution
-    time, from the node-local secret source; it never enters a message."""
+    """Derive the case token for an id. The key resolves at the node's first
+    call, from the node-local secret source; it never enters a message."""
     if ctx.node.hmac_secret is None:
         raise ToolError("tool 'hmac_token' needs an hmac_secret in node config")
     raw = _require_arg(args, "patient_id", "hmac_token")
-    key = load_secret(ctx.node.hmac_secret, ctx.node.secrets)
-    return derive_token(key, normalize_id(raw)).hex
+    return derive_token(ctx.node.hmac_key(), normalize_id(raw)).hex
 
 
 def tool_relay_call(ctx: ToolContext, args: Mapping[str, str]) -> str:

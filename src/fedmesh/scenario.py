@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 from .config import NodeConfig, build_topology, load_node_config, load_topology_config
 from .datastore import (
     ProtectedValueIndex,
+    Table,
     load_clinic_store,
     load_guidance,
     load_insurer_store,
@@ -36,6 +37,33 @@ logger = logging.getLogger(__name__)
 TRANSPORTS = ("inprocess", "network")
 
 
+def load_datasets(
+    cfg: NodeConfig, *, tables_only: bool = False
+) -> tuple[dict[str, object], dict[str, Table]]:
+    """Load a node's datasets, plus the raw tables its protected index reads.
+
+    With ``tables_only`` the guidance extracts, which have no tables, are
+    skipped; the audit needs nothing else.
+    """
+    datasets: dict[str, object] = {}
+    tables: dict[str, Table] = {}
+    for kind, paths in cfg.datasets.items():
+        if kind == "clinic":
+            store = load_clinic_store(paths["observations"], paths["patients"])
+            datasets["clinic"] = store
+            tables.update(store.tables)
+        elif kind == "insurer":
+            store = load_insurer_store(paths["enrollment"], paths["coverage_rules"])
+            datasets["insurer"] = store
+            tables.update(store.tables)
+        elif kind == "guidance":
+            if not tables_only:
+                datasets["guidance"] = load_guidance(paths["dir"])
+        else:
+            raise ConfigError(f"node {cfg.node_id!r}: unknown dataset kind {kind!r}")
+    return datasets, tables
+
+
 def build_node(
     cfg: NodeConfig,
     *,
@@ -49,23 +77,7 @@ def build_node(
     policy name matches; the scenario runner uses it for fault injection.
     """
     secrets = SecretSource(files=dict(cfg.secret_files), env=env)
-
-    datasets: dict[str, object] = {}
-    tables: dict[str, object] = {}
-    for kind, paths in cfg.datasets.items():
-        if kind == "clinic":
-            store = load_clinic_store(paths["observations"], paths["patients"])
-            datasets["clinic"] = store
-            tables.update(store.tables)
-        elif kind == "insurer":
-            store = load_insurer_store(paths["enrollment"], paths["coverage_rules"])
-            datasets["insurer"] = store
-            tables.update(store.tables)
-        elif kind == "guidance":
-            datasets["guidance"] = load_guidance(paths["dir"])
-        else:
-            raise ConfigError(f"node {cfg.node_id!r}: unknown dataset kind {kind!r}")
-
+    datasets, tables = load_datasets(cfg)
     index = protected_values(cfg.node_id, cfg.protected, tables, secrets)
 
     policies = {}
@@ -78,7 +90,7 @@ def build_node(
     return Node(
         node_id=cfg.node_id,
         datasets=datasets,  # type: ignore[arg-type]
-        tables=tables,  # type: ignore[arg-type]
+        tables=tables,
         secrets=secrets,
         operations={op.operation_id: op for op in cfg.operations},
         policies=policies,
@@ -89,16 +101,6 @@ def build_node(
         trace=trace,
         loop_limit=cfg.loop_limit,
     )
-
-
-def _load_tables(cfg: NodeConfig) -> dict[str, object]:
-    tables: dict[str, object] = {}
-    for kind, paths in cfg.datasets.items():
-        if kind == "clinic":
-            tables.update(load_clinic_store(paths["observations"], paths["patients"]).tables)
-        elif kind == "insurer":
-            tables.update(load_insurer_store(paths["enrollment"], paths["coverage_rules"]).tables)
-    return tables
 
 
 def load_audit_context(
@@ -116,8 +118,9 @@ def load_audit_context(
     indexes = {}
     for cfg in configs:
         secrets = SecretSource(files=dict(cfg.secret_files))
+        # Passed inline so each node's stores are freed before the next loads.
         indexes[cfg.node_id] = protected_values(
-            cfg.node_id, cfg.protected, _load_tables(cfg), secrets  # type: ignore[arg-type]
+            cfg.node_id, cfg.protected, load_datasets(cfg, tables_only=True)[1], secrets
         )
     return topology, indexes
 

@@ -4,7 +4,9 @@ import hashlib
 
 import pytest
 
+from fedmesh.datastore import MatchMode, ProtectedValueIndex
 from fedmesh.fixtures import write_demo_workspace
+from fedmesh.locality import LeakFinding, LeakVerdict
 
 # Pinned before implementation against two independent HMAC-SHA256
 # references (openssl dgst and the RFC 2104 construction below), key
@@ -26,6 +28,25 @@ def hmac_sha256_reference(key: bytes, message: bytes) -> str:
     key = key.ljust(block, b"\x00")
     inner = hashlib.sha256(bytes(b ^ 0x36 for b in key) + message).digest()
     return hashlib.sha256(bytes(b ^ 0x5C for b in key) + inner).hexdigest()
+
+
+def oracle_scan(body: str, index: ProtectedValueIndex, edge: tuple[str, str]) -> LeakVerdict:
+    """Reference outbound scan: one substring test per index entry, in index
+    order, skipping entries whitelisted for the destination. The compiled
+    matcher behind ``scan_outbound`` must return exactly this."""
+    _, to_node = edge
+    findings: list[LeakFinding] = []
+    folded = body.casefold()
+    for entry in index.entries:
+        if to_node in entry.allowed_to:
+            continue
+        if entry.match is MatchMode.TEXT:
+            hit = entry.value.casefold() in folded
+        else:
+            hit = entry.value in body
+        if hit:
+            findings.append(LeakFinding(entry.value, entry.source_column, edge))
+    return LeakVerdict(clean=not findings, findings=tuple(findings))
 
 
 @pytest.fixture(scope="session")

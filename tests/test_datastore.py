@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedmesh.datastore import (
     EnrollmentStatus,
@@ -19,7 +23,7 @@ from fedmesh.datastore import (
     read_table,
 )
 from fedmesh.errors import ConfigError, RowError, SchemaError
-from fedmesh.pseudonym import SecretSource, normalize_id
+from fedmesh.pseudonym import CaseToken, SecretSource, normalize_id
 
 from conftest import GOLDEN_TOKENS
 
@@ -161,6 +165,52 @@ def test_em_dash_parses_as_empty_prerequisites(insurer):
     rule = coverage_rule(insurer, "PLAN-A", "physiotherapy_course")
     assert rule is not None
     assert rule.prerequisites == ()
+
+
+_HEX = "0123456789abcdef"
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    ids=st.sets(st.integers(0, 30), max_size=8),
+    lower_ids=st.booleans(),
+    tokens=st.sets(st.text(_HEX, min_size=64, max_size=64), max_size=6),
+    rules=st.sets(st.tuples(st.sampled_from(["PLAN-A", "PLAN-B", "plan-a"]),
+                            st.sampled_from(["physio", "injection", "surgery"])), max_size=9),
+    probe_ids=st.lists(st.integers(0, 30), max_size=4),
+    probe_tokens=st.lists(st.text(_HEX, min_size=64, max_size=64), max_size=3),
+)
+def test_dict_lookups_agree_with_linear_scan(ids, lower_ids, tokens, rules, probe_ids, probe_tokens):
+    """Each keyed lookup returns what a scan over the store's rows finds."""
+    raw_ids = [f"cln-{i:04d}" if lower_ids else f"CLN-{i:04d}" for i in sorted(ids)]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "patients.csv").write_text("patient_id,full_name,dob,notes\n" + "".join(
+            f"{pid},Name {n},1970-01-01,\n" for n, pid in enumerate(raw_ids)))
+        (root / "obs.csv").write_text(
+            "patient_id,symptom_class,duration_weeks,functional_limitation,prior_conservative_tx\n"
+            + "".join(f"{pid},mild,{n},walks,—\n" for n, pid in enumerate(raw_ids[::2])))
+        (root / "enrollment.csv").write_text("subject_token,insurance_number,plan_id,status\n" + "".join(
+            f"{token},INS-{n},PLAN-A,active\n" for n, token in enumerate(sorted(tokens))))
+        (root / "rules.csv").write_text("plan_id,treatment_code,covered,prerequisites\n" + "".join(
+            f"{plan},{code},{'yes' if n % 2 else 'no'},—\n" for n, (plan, code) in enumerate(sorted(rules))))
+        clinic = load_clinic_store(root / "obs.csv", root / "patients.csv")
+        insurer = load_insurer_store(root / "enrollment.csv", root / "rules.csv")
+
+    for i in sorted(ids) + probe_ids:
+        cid = normalize_id(f"CLN-{i:04d}")
+        linear = next((obs for obs in clinic.observations if obs.patient_id == cid), None)
+        assert lookup_observation(clinic, cid) == linear
+    for token in sorted(tokens) + probe_tokens:
+        linear = next((row for row in insurer.enrollment if row.subject_token.hex == token), None)
+        assert match_enrollment(insurer, token) == linear
+        assert match_enrollment(insurer, CaseToken(token)) == linear
+        assert match_enrollment(insurer, token.upper()) == (linear if token == token.upper() else None)
+    for plan in ("PLAN-A", "PLAN-B", "plan-a", "PLAN-C"):
+        for code in ("physio", "injection", "surgery"):
+            linear = next((rule for rule in insurer.rules
+                           if (rule.plan_id, rule.treatment_code) == (plan, code)), None)
+            assert coverage_rule(insurer, plan, code) == linear
 
 
 # --- guidance ---

@@ -4,7 +4,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fedmesh.datastore import MatchMode, ProtectedValue, ProtectedValueIndex
 from fedmesh.errors import TraceFormatError
@@ -17,9 +17,9 @@ from fedmesh.locality import (
     read_trace,
     scan_outbound,
 )
-from fedmesh.scenario import load_audit_context, run_scenario
+from fedmesh.scenario import boot_scenario, load_audit_context, run_scenario
 
-from conftest import GOLDEN_TOKENS
+from conftest import GOLDEN_TOKENS, oracle_scan
 
 
 def _index(*entries: ProtectedValue) -> ProtectedValueIndex:
@@ -63,19 +63,61 @@ def test_scan_never_mutates_body():
     assert body == "report on Marina Kovacs"
 
 
-@given(
-    values=st.lists(st.text(min_size=3, max_size=12).filter(str.strip), min_size=1, max_size=6),
-    body=st.text(max_size=200),
+# Characters whose casefold changes length or spelling (``ß`` -> ``ss``,
+# ``ſ`` -> ``s``, ``İ`` -> ``i̇``, Kelvin sign -> ``k``), their plain
+# look-alikes, and whitespace.
+_ALPHABET = "asSßſİiKk\u212a\u0307 \n-1"
+
+
+# Same-length values, enough of them to outnumber the windows of a short
+# body so that bucket is searched window by window.
+_DENSE = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.text(_ALPHABET, min_size=n, max_size=n), min_size=12, max_size=40)
 )
-def test_scan_soundness_against_bruteforce(values, body):
-    """clean implies no non-whitelisted value occurs as a substring."""
-    index = ProtectedValueIndex(
-        node_id="n", entries=tuple(ProtectedValue(v, "col") for v in values)
-    )
-    verdict = scan_outbound(body, index, EDGE)
-    brute_force_hits = [v for v in values if v in body]
-    assert verdict.clean == (not brute_force_hits)
-    assert {f.offending_value for f in verdict.findings} == set(brute_force_hits)
+
+
+@st.composite
+def _index_and_body(draw):
+    columns = st.sampled_from(["col_a", "col_b"])
+    entries = draw(st.lists(st.builds(
+        ProtectedValue,
+        value=st.one_of(st.text(_ALPHABET, max_size=5), st.text(max_size=12)),  # empty and blank too
+        source_column=columns,
+        match=st.sampled_from(MatchMode),
+        allowed_to=st.frozensets(st.sampled_from(["insurer", "specialist"])),
+    ), max_size=12))
+    for value in draw(st.one_of(st.just([]), _DENSE)):
+        entries.append(ProtectedValue(value, draw(columns), draw(st.sampled_from(MatchMode))))
+    entries = draw(st.permutations(entries))
+    # Bodies are spliced from indexed values and free text, so hits are common.
+    pieces = st.one_of(st.text(_ALPHABET, max_size=4), st.text(max_size=50))
+    if entries:
+        pieces = st.one_of(pieces, st.sampled_from([e.value for e in entries]))
+    body = "".join(draw(st.lists(pieces, max_size=4)))
+    return ProtectedValueIndex(node_id="n", entries=tuple(entries)), body
+
+
+@settings(deadline=None)
+@given(
+    case=_index_and_body(),
+    edge=st.sampled_from([("clinic", "insurer"), ("clinic", "specialist")]),
+)
+@example(  # a dense exact bucket forces the window path
+    case=(
+        ProtectedValueIndex(
+            node_id="n",
+            entries=tuple(ProtectedValue(f"{a}{b}", "col_a") for a in "asS1" for b in "asS1")
+            + (ProtectedValue("ß", "col_b", MatchMode.TEXT),),
+        ),
+        "xSSy",
+    ),
+    edge=("clinic", "insurer"),
+)
+def test_scan_soundness_against_bruteforce(case, edge):
+    """The compiled matcher returns exactly the linear oracle's findings, in
+    index order, for both match modes, shared needles and whitelists."""
+    index, body = case
+    assert scan_outbound(body, index, edge) == oracle_scan(body, index, edge)
 
 
 def test_fault_injection_always_detected(workspace):
@@ -199,6 +241,14 @@ def test_check_trace_golden_run_is_clean(workspace):
     assert result.exit_code == 0
     topology, indexes = load_audit_context(workspace.topology_config)
     assert check_trace(result.trace, topology, indexes) == []
+
+
+def test_audit_indexes_equal_booted_indexes(workspace):
+    """The audit context and the booted nodes load their datasets the same way."""
+    scenario = boot_scenario(workspace.node_configs, run_id="run-loc-index")
+    scenario.close()
+    _, indexes = load_audit_context(workspace.topology_config)
+    assert indexes == scenario.indexes()
 
 
 def test_check_trace_flags_injected_patient_id(workspace):

@@ -11,6 +11,7 @@ from fedmesh.errors import (
     ConfigError,
     LoopLimitExceeded,
     OperationNotFound,
+    SecretNotFound,
     ToolError,
     ToolNotPermitted,
 )
@@ -206,6 +207,30 @@ def _tool(node, name, args):
 def test_hmac_token_tool_matches_golden(nodes):
     text = _tool(nodes["clinic"], "hmac_token", {"patient_id": "CLN-0001"})
     assert text == GOLDEN_TOKENS["CLN-0001"]
+
+
+def test_hmac_key_is_read_once_per_node(workspace, monkeypatch):
+    reads = []
+    resolve = SecretSource.resolve
+
+    def counting_resolve(self, name):
+        reads.append(name)
+        return resolve(self, name)
+
+    monkeypatch.setattr(SecretSource, "resolve", counting_resolve)
+    node = build_node(load_node_config(workspace.clinic_config))
+    reads.clear()  # building the index derives tokens with its own read
+    for pid in ["CLN-0001", "CLN-0002", "CLN-0001", "CLN-0005"]:
+        assert _tool(node, "hmac_token", {"patient_id": pid}) == GOLDEN_TOKENS[pid]
+    assert reads == ["clinic_hmac_key"]
+
+
+def test_hmac_token_missing_key_raises_at_each_call():
+    node = _test_node(SilentPolicy(), permitted=("hmac_token",))
+    node.hmac_secret = "absent_key"
+    for _ in range(2):
+        with pytest.raises(SecretNotFound):
+            _tool(node, "hmac_token", {"patient_id": "CLN-0001"})
 
 
 def test_csv_lookup_tool_renders_row(nodes):
