@@ -45,7 +45,7 @@ from .policies import (
 )
 from .pseudonym import CanonicalId, CaseToken, SecretKey, derive_token, load_secret, normalize_id
 from .relay import RelayRequest, RelayResponse, RelayTarget, relay_call, serve
-from .runtime import Node, OperationConfig, OperationRequest, OperationResponse, handle_operation
+from .runtime import Node, OperationConfig, OperationResponse, handle_operation
 from .scenario import boot_scenario, run_scenario
 
 __version__ = "0.1.0"

@@ -26,7 +26,6 @@ DATASET_KINDS = ("clinic", "insurer", "guidance")
 @dataclass(frozen=True)
 class NodeConfig:
     node_id: str
-    base_dir: Path
     datasets: Mapping[str, Mapping[str, Path]]
     secret_files: Mapping[str, Path]
     hmac_secret: str | None
@@ -160,7 +159,6 @@ def load_node_config(path: Path | str) -> NodeConfig:
 
     return NodeConfig(
         node_id=node_id,
-        base_dir=base_dir,
         datasets=datasets,
         secret_files=secret_files,
         hmac_secret=str(record["hmac_secret"]) if "hmac_secret" in record else None,

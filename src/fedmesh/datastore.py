@@ -53,11 +53,13 @@ class EnrollmentStatus(str, Enum):
 
 @dataclass(frozen=True)
 class Table:
-    """One CSV file as loaded: header order and raw cell text preserved."""
+    """One CSV file as loaded: header order and raw cell text preserved,
+    with the source line each row starts on."""
 
     name: str
     header: tuple[str, ...]
     rows: tuple[Mapping[str, str], ...]
+    lines: tuple[int, ...]
 
     def column(self, name: str) -> tuple[str, ...]:
         if name not in self.header:
@@ -87,13 +89,19 @@ def read_table(path: Path | str, name: str, required: Sequence[str]) -> Table:
             if col not in header:
                 raise SchemaError(col, f"{path.name}: missing column {col!r}")
         rows: list[dict[str, str]] = []
+        lines: list[int] = []
+        # A row starts on the line after the previous row ends; blank lines
+        # come back as empty rows, so they are counted too.
+        start = reader.line_num + 1
         for cells in reader:
+            line, start = start, reader.line_num + 1
             if not cells:
                 continue
             if len(cells) != len(header):
-                raise RowError(reader.line_num, f"{path.name}: expected {len(header)} cells, got {len(cells)}")
+                raise RowError(line, f"{path.name}: expected {len(header)} cells, got {len(cells)}")
             rows.append(dict(zip(header, cells)))
-    return Table(name=name, header=tuple(header), rows=tuple(rows))
+            lines.append(line)
+    return Table(name=name, header=tuple(header), rows=tuple(rows), lines=tuple(lines))
 
 
 def _split_codes(cell: str) -> tuple[str, ...]:
@@ -101,12 +109,6 @@ def _split_codes(cell: str) -> tuple[str, ...]:
     if not cell or cell == EMPTY_LIST_MARKER:
         return ()
     return tuple(part.strip() for part in cell.split(";") if part.strip())
-
-
-def _row_lines(table: Table) -> Sequence[int]:
-    # Header is line 1; data rows follow. Good enough for error reporting on
-    # the single-line rows these fixtures use.
-    return range(2, len(table.rows) + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -224,22 +226,18 @@ def _parse_coverage_rule(row: Mapping[str, str], line: int) -> CoverageRule:
 
 @dataclass(frozen=True)
 class ClinicStore:
-    observations: tuple[ClinicalObservation, ...]
+    # Keyed by canonical patient id.
+    observations: Mapping[str, ClinicalObservation]
     patients: tuple[PatientRecord, ...]
     tables: Mapping[str, Table]
-    # Lookup index built by the loader: canonical patient id -> observation.
-    observations_by_id: Mapping[str, ClinicalObservation] = field(repr=False)
 
 
 @dataclass(frozen=True)
 class InsurerStore:
-    enrollment: tuple[EnrollmentRow, ...]
-    rules: tuple[CoverageRule, ...]
+    # Keyed by token hex, and by (plan_id, treatment_code).
+    enrollment: Mapping[str, EnrollmentRow]
+    rules: Mapping[tuple[str, str], CoverageRule]
     tables: Mapping[str, Table]
-    # Lookup indexes built by the loader: token hex -> row, and
-    # (plan_id, treatment_code) -> rule.
-    enrollment_by_token: Mapping[str, EnrollmentRow] = field(repr=False)
-    rules_by_key: Mapping[tuple[str, str], CoverageRule] = field(repr=False)
 
 
 def load_clinic_store(observations_path: Path | str, patients_path: Path | str) -> ClinicStore:
@@ -249,7 +247,7 @@ def load_clinic_store(observations_path: Path | str, patients_path: Path | str) 
 
     patients: list[PatientRecord] = []
     seen_ids: set[str] = set()
-    for row, line in zip(patients_table.rows, _row_lines(patients_table)):
+    for row, line in zip(patients_table.rows, patients_table.lines):
         rec = _parse_patient(row, line)
         if rec.patient_id.value in seen_ids:
             raise RowError(line, f"duplicate patient_id {rec.patient_id.value!r}")
@@ -257,7 +255,7 @@ def load_clinic_store(observations_path: Path | str, patients_path: Path | str) 
         patients.append(rec)
 
     observations: dict[str, ClinicalObservation] = {}
-    for row, line in zip(obs_table.rows, _row_lines(obs_table)):
+    for row, line in zip(obs_table.rows, obs_table.lines):
         obs = _parse_observation(row, line)
         if obs.patient_id.value in observations:
             raise RowError(line, f"duplicate patient_id {obs.patient_id.value!r}")
@@ -266,10 +264,9 @@ def load_clinic_store(observations_path: Path | str, patients_path: Path | str) 
         observations[obs.patient_id.value] = obs
 
     return ClinicStore(
-        observations=tuple(observations.values()),
+        observations=observations,
         patients=tuple(patients),
         tables={"observations": obs_table, "patients": patients_table},
-        observations_by_id=observations,
     )
 
 
@@ -278,14 +275,14 @@ def load_insurer_store(enrollment_path: Path | str, rules_path: Path | str) -> I
     rules_table = read_table(rules_path, "coverage_rules", COVERAGE_RULE_COLUMNS)
 
     enrollment: dict[str, EnrollmentRow] = {}
-    for row, line in zip(enrollment_table.rows, _row_lines(enrollment_table)):
+    for row, line in zip(enrollment_table.rows, enrollment_table.lines):
         rec = _parse_enrollment(row, line)
         if rec.subject_token.hex in enrollment:
             raise RowError(line, "duplicate subject_token")
         enrollment[rec.subject_token.hex] = rec
 
     rules: dict[tuple[str, str], CoverageRule] = {}
-    for row, line in zip(rules_table.rows, _row_lines(rules_table)):
+    for row, line in zip(rules_table.rows, rules_table.lines):
         rule = _parse_coverage_rule(row, line)
         key = (rule.plan_id, rule.treatment_code)
         if key in rules:
@@ -293,26 +290,24 @@ def load_insurer_store(enrollment_path: Path | str, rules_path: Path | str) -> I
         rules[key] = rule
 
     return InsurerStore(
-        enrollment=tuple(enrollment.values()),
-        rules=tuple(rules.values()),
+        enrollment=enrollment,
+        rules=rules,
         tables={"enrollment": enrollment_table, "coverage_rules": rules_table},
-        enrollment_by_token=enrollment,
-        rules_by_key=rules,
     )
 
 
 def lookup_observation(store: ClinicStore, cid: CanonicalId) -> ClinicalObservation | None:
-    return store.observations_by_id.get(cid.value)
+    return store.observations.get(cid.value)
 
 
 def match_enrollment(store: InsurerStore, token: CaseToken | str) -> EnrollmentRow | None:
     """Exact, case-sensitive match on the stored lowercase-hex token."""
-    return store.enrollment_by_token.get(token.hex if isinstance(token, CaseToken) else token)
+    return store.enrollment.get(token.hex if isinstance(token, CaseToken) else token)
 
 
 def coverage_rule(store: InsurerStore, plan_id: str, treatment_code: str) -> CoverageRule | None:
     """Unique rule for (plan, treatment); absent means not covered."""
-    return store.rules_by_key.get((plan_id, treatment_code))
+    return store.rules.get((plan_id, treatment_code))
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ processes, which is what makes the end-to-end transcript testable.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from .datastore import (
     ClinicalObservation,
@@ -82,11 +82,18 @@ def _validate_code(code: str, what: str) -> None:
         raise ValueError(f"{what} must not be the literal 'none'")
 
 
-def _validate_limitation(text: str) -> None:
-    if not text:
+def _validate_clinical(facts: CoverageInquiry | SpecialistConsult) -> None:
+    """Check the clinical facts both message types carry."""
+    limitation = facts.functional_limitation
+    if facts.duration_weeks < 0:
+        raise ValueError("duration must be non-negative")
+    if not limitation:
         raise ValueError("functional limitation must be non-empty")
-    if "\n" in text or "\r" in text:
+    if "\n" in limitation or "\r" in limitation:
         raise ValueError("functional limitation must be a single line")
+    for code in facts.prior_tx:
+        _validate_code(code, "treatment step")
+    _validate_code(facts.proposed_treatment, "proposed treatment")
 
 
 @dataclass(frozen=True)
@@ -104,12 +111,7 @@ class CoverageInquiry:
     proposed_treatment: str
 
     def __post_init__(self) -> None:
-        if self.duration_weeks < 0:
-            raise ValueError("duration must be non-negative")
-        _validate_limitation(self.functional_limitation)
-        for code in self.prior_tx:
-            _validate_code(code, "treatment step")
-        _validate_code(self.proposed_treatment, "proposed treatment")
+        _validate_clinical(self)
 
 
 @dataclass(frozen=True)
@@ -126,22 +128,12 @@ class SpecialistConsult:
     proposed_treatment: str
 
     def __post_init__(self) -> None:
-        if self.duration_weeks < 0:
-            raise ValueError("duration must be non-negative")
-        _validate_limitation(self.functional_limitation)
-        for code in self.prior_tx:
-            _validate_code(code, "treatment step")
-        _validate_code(self.proposed_treatment, "proposed treatment")
+        _validate_clinical(self)
 
 
 def consult_from_inquiry(inquiry: CoverageInquiry) -> SpecialistConsult:
-    return SpecialistConsult(
-        symptom_class=inquiry.symptom_class,
-        duration_weeks=inquiry.duration_weeks,
-        functional_limitation=inquiry.functional_limitation,
-        prior_tx=inquiry.prior_tx,
-        proposed_treatment=inquiry.proposed_treatment,
-    )
+    """Copy the consult's fields from the inquiry; the consult has no token field."""
+    return SpecialistConsult(**{f.name: getattr(inquiry, f.name) for f in fields(SpecialistConsult)})
 
 
 @dataclass(frozen=True)
@@ -196,44 +188,24 @@ _VERDICT_SUMMARY_RE = re.compile(r"^Summary: (.*)$")
 _VERDICT_NEXT_RE = re.compile(r"^Next Steps: (.*)$")
 
 
-def _clinical_lines(
-    symptom_class: SymptomClass,
-    duration_weeks: int,
-    functional_limitation: str,
-    prior_tx: tuple[str, ...],
-) -> list[str]:
-    prior = "; ".join(prior_tx) if prior_tx else "none"
+def _clinical_lines(facts: CoverageInquiry | SpecialistConsult) -> list[str]:
+    prior = "; ".join(facts.prior_tx) if facts.prior_tx else "none"
     return [
-        f"Presentation: {symptom_class.value} symptoms, {duration_weeks} weeks; "
-        f"limitation: {functional_limitation}.",
+        f"Presentation: {facts.symptom_class.value} symptoms, {facts.duration_weeks} weeks; "
+        f"limitation: {facts.functional_limitation}.",
         f"Prior management: {prior}.",
+        f"Proposed treatment: {facts.proposed_treatment}.",
     ]
 
 
 def render_inquiry(inquiry: CoverageInquiry) -> str:
-    lines = [_INQUIRY_HEADER + inquiry.patient_token.hex]
-    lines += _clinical_lines(
-        inquiry.symptom_class,
-        inquiry.duration_weeks,
-        inquiry.functional_limitation,
-        inquiry.prior_tx,
+    return "\n".join(
+        [_INQUIRY_HEADER + inquiry.patient_token.hex, *_clinical_lines(inquiry), _INQUIRY_FOOTER]
     )
-    lines.append(f"Proposed treatment: {inquiry.proposed_treatment}.")
-    lines.append(_INQUIRY_FOOTER)
-    return "\n".join(lines)
 
 
 def render_consult(consult: SpecialistConsult) -> str:
-    lines = [_CONSULT_HEADER]
-    lines += _clinical_lines(
-        consult.symptom_class,
-        consult.duration_weeks,
-        consult.functional_limitation,
-        consult.prior_tx,
-    )
-    lines.append(f"Proposed treatment: {consult.proposed_treatment}.")
-    lines.append(_CONSULT_FOOTER)
-    return "\n".join(lines)
+    return "\n".join([_CONSULT_HEADER, *_clinical_lines(consult), _CONSULT_FOOTER])
 
 
 def _first_match(lines: Sequence[str], pattern: re.Pattern[str], field: str) -> re.Match[str]:
@@ -244,22 +216,23 @@ def _first_match(lines: Sequence[str], pattern: re.Pattern[str], field: str) -> 
     raise ParseError(field)
 
 
-def _parse_clinical_lines(lines: Sequence[str]) -> tuple[SymptomClass, int, str, tuple[str, ...]]:
+def _parse_clinical_lines(lines: Sequence[str]) -> dict[str, Any]:
+    """The five clinical fields, by name, as ``_clinical_lines`` wrote them."""
     presentation = _first_match(lines, _PRESENTATION_RE, "presentation")
-    symptom_class = SymptomClass(presentation.group(1))
-    duration = int(presentation.group(2))
-    limitation = presentation.group(3)
-
-    prior_match = _first_match(lines, _PRIOR_RE, "prior_management")
-    prior_text = prior_match.group(1)
+    prior_text = _first_match(lines, _PRIOR_RE, "prior_management").group(1)
     if prior_text == "none":
         prior: tuple[str, ...] = ()
     else:
-        parts = prior_text.split("; ")
-        if not all(_CODE_RE.fullmatch(part) for part in parts):
+        prior = tuple(prior_text.split("; "))
+        if not all(_CODE_RE.fullmatch(part) for part in prior):
             raise ParseError("prior_management", f"invalid treatment codes: {prior_text!r}")
-        prior = tuple(parts)
-    return symptom_class, duration, limitation, prior
+    return {
+        "symptom_class": SymptomClass(presentation.group(1)),
+        "duration_weeks": int(presentation.group(2)),
+        "functional_limitation": presentation.group(3),
+        "prior_tx": prior,
+        "proposed_treatment": _first_match(lines, _PROPOSED_RE, "proposed_treatment").group(1),
+    }
 
 
 def parse_inquiry(text: str) -> CoverageInquiry:
@@ -273,18 +246,9 @@ def parse_inquiry(text: str) -> CoverageInquiry:
         token = CaseToken(token_line[len(_INQUIRY_HEADER):])
     except ValueError as exc:
         raise ParseError("patient_token", f"patient_token: {exc}") from None
-
-    symptom_class, duration, limitation, prior = _parse_clinical_lines(lines)
-    proposed = _first_match(lines, _PROPOSED_RE, "proposed_treatment").group(1)
+    facts = _parse_clinical_lines(lines)
     try:
-        return CoverageInquiry(
-            patient_token=token,
-            symptom_class=symptom_class,
-            duration_weeks=duration,
-            functional_limitation=limitation,
-            prior_tx=prior,
-            proposed_treatment=proposed,
-        )
+        return CoverageInquiry(patient_token=token, **facts)
     except ValueError as exc:
         raise ParseError("inquiry", str(exc)) from None
 
@@ -293,16 +257,9 @@ def parse_consult(text: str) -> SpecialistConsult:
     lines = text.split("\n")
     if _CONSULT_HEADER not in lines:
         raise ParseError("consultation_header")
-    symptom_class, duration, limitation, prior = _parse_clinical_lines(lines)
-    proposed = _first_match(lines, _PROPOSED_RE, "proposed_treatment").group(1)
+    facts = _parse_clinical_lines(lines)
     try:
-        return SpecialistConsult(
-            symptom_class=symptom_class,
-            duration_weeks=duration,
-            functional_limitation=limitation,
-            prior_tx=prior,
-            proposed_treatment=proposed,
-        )
+        return SpecialistConsult(**facts)
     except ValueError as exc:
         raise ParseError("consult", str(exc)) from None
 

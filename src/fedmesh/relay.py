@@ -74,6 +74,10 @@ class RelayRequest:
     conversation_id: str
     body: str
 
+    def __post_init__(self) -> None:
+        if not self.body:
+            raise ValueError("request body must be non-empty")
+
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -95,8 +99,6 @@ class RelayRequest:
             raise ValueError(f"request missing fields: {', '.join(missing)}")
         if not all(isinstance(record[key], str) for key in _REQUEST_FIELDS):
             raise ValueError("request fields must be strings")
-        if not record["body"]:
-            raise ValueError("request body must be non-empty")
         return cls(
             operation_id=record["operation_id"],
             access_key=record["access_key"],
@@ -217,19 +219,10 @@ def serve_request(node: "Node", request: RelayRequest) -> RelayResponse:
     Error messages carry exception types and identifiers, never dataset
     values.
     """
-    from .runtime import OperationRequest, handle_operation
+    from .runtime import handle_operation
 
     try:
-        response = handle_operation(
-            node,
-            OperationRequest(
-                operation_id=request.operation_id,
-                access_key=request.access_key,
-                conversation_id=request.conversation_id,
-                body=request.body,
-            ),
-        )
-        return RelayResponse.ok(response.body)
+        return RelayResponse.ok(handle_operation(node, request).body)
     except OperationNotFound as exc:
         return RelayResponse.fail("not_found", str(exc))
     except AuthError as exc:
@@ -268,46 +261,35 @@ def relay_call(node: "Node", target_name: str, body: str, conversation_id: str) 
                 verdict.findings,
             )
 
+    def record(from_node: str, to_node: str, body: str) -> None:
+        if node.trace is not None:
+            node.trace.append(
+                from_node=from_node,
+                to_node=to_node,
+                operation_id=target.operation_id,
+                conversation_id=conversation_id,
+                body=body,
+            )
+
     request = RelayRequest(
         operation_id=target.operation_id,
         access_key=target.access_key,
         conversation_id=conversation_id,
         body=body,
     )
-    if node.trace is not None:
-        node.trace.append(
-            from_node=node.node_id,
-            to_node=target.name,
-            operation_id=target.operation_id,
-            conversation_id=conversation_id,
-            body=body,
-        )
+    record(node.node_id, target.name, body)
     if node.transport is None:
         raise RelayTransportError(f"node {node.node_id!r} has no transport configured")
     logger.debug("relay %s->%s operation=%s chars=%d", node.node_id, target.name, target.operation_id, len(body))
     response = node.transport.send(target, request)
 
     if response.status == "ok" and response.body is not None:
-        if node.trace is not None:
-            node.trace.append(
-                from_node=target.name,
-                to_node=node.node_id,
-                operation_id=target.operation_id,
-                conversation_id=conversation_id,
-                body=response.body,
-            )
+        record(target.name, node.node_id, response.body)
         return response.body
 
     code = response.error_code or "internal"
     message = response.error_message or ""
-    if node.trace is not None:
-        node.trace.append(
-            from_node=target.name,
-            to_node=node.node_id,
-            operation_id=target.operation_id,
-            conversation_id=conversation_id,
-            body=f"error[{code}]: {message}",
-        )
+    record(target.name, node.node_id, f"error[{code}]: {message}")
     if code == "auth":
         raise RelayAuthError(f"target {target.name!r} rejected the access key: {message}")
     raise RelayRemoteError(f"target {target.name!r} answered error[{code}]: {message}")

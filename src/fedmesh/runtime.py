@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence
+from typing import Callable, Mapping, Protocol, Sequence
 
 from .datastore import (
     ClinicStore,
@@ -24,7 +24,6 @@ from .datastore import (
     NO_GUIDANCE,
     NO_OBSERVATION,
     ProtectedValueIndex,
-    Table,
     coverage_rule,
     lookup_observation,
     match_enrollment,
@@ -44,9 +43,7 @@ from .errors import (
 )
 from .locality import TraceLog
 from .pseudonym import SecretKey, SecretSource, derive_token, load_secret, normalize_id
-
-if TYPE_CHECKING:
-    from .relay import RelayTarget, Transport
+from .relay import RelayRequest, RelayTarget, Transport, relay_call
 
 logger = logging.getLogger(__name__)
 
@@ -102,18 +99,6 @@ class OperationConfig:
 
 
 @dataclass(frozen=True)
-class OperationRequest:
-    operation_id: str
-    access_key: str
-    conversation_id: str
-    body: str
-
-    def __post_init__(self) -> None:
-        if not self.body:
-            raise ValueError("request body must be non-empty")
-
-
-@dataclass(frozen=True)
 class OperationResponse:
     body: str
     tool_log: tuple[ToolExchange, ...] = ()
@@ -146,15 +131,14 @@ class Node:
 
     node_id: str
     datasets: dict[str, ClinicStore | InsurerStore | list[GuidanceDoc]]
-    tables: dict[str, Table]
     secrets: SecretSource
     operations: dict[str, OperationConfig]
     policies: dict[str, AgentPolicy]
-    relay_targets: dict[str, "RelayTarget"]
+    relay_targets: dict[str, RelayTarget]
     protected_index: ProtectedValueIndex
     tools: dict[str, ToolFn]
     hmac_secret: str | None = None
-    transport: "Transport | None" = None
+    transport: Transport | None = None
     trace: TraceLog | None = None
     loop_limit: int = DEFAULT_LOOP_LIMIT
     enforce_guard: bool = True
@@ -190,7 +174,7 @@ class Node:
             return self._conversation_locks.setdefault(conversation_id, threading.Lock())
 
 
-def handle_operation(node: Node, req: OperationRequest) -> OperationResponse:
+def handle_operation(node: Node, req: RelayRequest) -> OperationResponse:
     """Run the tool-calling loop for one request.
 
     The loop is bounded unconditionally: a policy that keeps requesting
@@ -331,8 +315,6 @@ def tool_hmac_token(ctx: ToolContext, args: Mapping[str, str]) -> str:
 
 def tool_relay_call(ctx: ToolContext, args: Mapping[str, str]) -> str:
     """Call a configured remote operation; the outbound guard applies."""
-    from .relay import relay_call
-
     target = _require_arg(args, "target", "relay_call")
     body = _require_arg(args, "body", "relay_call")
     return relay_call(ctx.node, target, body, ctx.conversation_id)

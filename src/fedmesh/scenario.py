@@ -29,12 +29,14 @@ from .errors import ConfigError, FedmeshError
 from .locality import Topology, TraceLog, Violation, check_trace
 from .policies import build_policy
 from .pseudonym import SecretSource
-from .relay import HttpTransport, LoopbackTransport, RelayServer, serve
-from .runtime import TOOL_REGISTRY, Node, OperationRequest, handle_operation
+from .relay import HttpTransport, LoopbackTransport, RelayRequest, RelayServer, serve
+from .runtime import TOOL_REGISTRY, Node, handle_operation
 
 logger = logging.getLogger(__name__)
 
 TRANSPORTS = ("inprocess", "network")
+_TOKEN_FREE_NODES = frozenset({"specialist"})
+_INQUIRY_EDGES = frozenset({("clinic", "insurer")})
 
 
 def load_datasets(
@@ -90,7 +92,6 @@ def build_node(
     return Node(
         node_id=cfg.node_id,
         datasets=datasets,  # type: ignore[arg-type]
-        tables=tables,
         secrets=secrets,
         operations={op.operation_id: op for op in cfg.operations},
         policies=policies,
@@ -140,7 +141,7 @@ class Scenario:
     def submit(self, body: str, conversation_id: str | None = None) -> str:
         node = self.nodes[self.entry_node]
         op = node.operations[self.entry_operation]
-        request = OperationRequest(
+        request = RelayRequest(
             operation_id=self.entry_operation,
             access_key=op.access_key,
             conversation_id=conversation_id or f"{self.run_id}-c1",
@@ -167,8 +168,6 @@ def boot_scenario(
     run_id: str | None = None,
     env: Mapping[str, str] | None = None,
     policy_overrides: Mapping[str, Mapping[str, object]] | None = None,
-    token_free_nodes: frozenset[str] = frozenset({"specialist"}),
-    inquiry_edges: frozenset[tuple[str, str]] = frozenset({("clinic", "insurer")}),
 ) -> Scenario:
     """Boot every configured node; the first config hosts the entry
     operation."""
@@ -181,7 +180,7 @@ def boot_scenario(
     trace = TraceLog(run_id)
     configs = [load_node_config(path) for path in config_paths]
     topology = build_topology(
-        configs, token_free_nodes=token_free_nodes, inquiry_edges=inquiry_edges
+        configs, token_free_nodes=_TOKEN_FREE_NODES, inquiry_edges=_INQUIRY_EDGES
     )
 
     nodes: dict[str, Node] = {}

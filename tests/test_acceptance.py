@@ -36,7 +36,6 @@ from fedmesh.relay import RelayRequest, serve_request
 from fedmesh.runtime import (
     Node,
     OperationConfig,
-    OperationRequest,
     PolicyDecision,
     TOOL_REGISTRY,
     ToolCall,
@@ -331,7 +330,6 @@ def test_criterion_7_loop_safety():
         return Node(
             node_id="bound-test",
             datasets={},
-            tables={},
             secrets=SecretSource(env={}),
             operations={"op": op},
             policies={"op": policy},
@@ -345,7 +343,7 @@ def test_criterion_7_loop_safety():
         policy = GreedyPolicy()
         node = make_node(policy, bound)
         with pytest.raises(LoopLimitExceeded):
-            handle_operation(node, OperationRequest("op", "key", "c", "go"))
+            handle_operation(node, RelayRequest("op", "key", "c", "go"))
         assert policy.turns == bound, f"expected exactly {bound} turns, saw {policy.turns}"
     _passed(7, "loop safety at the configured bound")
 

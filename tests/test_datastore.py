@@ -79,7 +79,7 @@ def test_header_only_files_give_empty_store(tmp_path):
     patients = tmp_path / "patients.csv"
     patients.write_text("patient_id,full_name,dob,notes\n")
     store = load_clinic_store(obs, patients)
-    assert store.observations == ()
+    assert store.observations == {}
     assert store.patients == ()
 
 
@@ -101,6 +101,22 @@ def test_row_error_carries_line_number(tmp_path, workspace):
     with pytest.raises(RowError) as err:
         load_clinic_store(broken, workspace.root / "clinic" / "patients.csv")
     assert err.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "before",
+    [
+        "PLAN-A,physio,yes,—\n\n",
+        'PLAN-A,physio,yes,"physiotherapy_6_weeks;\nfailed_simple_analgesia"\n',
+    ],
+    ids=["after-blank-line", "after-two-line-cell"],
+)
+def test_row_error_line_counts_every_source_line(tmp_path, workspace, before):
+    rules = tmp_path / "rules.csv"
+    rules.write_text("plan_id,treatment_code,covered,prerequisites\n" + before + "PLAN-B,physio,maybe,—\n")
+    with pytest.raises(RowError) as err:
+        load_insurer_store(workspace.root / "insurer" / "enrollment.csv", rules)
+    assert err.value.line == 4
 
 
 def test_observation_without_patient_record(tmp_path):
@@ -199,16 +215,16 @@ def test_dict_lookups_agree_with_linear_scan(ids, lower_ids, tokens, rules, prob
 
     for i in sorted(ids) + probe_ids:
         cid = normalize_id(f"CLN-{i:04d}")
-        linear = next((obs for obs in clinic.observations if obs.patient_id == cid), None)
+        linear = next((obs for obs in clinic.observations.values() if obs.patient_id == cid), None)
         assert lookup_observation(clinic, cid) == linear
     for token in sorted(tokens) + probe_tokens:
-        linear = next((row for row in insurer.enrollment if row.subject_token.hex == token), None)
+        linear = next((row for row in insurer.enrollment.values() if row.subject_token.hex == token), None)
         assert match_enrollment(insurer, token) == linear
         assert match_enrollment(insurer, CaseToken(token)) == linear
         assert match_enrollment(insurer, token.upper()) == (linear if token == token.upper() else None)
     for plan in ("PLAN-A", "PLAN-B", "plan-a", "PLAN-C"):
         for code in ("physio", "injection", "surgery"):
-            linear = next((rule for rule in insurer.rules
+            linear = next((rule for rule in insurer.rules.values()
                            if (rule.plan_id, rule.treatment_code) == (plan, code)), None)
             assert coverage_rule(insurer, plan, code) == linear
 
@@ -313,7 +329,7 @@ def test_protected_values_derived_tokens(clinic, workspace):
 
 
 def test_protected_values_empty_store():
-    table = Table(name="patients", header=("patient_id", "full_name"), rows=())
+    table = Table(name="patients", header=("patient_id", "full_name"), rows=(), lines=())
     index = protected_values(
         "clinic", (ProtectedSpec(store="patients", columns=("full_name",)),), {"patients": table}
     )
@@ -344,7 +360,7 @@ def test_protected_values_monotone(clinic):
     spec = (ProtectedSpec(store="patients", columns=("full_name", "dob")),)
     previous: set[str] = set()
     for k in range(len(table.rows) + 1):
-        prefix = Table(name="patients", header=table.header, rows=table.rows[:k])
+        prefix = Table(name="patients", header=table.header, rows=table.rows[:k], lines=table.lines[:k])
         values = protected_values("clinic", spec, {"patients": prefix}).values()
         assert previous <= values
         previous = values

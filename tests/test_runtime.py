@@ -19,13 +19,13 @@ from fedmesh.pseudonym import SecretSource
 from fedmesh.runtime import (
     Node,
     OperationConfig,
-    OperationRequest,
     PolicyDecision,
     TOOL_REGISTRY,
     ToolCall,
     execute_tool,
     handle_operation,
 )
+from fedmesh.relay import RelayRequest
 from fedmesh.scenario import boot_scenario, build_node
 
 from conftest import GOLDEN_TOKENS
@@ -61,7 +61,6 @@ def _test_node(policy, *, loop_limit=8, permitted=("noop",)):
     return Node(
         node_id="test",
         datasets={},
-        tables={},
         secrets=SecretSource(env={}),
         operations={"op": op},
         policies={"op": policy},
@@ -73,7 +72,7 @@ def _test_node(policy, *, loop_limit=8, permitted=("noop",)):
 
 
 def _request(body="hello", key="key-1", op="op"):
-    return OperationRequest(operation_id=op, access_key=key, conversation_id="c1", body=body)
+    return RelayRequest(operation_id=op, access_key=key, conversation_id="c1", body=body)
 
 
 def test_unknown_operation():
@@ -148,7 +147,7 @@ def test_distinct_conversations_run_concurrently():
     results: dict[str, str] = {}
 
     def run(conversation_id: str) -> None:
-        request = OperationRequest("op", "key-1", conversation_id, "hi")
+        request = RelayRequest("op", "key-1", conversation_id, "hi")
         results[conversation_id] = handle_operation(node, request).body
 
     threads = [threading.Thread(target=run, args=(f"conv-{i}",)) for i in range(4)]
@@ -174,7 +173,7 @@ def test_same_conversation_is_serialised():
     node = _test_node(SlowPolicy())
 
     def run() -> None:
-        handle_operation(node, OperationRequest("op", "key-1", "shared-conv", "hi"))
+        handle_operation(node, RelayRequest("op", "key-1", "shared-conv", "hi"))
 
     threads = [threading.Thread(target=run) for _ in range(3)]
     for thread in threads:
@@ -275,6 +274,20 @@ def test_specialist_cannot_relay(nodes):
 def test_tool_missing_argument(nodes):
     with pytest.raises(ToolError):
         _tool(nodes["clinic"], "csv_lookup", {})
+
+
+def test_relay_call_with_empty_body_sends_and_records_nothing(workspace):
+    """An empty body is refused when the request is built, before the
+    trace append and the transport."""
+    scenario = boot_scenario(workspace.node_configs, run_id="run-empty-body")
+    try:
+        clinic = scenario.nodes["clinic"]
+        with pytest.raises(ToolError, match="request body must be non-empty"):
+            _tool(clinic, "relay_call", {"target": "insurer", "body": ""})
+        assert clinic.transport.sends == 0
+        assert scenario.trace.envelopes == []
+    finally:
+        scenario.close()
 
 
 def test_trace_records_each_direction_once(workspace):
