@@ -12,7 +12,6 @@ from .datastore import (
     EnrollmentRow,
     GuidanceDoc,
     InsurerStore,
-    PatientRecord,
     ProtectedValueIndex,
     coverage_rule,
     load_clinic_store,

@@ -1,7 +1,8 @@
 """JSON configuration files for nodes and for the audit topology.
 
 A node config declares the node id, dataset paths, secret sources, protected
-columns, exposed operations, relay targets, and the listener bind address.
+columns, exposed operations, relay targets, the listener bind address, and
+the audit rules for traffic to and from the node.
 Relative paths resolve against the config file's directory. The README
 documents the full schema; by contract a relay target's name must equal the
 destination node's id.
@@ -16,7 +17,7 @@ from typing import Mapping, Sequence
 
 from .datastore import MatchMode, ProtectedSpec
 from .errors import ConfigError
-from .locality import DEFAULT_PATIENT_ID_PATTERN, Topology
+from .locality import Topology
 from .relay import RelayTarget
 from .runtime import DEFAULT_LOOP_LIMIT, OperationConfig
 
@@ -36,6 +37,10 @@ class NodeConfig:
     bind_host: str
     bind_port: int
     loop_limit: int
+    # Audit rules: receives no 64-hex substring; bodies sent to these
+    # relay targets carry no raw patient id.
+    token_free: bool
+    inquiry_targets: frozenset[str]
 
 
 def _expect(record: Mapping[str, object], key: str, kind: type, where: str) -> object:
@@ -153,6 +158,17 @@ def load_node_config(path: Path | str) -> NodeConfig:
             )
         )
 
+    token_free = record.get("token_free", False)
+    if not isinstance(token_free, bool):
+        raise ConfigError(f"{where}: 'token_free' must be true or false")
+    inquiry_targets = record.get("inquiry_targets", [])
+    if not isinstance(inquiry_targets, list):
+        raise ConfigError(f"{where}: 'inquiry_targets' must be a list")
+    relay_names = [target.name for target in targets]
+    for name in inquiry_targets:
+        if name not in relay_names:
+            raise ConfigError(f"{where}: inquiry target {name!r} is not a relay target")
+
     bind = record.get("bind", {})
     if not isinstance(bind, dict):
         raise ConfigError(f"{where}: 'bind' must be an object")
@@ -169,6 +185,8 @@ def load_node_config(path: Path | str) -> NodeConfig:
         bind_host=str(bind.get("host", "127.0.0.1")),
         bind_port=int(bind.get("port", 0)),
         loop_limit=int(record.get("loop_limit", DEFAULT_LOOP_LIMIT)),
+        token_free=token_free,
+        inquiry_targets=frozenset(inquiry_targets),
     )
 
 
@@ -176,16 +194,17 @@ def load_node_config(path: Path | str) -> NodeConfig:
 # Audit topology
 # ---------------------------------------------------------------------------
 
+# Audit settings a topology file once carried, and where each lives now.
+# Ignoring one silently would weaken the checker, so loading rejects it.
+_MOVED_TOPOLOGY_KEYS = {
+    "token_free_nodes": 'set "token_free": true in each such node\'s config',
+    "inquiry_edges": 'list the targets in the sending node\'s "inquiry_targets"',
+    "patient_id_pattern": "the pattern is fixed (fedmesh.locality.PATIENT_ID_RE)",
+}
 
-@dataclass(frozen=True)
-class TopologyConfig:
-    node_config_paths: tuple[Path, ...]
-    token_free_nodes: frozenset[str]
-    inquiry_edges: frozenset[tuple[str, str]]
-    patient_id_pattern: str
 
-
-def load_topology_config(path: Path | str) -> TopologyConfig:
+def load_topology_config(path: Path | str) -> tuple[Path, ...]:
+    """The node config paths a topology file lists."""
     path = Path(path)
     where = path.name
     try:
@@ -194,34 +213,25 @@ def load_topology_config(path: Path | str) -> TopologyConfig:
         raise ConfigError(f"{where}: invalid JSON: {exc}") from None
     if not isinstance(record, dict):
         raise ConfigError(f"{where}: topology root must be an object")
+    for key, moved_to in _MOVED_TOPOLOGY_KEYS.items():
+        if key in record:
+            raise ConfigError(f"{where}: {key!r} is no longer read here; {moved_to}")
     nodes = record.get("nodes")
     if not isinstance(nodes, list) or not nodes:
         raise ConfigError(f"{where}: 'nodes' must list node config paths")
-    inquiry_edges = frozenset(
-        (str(edge[0]), str(edge[1])) for edge in record.get("inquiry_edges", [])
-    )
-    return TopologyConfig(
-        node_config_paths=tuple(path.parent / str(p) for p in nodes),
-        token_free_nodes=frozenset(str(n) for n in record.get("token_free_nodes", [])),
-        inquiry_edges=inquiry_edges,
-        patient_id_pattern=str(record.get("patient_id_pattern", DEFAULT_PATIENT_ID_PATTERN)),
-    )
+    return tuple(path.parent / str(p) for p in nodes)
 
 
-def build_topology(
-    configs: Sequence[NodeConfig],
-    *,
-    token_free_nodes: frozenset[str] = frozenset(),
-    inquiry_edges: frozenset[tuple[str, str]] = frozenset(),
-    patient_id_pattern: str = DEFAULT_PATIENT_ID_PATTERN,
-) -> Topology:
-    """Declared relay edges are exactly the configured (node, target) pairs."""
+def build_topology(configs: Sequence[NodeConfig]) -> Topology:
+    """Declared relay edges are exactly the configured (node, target) pairs;
+    the audit rules are the ones each node declares for itself."""
     edges = frozenset(
         (cfg.node_id, target.name) for cfg in configs for target in cfg.relay_targets
     )
     return Topology(
         edges=edges,
-        token_free_nodes=token_free_nodes,
-        inquiry_edges=inquiry_edges,
-        patient_id_pattern=patient_id_pattern,
+        token_free_nodes=frozenset(cfg.node_id for cfg in configs if cfg.token_free),
+        inquiry_edges=frozenset(
+            (cfg.node_id, target) for cfg in configs for target in cfg.inquiry_targets
+        ),
     )

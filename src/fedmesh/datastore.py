@@ -126,14 +126,6 @@ class ClinicalObservation:
 
 
 @dataclass(frozen=True)
-class PatientRecord:
-    patient_id: CanonicalId
-    full_name: str
-    dob: dt.date
-    notes: str
-
-
-@dataclass(frozen=True)
 class EnrollmentRow:
     subject_token: CaseToken
     insurance_number: str
@@ -177,17 +169,13 @@ def _parse_observation(row: Mapping[str, str], line: int) -> ClinicalObservation
     )
 
 
-def _parse_patient(row: Mapping[str, str], line: int) -> PatientRecord:
+def _patient_id(row: Mapping[str, str], line: int) -> str:
+    """Check a patient row's dob and return its canonical patient id."""
     try:
-        dob = dt.date.fromisoformat(row["dob"].strip())
+        dt.date.fromisoformat(row["dob"].strip())
     except ValueError:
         raise RowError(line, f"invalid dob {row['dob']!r}") from None
-    return PatientRecord(
-        patient_id=normalize_id(row["patient_id"]),
-        full_name=row["full_name"].strip(),
-        dob=dob,
-        notes=row["notes"],
-    )
+    return normalize_id(row["patient_id"]).value
 
 
 def _parse_enrollment(row: Mapping[str, str], line: int) -> EnrollmentRow:
@@ -228,8 +216,6 @@ def _parse_coverage_rule(row: Mapping[str, str], line: int) -> CoverageRule:
 class ClinicStore:
     # Keyed by canonical patient id.
     observations: Mapping[str, ClinicalObservation]
-    patients: tuple[PatientRecord, ...]
-    tables: Mapping[str, Table]
 
 
 @dataclass(frozen=True)
@@ -237,22 +223,25 @@ class InsurerStore:
     # Keyed by token hex, and by (plan_id, treatment_code).
     enrollment: Mapping[str, EnrollmentRow]
     rules: Mapping[tuple[str, str], CoverageRule]
-    tables: Mapping[str, Table]
 
 
-def load_clinic_store(observations_path: Path | str, patients_path: Path | str) -> ClinicStore:
-    """Load both clinic tables; every observation must reference a patient."""
+def load_clinic_store(
+    observations_path: Path | str, patients_path: Path | str
+) -> tuple[ClinicStore, dict[str, Table]]:
+    """Load both clinic tables; every observation must reference a patient.
+
+    Returns the store and the raw tables, which only the protected index
+    reads.
+    """
     patients_table = read_table(patients_path, "patients", PATIENT_COLUMNS)
     obs_table = read_table(observations_path, "observations", OBSERVATION_COLUMNS)
 
-    patients: list[PatientRecord] = []
     seen_ids: set[str] = set()
     for row, line in zip(patients_table.rows, patients_table.lines):
-        rec = _parse_patient(row, line)
-        if rec.patient_id.value in seen_ids:
-            raise RowError(line, f"duplicate patient_id {rec.patient_id.value!r}")
-        seen_ids.add(rec.patient_id.value)
-        patients.append(rec)
+        patient_id = _patient_id(row, line)
+        if patient_id in seen_ids:
+            raise RowError(line, f"duplicate patient_id {patient_id!r}")
+        seen_ids.add(patient_id)
 
     observations: dict[str, ClinicalObservation] = {}
     for row, line in zip(obs_table.rows, obs_table.lines):
@@ -263,14 +252,16 @@ def load_clinic_store(observations_path: Path | str, patients_path: Path | str) 
             raise RowError(line, f"observation {obs.patient_id.value!r} has no patient record")
         observations[obs.patient_id.value] = obs
 
-    return ClinicStore(
-        observations=observations,
-        patients=tuple(patients),
-        tables={"observations": obs_table, "patients": patients_table},
-    )
+    return ClinicStore(observations=observations), {
+        "observations": obs_table,
+        "patients": patients_table,
+    }
 
 
-def load_insurer_store(enrollment_path: Path | str, rules_path: Path | str) -> InsurerStore:
+def load_insurer_store(
+    enrollment_path: Path | str, rules_path: Path | str
+) -> tuple[InsurerStore, dict[str, Table]]:
+    """Load both insurer tables; returns the store and the raw tables."""
     enrollment_table = read_table(enrollment_path, "enrollment", ENROLLMENT_COLUMNS)
     rules_table = read_table(rules_path, "coverage_rules", COVERAGE_RULE_COLUMNS)
 
@@ -289,11 +280,10 @@ def load_insurer_store(enrollment_path: Path | str, rules_path: Path | str) -> I
             raise RowError(line, f"duplicate rule for {key}")
         rules[key] = rule
 
-    return InsurerStore(
-        enrollment=enrollment,
-        rules=rules,
-        tables={"enrollment": enrollment_table, "coverage_rules": rules_table},
-    )
+    return InsurerStore(enrollment=enrollment, rules=rules), {
+        "enrollment": enrollment_table,
+        "coverage_rules": rules_table,
+    }
 
 
 def lookup_observation(store: ClinicStore, cid: CanonicalId) -> ClinicalObservation | None:

@@ -148,6 +148,7 @@ def _clinic_config() -> dict:
                 "access_key": "insurer-demo-key-0002",
             }
         },
+        "inquiry_targets": ["insurer"],
         "bind": {"host": "127.0.0.1", "port": 0},
     }
 
@@ -197,16 +198,13 @@ def _specialist_config() -> dict:
                 "access_key": "specialist-demo-key-0003",
             }
         },
+        "token_free": True,
         "bind": {"host": "127.0.0.1", "port": 0},
     }
 
 
 def _topology_config() -> dict:
-    return {
-        "nodes": ["clinic.json", "insurer.json", "specialist.json"],
-        "token_free_nodes": ["specialist"],
-        "inquiry_edges": [["clinic", "insurer"]],
-    }
+    return {"nodes": ["clinic.json", "insurer.json", "specialist.json"]}
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,8 @@ from .errors import TraceFormatError
 
 HEX64_RE = re.compile(r"[0-9a-fA-F]{64}")
 
-DEFAULT_PATIENT_ID_PATTERN = r"\bCLN-\d{4}\b"
+# A raw clinic patient identifier, in any letter case.
+PATIENT_ID_RE = re.compile(r"\bCLN-\d{4}\b", re.IGNORECASE)
 
 _TRACE_FIELDS = ("run_id", "seq", "from", "to", "operation_id", "conversation_id", "body")
 
@@ -224,13 +225,12 @@ class Topology:
     legitimately ride the reverse direction of a declared edge. Nodes in
     ``token_free_nodes`` must never receive any 64-hex substring, known or
     not. ``inquiry_edges`` are the edges whose bodies must never carry a raw
-    patient identifier matching ``patient_id_pattern``.
+    patient identifier (``PATIENT_ID_RE``).
     """
 
     edges: frozenset[tuple[str, str]]
     token_free_nodes: frozenset[str] = frozenset()
     inquiry_edges: frozenset[tuple[str, str]] = frozenset()
-    patient_id_pattern: str = DEFAULT_PATIENT_ID_PATTERN
 
     def permits(self, from_node: str, to_node: str) -> bool:
         return (from_node, to_node) in self.edges or (to_node, from_node) in self.edges
@@ -249,7 +249,6 @@ def check_trace(
     edge outside the declared topology; and raw patient identifiers on
     inquiry edges.
     """
-    pid_re = re.compile(topology.patient_id_pattern)
     violations: list[Violation] = []
 
     for env in trace.envelopes:
@@ -295,7 +294,7 @@ def check_trace(
                 )
 
         if edge in topology.inquiry_edges:
-            match = pid_re.search(env.body)
+            match = PATIENT_ID_RE.search(env.body)
             if match:
                 violations.append(
                     Violation(

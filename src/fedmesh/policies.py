@@ -33,6 +33,7 @@ from .datastore import (
     parse_kv_lines,
 )
 from .errors import ConfigError, ParseError
+from .locality import PATIENT_ID_RE
 from .pseudonym import CaseToken, normalize_id
 from .runtime import AgentPolicy, PolicyDecision, ToolCall, ToolExchange
 
@@ -43,7 +44,6 @@ TREATMENT_PHYSIO_COURSE = "physiotherapy_course"
 PREREQ_PHYSIO = "physiotherapy_6_weeks"
 PREREQ_ANALGESIA = "failed_simple_analgesia"
 
-PATIENT_ID_RE = re.compile(r"\bCLN-\d{4}\b", re.IGNORECASE)
 _CODE_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _EXPLICIT_TREATMENT_RE = re.compile(r"\bfor\s+([A-Za-z][A-Za-z0-9_]*)(?![\w-])")
 

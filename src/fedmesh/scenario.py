@@ -35,35 +35,27 @@ from .runtime import TOOL_REGISTRY, Node, handle_operation
 logger = logging.getLogger(__name__)
 
 TRANSPORTS = ("inprocess", "network")
-_TOKEN_FREE_NODES = frozenset({"specialist"})
-_INQUIRY_EDGES = frozenset({("clinic", "insurer")})
 
 
-def load_datasets(
-    cfg: NodeConfig, *, tables_only: bool = False
-) -> tuple[dict[str, object], dict[str, Table]]:
-    """Load a node's datasets, plus the raw tables its protected index reads.
+def load_stores(
+    cfg: NodeConfig, secrets: SecretSource
+) -> tuple[dict[str, object], ProtectedValueIndex]:
+    """Load a node's tabular stores and build its protected index.
 
-    With ``tables_only`` the guidance extracts, which have no tables, are
-    skipped; the audit needs nothing else.
+    The raw tables feed only the index, so they are garbage once this
+    returns. Guidance extracts have no tables and are not loaded here.
     """
-    datasets: dict[str, object] = {}
+    stores: dict[str, object] = {}
     tables: dict[str, Table] = {}
     for kind, paths in cfg.datasets.items():
         if kind == "clinic":
-            store = load_clinic_store(paths["observations"], paths["patients"])
-            datasets["clinic"] = store
-            tables.update(store.tables)
+            stores[kind], loaded = load_clinic_store(paths["observations"], paths["patients"])
         elif kind == "insurer":
-            store = load_insurer_store(paths["enrollment"], paths["coverage_rules"])
-            datasets["insurer"] = store
-            tables.update(store.tables)
-        elif kind == "guidance":
-            if not tables_only:
-                datasets["guidance"] = load_guidance(paths["dir"])
+            stores[kind], loaded = load_insurer_store(paths["enrollment"], paths["coverage_rules"])
         else:
-            raise ConfigError(f"node {cfg.node_id!r}: unknown dataset kind {kind!r}")
-    return datasets, tables
+            continue
+        tables.update(loaded)
+    return stores, protected_values(cfg.node_id, cfg.protected, tables, secrets)
 
 
 def build_node(
@@ -71,23 +63,17 @@ def build_node(
     *,
     trace: TraceLog | None = None,
     env: Mapping[str, str] | None = None,
-    policy_overrides: Mapping[str, Mapping[str, object]] | None = None,
 ) -> Node:
-    """Load datasets, build the protected index, and instantiate policies.
-
-    ``policy_overrides`` merges extra options into every operation whose
-    policy name matches; the scenario runner uses it for fault injection.
-    """
+    """Load datasets, build the protected index, and instantiate policies."""
     secrets = SecretSource(files=dict(cfg.secret_files), env=env)
-    datasets, tables = load_datasets(cfg)
-    index = protected_values(cfg.node_id, cfg.protected, tables, secrets)
+    datasets, index = load_stores(cfg, secrets)
+    if "guidance" in cfg.datasets:
+        datasets["guidance"] = load_guidance(cfg.datasets["guidance"]["dir"])
 
-    policies = {}
-    for op in cfg.operations:
-        options = dict(cfg.policy_options.get(op.operation_id, {}))
-        if policy_overrides and op.agent_policy in policy_overrides:
-            options.update(policy_overrides[op.agent_policy])
-        policies[op.operation_id] = build_policy(op.agent_policy, options)
+    policies = {
+        op.operation_id: build_policy(op.agent_policy, cfg.policy_options.get(op.operation_id))
+        for op in cfg.operations
+    }
 
     return Node(
         node_id=cfg.node_id,
@@ -107,23 +93,17 @@ def build_node(
 def load_audit_context(
     topology_config_path: Path | str,
 ) -> tuple[Topology, dict[str, ProtectedValueIndex]]:
-    """Rebuild the topology and per-node indexes the trace checker needs."""
-    tcfg = load_topology_config(topology_config_path)
-    configs = [load_node_config(path) for path in tcfg.node_config_paths]
-    topology = build_topology(
-        configs,
-        token_free_nodes=tcfg.token_free_nodes,
-        inquiry_edges=tcfg.inquiry_edges,
-        patient_id_pattern=tcfg.patient_id_pattern,
-    )
-    indexes = {}
-    for cfg in configs:
-        secrets = SecretSource(files=dict(cfg.secret_files))
-        # Passed inline so each node's stores are freed before the next loads.
-        indexes[cfg.node_id] = protected_values(
-            cfg.node_id, cfg.protected, load_datasets(cfg, tables_only=True)[1], secrets
-        )
-    return topology, indexes
+    """Rebuild the topology and per-node indexes the trace checker needs.
+
+    Only the indexes are kept: each node's stores are freed before the next
+    node loads, and guidance is never parsed.
+    """
+    configs = [load_node_config(path) for path in load_topology_config(topology_config_path)]
+    indexes = {
+        cfg.node_id: load_stores(cfg, SecretSource(files=dict(cfg.secret_files)))[1]
+        for cfg in configs
+    }
+    return build_topology(configs), indexes
 
 
 @dataclass
@@ -167,7 +147,6 @@ def boot_scenario(
     transport: str = "inprocess",
     run_id: str | None = None,
     env: Mapping[str, str] | None = None,
-    policy_overrides: Mapping[str, Mapping[str, object]] | None = None,
 ) -> Scenario:
     """Boot every configured node; the first config hosts the entry
     operation."""
@@ -179,17 +158,13 @@ def boot_scenario(
     run_id = run_id or f"run-{uuid.uuid4().hex[:12]}"
     trace = TraceLog(run_id)
     configs = [load_node_config(path) for path in config_paths]
-    topology = build_topology(
-        configs, token_free_nodes=_TOKEN_FREE_NODES, inquiry_edges=_INQUIRY_EDGES
-    )
+    topology = build_topology(configs)
 
     nodes: dict[str, Node] = {}
     for cfg in configs:
         if cfg.node_id in nodes:
             raise ConfigError(f"duplicate node id {cfg.node_id!r}")
-        nodes[cfg.node_id] = build_node(
-            cfg, trace=trace, env=env, policy_overrides=policy_overrides
-        )
+        nodes[cfg.node_id] = build_node(cfg, trace=trace, env=env)
 
     servers: list[RelayServer] = []
     if transport == "inprocess":
@@ -287,15 +262,15 @@ def run_scenario(
     consult; ``bypass_guard`` disables the runtime guard so seeded faults
     reach the trace for the offline checker to catch.
     """
-    policy_overrides = {"insurer": {"forward_token": True}} if forward_token else None
-    scenario = boot_scenario(
-        config_paths,
-        transport=transport,
-        run_id=run_id,
-        env=env,
-        policy_overrides=policy_overrides,
-    )
+    scenario = boot_scenario(config_paths, transport=transport, run_id=run_id, env=env)
     try:
+        if forward_token:
+            for node in scenario.nodes.values():
+                for op_id, op in node.operations.items():
+                    if op.agent_policy == "insurer":
+                        node.policies[op_id] = dataclasses.replace(
+                            node.policies[op_id], forward_token=True
+                        )
         if bypass_guard:
             for node in scenario.nodes.values():
                 node.enforce_guard = False

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from fedmesh.cli import main
-from fedmesh.fixtures import FIXTURE_SECRET
+from fedmesh.fixtures import CANONICAL_REQUEST, FIXTURE_SECRET, write_demo_workspace
+from fedmesh.scenario import run_scenario
 
 from conftest import GOLDEN_TOKENS
 
@@ -160,3 +163,41 @@ def test_check_trace_malformed_line(workspace, tmp_path, capsys):
     code = main(["check-trace", "--trace", str(trace), "--topology", str(workspace.topology_config)])
     assert code == 1
     assert "line 1" in capsys.readouterr().err
+
+
+def test_run_scenario_and_check_trace_apply_the_same_rules(tmp_path, capsys):
+    """Both audits take the token-free nodes from the node configs: marking
+    the insurer token-free flags the case token in the clinic's inquiry."""
+    ws = write_demo_workspace(tmp_path / "ws")
+    record = json.loads(ws.insurer_config.read_text())
+    record["token_free"] = True
+    ws.insurer_config.write_text(json.dumps(record))
+    trace = tmp_path / "trace.jsonl"
+
+    result = run_scenario(ws.node_configs, CANONICAL_REQUEST, run_id="run-cli-same", trace_path=trace)
+    assert [(v.kind.value, v.seq) for v in result.violations] == [("token-leak", 1)]
+    assert result.exit_code == 2
+
+    code = main(["check-trace", "--trace", str(trace), "--topology", str(ws.topology_config)])
+    assert code == 2
+    assert capsys.readouterr().out.splitlines() == [v.to_json() for v in result.violations]
+
+
+@pytest.mark.parametrize(
+    "key, value, moved_to",
+    [
+        ("token_free_nodes", ["specialist"], '"token_free": true'),
+        ("inquiry_edges", [["clinic", "insurer"]], '"inquiry_targets"'),
+        ("patient_id_pattern", r"\bCLN-\d{4}\b", "PATIENT_ID_RE"),
+    ],
+    ids=["token_free_nodes", "inquiry_edges", "patient_id_pattern"],
+)
+def test_check_trace_rejects_topology_audit_keys(workspace, tmp_path, capsys, key, value, moved_to):
+    topology = tmp_path / "topology.json"
+    topology.write_text(json.dumps({"nodes": [str(p) for p in workspace.node_configs], key: value}))
+    trace = tmp_path / "empty.jsonl"
+    trace.write_text("")
+    assert main(["check-trace", "--trace", str(trace), "--topology", str(topology)]) == 1
+    err = capsys.readouterr().err
+    assert f"ConfigError: topology.json: {key!r} is no longer read here" in err
+    assert moved_to in err

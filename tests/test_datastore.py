@@ -33,20 +33,35 @@ OPAQUE_TOKEN = "08528e90b4b32ee32f2a92a2cb33e1c1e2f382e98ab9e78e65d6d361456f0a97
 
 
 @pytest.fixture(scope="module")
-def clinic(workspace):
+def clinic_loaded(workspace):
     root = workspace.root / "clinic"
     return load_clinic_store(root / "clinical_observations.csv", root / "patients.csv")
 
 
 @pytest.fixture(scope="module")
-def insurer(workspace):
+def clinic(clinic_loaded):
+    return clinic_loaded[0]
+
+
+@pytest.fixture(scope="module")
+def clinic_tables(clinic_loaded):
+    return clinic_loaded[1]
+
+
+@pytest.fixture(scope="module")
+def insurer_loaded(workspace):
     root = workspace.root / "insurer"
     return load_insurer_store(root / "enrollment.csv", root / "coverage_rules.csv")
 
 
-def test_clinic_store_counts(clinic):
+@pytest.fixture(scope="module")
+def insurer(insurer_loaded):
+    return insurer_loaded[0]
+
+
+def test_clinic_store_counts(clinic, clinic_tables):
     assert len(clinic.observations) == 5
-    assert len(clinic.patients) == 5
+    assert len(clinic_tables["patients"].rows) == 5
 
 
 def test_lookup_observation_cln0001(clinic):
@@ -78,9 +93,9 @@ def test_header_only_files_give_empty_store(tmp_path):
     )
     patients = tmp_path / "patients.csv"
     patients.write_text("patient_id,full_name,dob,notes\n")
-    store = load_clinic_store(obs, patients)
+    store, tables = load_clinic_store(obs, patients)
     assert store.observations == {}
-    assert store.patients == ()
+    assert tables["patients"].rows == ()
 
 
 def test_missing_column_names_it(tmp_path, workspace):
@@ -146,7 +161,7 @@ def test_match_enrollment_opaque_replay_token(tmp_path, workspace):
         "subject_token,insurance_number,plan_id,status\n"
         f"{OPAQUE_TOKEN},INS-441122,PLAN-A,active\n"
     )
-    store = load_insurer_store(enrollment, workspace.root / "insurer" / "coverage_rules.csv")
+    store, _ = load_insurer_store(enrollment, workspace.root / "insurer" / "coverage_rules.csv")
     row = match_enrollment(store, OPAQUE_TOKEN)
     assert row is not None and row.plan_id == "PLAN-A"
 
@@ -210,8 +225,8 @@ def test_dict_lookups_agree_with_linear_scan(ids, lower_ids, tokens, rules, prob
             f"{token},INS-{n},PLAN-A,active\n" for n, token in enumerate(sorted(tokens))))
         (root / "rules.csv").write_text("plan_id,treatment_code,covered,prerequisites\n" + "".join(
             f"{plan},{code},{'yes' if n % 2 else 'no'},—\n" for n, (plan, code) in enumerate(sorted(rules))))
-        clinic = load_clinic_store(root / "obs.csv", root / "patients.csv")
-        insurer = load_insurer_store(root / "enrollment.csv", root / "rules.csv")
+        clinic, _ = load_clinic_store(root / "obs.csv", root / "patients.csv")
+        insurer, _ = load_insurer_store(root / "enrollment.csv", root / "rules.csv")
 
     for i in sorted(ids) + probe_ids:
         cid = normalize_id(f"CLN-{i:04d}")
@@ -283,29 +298,25 @@ def test_csv_round_trip_byte_for_byte(workspace, relpath, table, required):
 # --- protected values ---
 
 
-def _clinic_tables(clinic):
-    return dict(clinic.tables)
-
-
-def test_protected_values_clinic_defaults(clinic):
+def test_protected_values_clinic_defaults(clinic_tables):
     specs = (
         ProtectedSpec(store="patients", columns=("patient_id", "dob", "notes")),
         ProtectedSpec(store="patients", columns=("full_name",), match=MatchMode.TEXT),
         ProtectedSpec(store="observations", columns=("patient_id",)),
     )
-    index = protected_values("clinic", specs, _clinic_tables(clinic))
+    index = protected_values("clinic", specs, clinic_tables)
     values = index.values()
     assert {"Marina Kovacs", "1968-08-12", "CLN-0001"} <= values
 
 
-def test_protected_values_insurer_defaults(insurer):
+def test_protected_values_insurer_defaults(insurer_loaded):
     specs = (
         ProtectedSpec(store="enrollment", columns=("insurance_number",)),
         ProtectedSpec(
             store="enrollment", columns=("subject_token",), allowed_to=frozenset({"clinic"})
         ),
     )
-    index = protected_values("insurer", specs, dict(insurer.tables))
+    index = protected_values("insurer", specs, insurer_loaded[1])
     values = index.values()
     assert "INS-441122" in values
     assert set(GOLDEN_TOKENS.values()) <= values
@@ -313,7 +324,7 @@ def test_protected_values_insurer_defaults(insurer):
     assert all(e.allowed_to == frozenset({"clinic"}) for e in token_entries)
 
 
-def test_protected_values_derived_tokens(clinic, workspace):
+def test_protected_values_derived_tokens(clinic_tables, workspace):
     secrets = SecretSource(files={"clinic_hmac_key": workspace.root / "clinic" / "hmac.key"})
     specs = (
         ProtectedSpec(
@@ -324,7 +335,7 @@ def test_protected_values_derived_tokens(clinic, workspace):
             allowed_to=frozenset({"insurer"}),
         ),
     )
-    index = protected_values("clinic", specs, _clinic_tables(clinic), secrets)
+    index = protected_values("clinic", specs, clinic_tables, secrets)
     assert index.values() == set(GOLDEN_TOKENS.values())
 
 
@@ -336,27 +347,27 @@ def test_protected_values_empty_store():
     assert index.entries == ()
 
 
-def test_protected_values_unknown_column(clinic):
+def test_protected_values_unknown_column(clinic_tables):
     with pytest.raises(ConfigError):
         protected_values(
             "clinic",
             (ProtectedSpec(store="patients", columns=("no_such_column",)),),
-            _clinic_tables(clinic),
+            clinic_tables,
         )
 
 
-def test_protected_values_unknown_store(clinic):
+def test_protected_values_unknown_store(clinic_tables):
     with pytest.raises(ConfigError):
         protected_values(
             "clinic",
             (ProtectedSpec(store="nope", columns=("patient_id",)),),
-            _clinic_tables(clinic),
+            clinic_tables,
         )
 
 
-def test_protected_values_monotone(clinic):
+def test_protected_values_monotone(clinic_tables):
     """Adding rows never removes an index entry."""
-    table = clinic.tables["patients"]
+    table = clinic_tables["patients"]
     spec = (ProtectedSpec(store="patients", columns=("full_name", "dob")),)
     previous: set[str] = set()
     for k in range(len(table.rows) + 1):

@@ -6,8 +6,9 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fedmesh.config import load_node_config
 from fedmesh.datastore import MatchMode, ProtectedValue, ProtectedValueIndex
-from fedmesh.errors import TraceFormatError
+from fedmesh.errors import ConfigError, TraceFormatError
 from fedmesh.locality import (
     MessageEnvelope,
     Topology,
@@ -247,8 +248,41 @@ def test_audit_indexes_equal_booted_indexes(workspace):
     """The audit context and the booted nodes load their datasets the same way."""
     scenario = boot_scenario(workspace.node_configs, run_id="run-loc-index")
     scenario.close()
-    _, indexes = load_audit_context(workspace.topology_config)
+    topology, indexes = load_audit_context(workspace.topology_config)
     assert indexes == scenario.indexes()
+    assert topology == scenario.topology
+
+
+def test_check_trace_flags_lower_case_patient_id(workspace):
+    """The raw-patient-id rule matches in any letter case, as the clinic's
+    request parser does."""
+    result = run_scenario(
+        workspace.node_configs,
+        "Confirm coverage for CLN-0001",
+        run_id="run-loc-lower-id",
+        inject_leak="cln-0001",
+        bypass_guard=True,
+    )
+    assert [(v.kind, v.seq) for v in result.violations] == [(ViolationKind.RAW_PATIENT_ID, 1)]
+    assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("token_free", "yes", "'token_free' must be true or false"),
+        ("inquiry_targets", ["specialist"], "inquiry target 'specialist' is not a relay target"),
+    ],
+    ids=["token_free", "inquiry_targets"],
+)
+def test_node_audit_rules_are_validated(workspace, tmp_path, key, value, message):
+    record = json.loads(workspace.clinic_config.read_text())
+    record[key] = value
+    path = tmp_path / "clinic.json"
+    path.write_text(json.dumps(record))
+    with pytest.raises(ConfigError) as err:
+        load_node_config(path)
+    assert message in str(err.value)
 
 
 def test_check_trace_flags_injected_patient_id(workspace):
