@@ -224,7 +224,13 @@ def load_topology_config(path: Path | str) -> tuple[Path, ...]:
 
 def build_topology(configs: Sequence[NodeConfig]) -> Topology:
     """Declared relay edges are exactly the configured (node, target) pairs;
-    the audit rules are the ones each node declares for itself."""
+    the audit rules are the ones each node declares for itself. Node ids
+    must be unique."""
+    seen: set[str] = set()
+    for cfg in configs:
+        if cfg.node_id in seen:
+            raise ConfigError(f"duplicate node id {cfg.node_id!r}")
+        seen.add(cfg.node_id)
     edges = frozenset(
         (cfg.node_id, target.name) for cfg in configs for target in cfg.relay_targets
     )

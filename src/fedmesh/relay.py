@@ -14,17 +14,24 @@ destination node's id so traces and topology checks line up. The outbound
 leak guard runs before any bytes leave the node and fails closed: a finding
 aborts the call with nothing sent and nothing recorded.
 
+Over HTTP a node keeps its connections to each target alive (HTTP/1.1) and
+reuses them across calls; a request is still sent at most once. The
+listener bounds what it reads: a request must declare a ``Content-Length``
+of at most ``MAX_REQUEST_BYTES``, and an idle connection closes after
+``DEFAULT_TIMEOUT_SECONDS``.
+
 An in-process loopback transport serves hermetic runs and tests; requests
 still round-trip through their JSON wire form.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
+import select
 import threading
-import urllib.error
-import urllib.request
+import urllib.parse
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, Mapping, Protocol
@@ -43,11 +50,14 @@ from .errors import (
 from .locality import scan_outbound
 
 if TYPE_CHECKING:
+    import socket
+
     from .runtime import Node
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_TIMEOUT_SECONDS = 30.0
+MAX_REQUEST_BYTES = 1 << 20
 
 _REQUEST_FIELDS = ("operation_id", "access_key", "conversation_id", "body")
 
@@ -151,6 +161,8 @@ class Transport(Protocol):
 
     def send(self, target: RelayTarget, request: RelayRequest) -> RelayResponse: ...
 
+    def close(self) -> None: ...
+
 
 class LoopbackTransport:
     """In-process transport for hermetic runs.
@@ -180,35 +192,99 @@ class LoopbackTransport:
             return RelayResponse.fail("protocol", str(exc))
         return serve_request(node, parsed)
 
+    def close(self) -> None:
+        pass
+
 
 class HttpTransport:
-    """JSON-over-HTTP POST transport; one request per call, 30 s timeout."""
+    """JSON-over-HTTP POST transport with a 30 s timeout.
+
+    Connections are kept alive and pooled per ``(scheme, host, port)``: a
+    call takes an idle connection, or opens one, and returns it once the
+    whole response is read, so concurrent conversations each hold their
+    own. An idle connection the peer has closed is dropped before use. A
+    request is never sent twice: any failure closes its connection and
+    raises ``RelayTransportError``. Proxy environment variables are not
+    consulted.
+    """
 
     def __init__(self, timeout: float = DEFAULT_TIMEOUT_SECONDS) -> None:
         self.timeout = timeout
         self.sends = 0
         self.bytes_sent = 0
+        self._idle: dict[tuple[str, str, int], list[http.client.HTTPConnection]] = {}
+        self._lock = threading.Lock()
 
     def send(self, target: RelayTarget, request: RelayRequest) -> RelayResponse:
         url = f"{target.url.rstrip('/')}/operations/{target.operation_id}"
+        try:
+            parts = urllib.parse.urlsplit(url)
+            port = parts.port or (443 if parts.scheme == "https" else 80)
+        except ValueError as exc:
+            raise RelayTransportError(f"relay transport cannot reach url {target.url!r}: {exc}") from exc
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise RelayTransportError(f"relay transport cannot reach url {target.url!r}")
+        key = (parts.scheme, parts.hostname, port)
+        selector = f"{parts.path}?{parts.query}" if parts.query else parts.path
         payload = request.to_json().encode("utf-8")
-        http_request = urllib.request.Request(
-            url,
-            data=payload,
-            headers={"Content-Type": "application/json"},
-            method="POST",
-        )
-        self.sends += 1
-        self.bytes_sent += len(payload)
+        connection = self._checkout(key)
+        with self._lock:
+            self.sends += 1
+            self.bytes_sent += len(payload)
         try:
-            with urllib.request.urlopen(http_request, timeout=self.timeout) as response:
-                raw = response.read().decode("utf-8")
-        except (urllib.error.URLError, OSError) as exc:
+            connection.request("POST", selector, body=payload, headers={"Content-Type": "application/json"})
+            response = connection.getresponse()
+            raw = response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            connection.close()
             raise RelayTransportError(f"relay transport failed for {url}: {exc}") from exc
+        if response.status != 200:
+            connection.close()
+            raise RelayTransportError(
+                f"relay transport failed for {url}: HTTP Error {response.status}: {response.reason}"
+            )
+        if response.will_close:
+            connection.close()
+        else:
+            with self._lock:
+                self._idle.setdefault(key, []).append(connection)
         try:
-            return RelayResponse.from_json(raw)
+            return RelayResponse.from_json(raw.decode("utf-8"))
         except (ValueError, json.JSONDecodeError) as exc:
             raise RelayTransportError(f"malformed relay response from {url}: {exc}") from exc
+
+    def _checkout(self, key: tuple[str, str, int]) -> http.client.HTTPConnection:
+        """An idle connection to ``key`` the peer has not closed, else a new one."""
+        while True:
+            with self._lock:
+                idle = self._idle.get(key)
+                connection = idle.pop() if idle else None
+            if connection is None:
+                break
+            if connection.sock is not None and _is_quiet(connection.sock):
+                return connection
+            connection.close()
+        scheme, host, port = key
+        if scheme == "https":
+            return http.client.HTTPSConnection(host, port, timeout=self.timeout)
+        return http.client.HTTPConnection(host, port, timeout=self.timeout)
+
+    def close(self) -> None:
+        """Close every idle connection; a later call opens a new one."""
+        with self._lock:
+            idle = [connection for pool in self._idle.values() for connection in pool]
+            self._idle.clear()
+        for connection in idle:
+            connection.close()
+
+
+def _is_quiet(sock: socket.socket) -> bool:
+    """True when nothing is waiting to be read on an idle connection; a
+    readable one has been closed by the peer or carries stray bytes."""
+    try:
+        return not select.select([sock], [], [], 0)[0]
+    except (OSError, ValueError):  # a closed socket, or a descriptor select cannot watch
+        return False
 
 
 def serve_request(node: "Node", request: RelayRequest) -> RelayResponse:
@@ -303,16 +379,25 @@ def relay_call(node: "Node", target_name: str, body: str, conversation_id: str) 
 class _RelayHandler(BaseHTTPRequestHandler):
     node: "Node"  # set on the subclass built in serve()
 
+    # Keep-alive: one handler thread serves every request on a connection.
+    protocol_version = "HTTP/1.1"
+    # Headers and body go out as two writes; with Nagle's algorithm on, each
+    # kept-alive response would wait for the peer's delayed ACK.
+    disable_nagle_algorithm = True
+    # An idle or stalled connection frees its thread after this many seconds.
+    timeout = DEFAULT_TIMEOUT_SECONDS
+
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
+        raw = self._read_body()
+        if raw is None:
+            return
         prefix = "/operations/"
         if not self.path.startswith(prefix):
             self._reply(RelayResponse.fail("protocol", f"unknown path {self.path!r}"))
             return
         path_operation = self.path[len(prefix):]
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            raw = self.rfile.read(length).decode("utf-8")
-            request = RelayRequest.from_json(raw)
+            request = RelayRequest.from_json(raw.decode("utf-8"))
         except (ValueError, json.JSONDecodeError, UnicodeDecodeError) as exc:
             self._reply(RelayResponse.fail("protocol", f"malformed request: {exc}"))
             return
@@ -326,11 +411,34 @@ class _RelayHandler(BaseHTTPRequestHandler):
             return
         self._reply(serve_request(self.node, request))
 
-    def _reply(self, response: RelayResponse) -> None:
+    def _read_body(self) -> bytes | None:
+        """The request body, or None once the request's framing is refused.
+
+        The body must be declared by a ``Content-Length`` of at most
+        ``MAX_REQUEST_BYTES``; otherwise the reply is a ``protocol`` error
+        and the connection closes, since the next request's start is unknown.
+        """
+        declared = self.headers.get("Content-Length", "")
+        if "Transfer-Encoding" in self.headers or not (declared.isascii() and declared.isdigit()):
+            problem = f"request must declare its length in Content-Length, got {declared!r}"
+        elif int(declared) > MAX_REQUEST_BYTES:
+            problem = f"request of {declared} bytes exceeds the limit of {MAX_REQUEST_BYTES}"
+        else:
+            raw = self.rfile.read(int(declared))
+            if len(raw) == int(declared):
+                return raw
+            self.close_connection = True  # the caller hung up mid-body
+            return None
+        self._reply(RelayResponse.fail("protocol", problem), close=True)
+        return None
+
+    def _reply(self, response: RelayResponse, close: bool = False) -> None:
         payload = response.to_json().encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
+        if close:
+            self.send_header("Connection", "close")  # also sets close_connection
         self.end_headers()
         self.wfile.write(payload)
 
@@ -339,9 +447,10 @@ class _RelayHandler(BaseHTTPRequestHandler):
 
 
 class RelayServer:
-    """A running listener; handles concurrent inbound requests in threads,
-    so a handler awaiting its own outbound relay call never blocks new
-    work."""
+    """A running listener; handles each inbound connection in its own
+    thread, so a handler awaiting its own outbound relay call never blocks
+    new work. A connection stays open for the caller's next request until
+    the caller closes it or it idles for ``DEFAULT_TIMEOUT_SECONDS``."""
 
     def __init__(self, node: "Node", bind_address: tuple[str, int]) -> None:
         handler = type("BoundRelayHandler", (_RelayHandler,), {"node": node})

@@ -99,11 +99,12 @@ def load_audit_context(
     node loads, and guidance is never parsed.
     """
     configs = [load_node_config(path) for path in load_topology_config(topology_config_path)]
+    topology = build_topology(configs)
     indexes = {
         cfg.node_id: load_stores(cfg, SecretSource(files=dict(cfg.secret_files)))[1]
         for cfg in configs
     }
-    return build_topology(configs), indexes
+    return topology, indexes
 
 
 @dataclass
@@ -136,6 +137,9 @@ class Scenario:
         return check_trace(self.trace, self.topology, self.indexes())
 
     def close(self) -> None:
+        for node in self.nodes.values():  # first, so kept-alive handler threads see EOF
+            if node.transport is not None:
+                node.transport.close()
         for server in self.servers:
             server.close()
         self.servers.clear()
@@ -160,11 +164,7 @@ def boot_scenario(
     configs = [load_node_config(path) for path in config_paths]
     topology = build_topology(configs)
 
-    nodes: dict[str, Node] = {}
-    for cfg in configs:
-        if cfg.node_id in nodes:
-            raise ConfigError(f"duplicate node id {cfg.node_id!r}")
-        nodes[cfg.node_id] = build_node(cfg, trace=trace, env=env)
+    nodes = {cfg.node_id: build_node(cfg, trace=trace, env=env) for cfg in configs}
 
     servers: list[RelayServer] = []
     if transport == "inprocess":

@@ -5,8 +5,9 @@ import json
 import pytest
 
 from fedmesh.cli import main
+from fedmesh.errors import ConfigError
 from fedmesh.fixtures import CANONICAL_REQUEST, FIXTURE_SECRET, write_demo_workspace
-from fedmesh.scenario import run_scenario
+from fedmesh.scenario import boot_scenario, run_scenario
 
 from conftest import GOLDEN_TOKENS
 
@@ -201,3 +202,15 @@ def test_check_trace_rejects_topology_audit_keys(workspace, tmp_path, capsys, ke
     err = capsys.readouterr().err
     assert f"ConfigError: topology.json: {key!r} is no longer read here" in err
     assert moved_to in err
+
+
+def test_duplicate_node_id_is_rejected_by_boot_and_audit(workspace, tmp_path, capsys):
+    configs = [workspace.node_configs[0], *workspace.node_configs]
+    with pytest.raises(ConfigError, match="duplicate node id 'clinic'"):
+        boot_scenario(configs)
+    topology = tmp_path / "topology.json"
+    topology.write_text(json.dumps({"nodes": [str(p) for p in configs]}))
+    trace = tmp_path / "empty.jsonl"
+    trace.write_text("")
+    assert main(["check-trace", "--trace", str(trace), "--topology", str(topology)]) == 1
+    assert "ConfigError: duplicate node id 'clinic'" in capsys.readouterr().err

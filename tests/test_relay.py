@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import socket
+import sys
+import threading
+import time
 import urllib.request
 
 import pytest
@@ -13,10 +17,19 @@ from fedmesh.errors import (
     RelayTransportError,
     TargetNotConfigured,
 )
-from fedmesh.policies import render_consult, SpecialistConsult
+from fedmesh import relay
+from fedmesh.fixtures import CANONICAL_REQUEST
+from fedmesh.policies import (
+    Appropriateness,
+    CoverageStatus,
+    SpecialistConsult,
+    parse_verdict_fields,
+    render_consult,
+)
 from fedmesh.datastore import SymptomClass
 from fedmesh.relay import (
     DEFAULT_TIMEOUT_SECONDS,
+    MAX_REQUEST_BYTES,
     HttpTransport,
     RelayRequest,
     RelayResponse,
@@ -239,3 +252,180 @@ def test_transport_error_on_unreachable_port(scenario, specialist_server):
     request = RelayRequest("specialist_consult", "specialist-demo-key-0003", "c1", _consult_body())
     with pytest.raises(RelayTransportError):
         transport.send(target, request)
+
+
+# --- kept-alive connections ---
+
+
+def _consult_request() -> RelayRequest:
+    return RelayRequest("specialist_consult", "specialist-demo-key-0003", "c1", _consult_body())
+
+
+def _specialist_target(url: str) -> RelayTarget:
+    return RelayTarget(
+        name="specialist",
+        url=url,
+        operation_id="specialist_consult",
+        access_key="specialist-demo-key-0003",
+    )
+
+
+def _count_accepts(server) -> list:
+    """Record each connection the listener accepts."""
+    accepted = []
+    get_request = server._server.get_request
+
+    def counting():
+        connection = get_request()
+        accepted.append(connection[1])
+        return connection
+
+    server._server.get_request = counting
+    return accepted
+
+
+def test_http_transport_reuses_one_connection(specialist_server):
+    accepted = _count_accepts(specialist_server)
+    transport = HttpTransport()
+    target = _specialist_target(specialist_server.url)
+    try:
+        for _ in range(20):
+            assert transport.send(target, _consult_request()).status == "ok"
+    finally:
+        transport.close()
+    assert transport.sends == 20
+    assert len(accepted) == 1
+
+
+def test_http_transport_replaces_connection_the_server_closed(specialist_server, monkeypatch):
+    """An idle connection the listener timed out is dropped before use, and
+    no request is sent twice."""
+    monkeypatch.setattr(specialist_server._server.RequestHandlerClass, "timeout", 0.2)
+    served = []
+    original = relay.serve_request
+
+    def counting(node, request):
+        served.append(request)
+        return original(node, request)
+
+    monkeypatch.setattr(relay, "serve_request", counting)
+    accepted = _count_accepts(specialist_server)
+    transport = HttpTransport()
+    target = _specialist_target(specialist_server.url)
+    try:
+        assert transport.send(target, _consult_request()).status == "ok"
+        time.sleep(0.6)
+        assert transport.send(target, _consult_request()).status == "ok"
+        assert transport.send(target, _consult_request()).status == "ok"
+    finally:
+        transport.close()
+    assert len(served) == 3
+    assert len(accepted) == 2
+
+
+def test_http_transport_concurrent_sends_each_hold_a_connection(specialist_server):
+    accepted = _count_accepts(specialist_server)
+    transport = HttpTransport()
+    target = _specialist_target(specialist_server.url)
+    statuses = []
+
+    def converse():
+        for _ in range(10):
+            statuses.append(transport.send(target, _consult_request()).status)
+
+    workers = [threading.Thread(target=converse) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    try:
+        assert not any(worker.is_alive() for worker in workers)
+        assert statuses == ["ok"] * 80
+        assert (transport.sends, transport.bytes_sent) == (80, 80 * len(_consult_request().to_json().encode()))
+        # every connection opened is back in the pool, once
+        idle = [connection for pool in transport._idle.values() for connection in pool]
+        assert len({id(connection) for connection in idle}) == len(idle) == len(accepted) <= 8
+    finally:
+        transport.close()
+
+
+@pytest.mark.parametrize(
+    "url", ["local:insurer", "ftp://127.0.0.1/x", "http://", "http://127.0.0.1:99999"]
+)
+def test_http_transport_rejects_unusable_url_before_sending(url):
+    transport = HttpTransport()
+    with pytest.raises(RelayTransportError):
+        transport.send(_specialist_target(url), _consult_request())
+    assert (transport.sends, transport.bytes_sent) == (0, 0)
+
+
+def test_closing_a_network_scenario_ends_its_threads(workspace):
+    before = threading.active_count()
+    scenario = boot_scenario(workspace.node_configs, transport="network", run_id="run-relay-threads")
+    try:
+        for _ in range(20):
+            scenario.submit(CANONICAL_REQUEST)
+        # three listeners, plus one handler per kept-alive connection:
+        # clinic -> insurer and insurer -> specialist
+        assert threading.active_count() == before + 5
+    finally:
+        scenario.close()
+    deadline = time.monotonic() + 5
+    while threading.active_count() > before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert threading.active_count() == before
+
+
+def test_network_transport_ignores_proxy_environment(workspace, monkeypatch):
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        dead = f"http://127.0.0.1:{probe.getsockname()[1]}"
+    for name in ("http_proxy", "HTTP_PROXY"):
+        monkeypatch.setenv(name, dead)
+    for name in ("no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    scenario = boot_scenario(workspace.node_configs, transport="network", run_id="run-relay-proxy")
+    try:
+        fields = parse_verdict_fields(scenario.submit(CANONICAL_REQUEST))
+    finally:
+        scenario.close()
+    assert fields["coverage"] is CoverageStatus.NOT_COVERED
+    assert fields["outstanding"] == ()
+    assert fields["appropriateness"] is Appropriateness.APPROPRIATE_NOW
+
+
+# --- listener framing ---
+
+
+def _raw_exchange(address: tuple[str, int], head: bytes) -> bytes:
+    """Send raw request bytes; read until the server closes the connection."""
+    with socket.create_connection(address, timeout=2) as sock:
+        sock.sendall(head)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+@pytest.mark.parametrize(
+    "length_header",
+    [b"Content-Length: -1\r\n", b"Content-Length: 12abc\r\n", b"",
+     b"Transfer-Encoding: chunked\r\n", b"Content-Length: %d\r\n" % (MAX_REQUEST_BYTES + 1)],
+    ids=["negative", "non-integer", "missing", "chunked", "oversized"],
+)
+def test_http_bad_content_length_is_protocol_error_and_closes(specialist_server, length_header):
+    raw = _raw_exchange(
+        specialist_server.address,
+        b"POST /operations/specialist_consult HTTP/1.1\r\nHost: x\r\n" + length_header + b"\r\n",
+    )
+    head, _, body = raw.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 200")
+    assert b"Connection: close" in head
+    record = json.loads(body)
+    assert record["status"] == "error"
+    assert record["error"]["code"] == "protocol"
