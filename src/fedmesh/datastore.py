@@ -12,10 +12,11 @@ import csv
 import datetime as dt
 import io
 import re
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConfigError, RowError, SchemaError
 from .pseudonym import CanonicalId, CaseToken, SecretSource, derive_token, load_secret, normalize_id
@@ -153,13 +154,13 @@ def _parse_observation(row: Mapping[str, str], line: int) -> ClinicalObservation
     try:
         symptom = SymptomClass(row["symptom_class"].strip())
     except ValueError:
-        raise RowError(line, f"invalid symptom_class {row['symptom_class']!r}") from None
+        raise RowError(line, "invalid symptom_class") from None
     try:
         weeks = int(row["duration_weeks"])
     except ValueError:
-        raise RowError(line, f"invalid duration_weeks {row['duration_weeks']!r}") from None
+        raise RowError(line, "invalid duration_weeks") from None
     if weeks < 0:
-        raise RowError(line, f"duration_weeks must be non-negative, got {weeks}")
+        raise RowError(line, "duration_weeks must be non-negative")
     return ClinicalObservation(
         patient_id=normalize_id(row["patient_id"]),
         symptom_class=symptom,
@@ -174,7 +175,7 @@ def _patient_id(row: Mapping[str, str], line: int) -> str:
     try:
         dt.date.fromisoformat(row["dob"].strip())
     except ValueError:
-        raise RowError(line, f"invalid dob {row['dob']!r}") from None
+        raise RowError(line, "invalid dob") from None
     return normalize_id(row["patient_id"]).value
 
 
@@ -186,7 +187,7 @@ def _parse_enrollment(row: Mapping[str, str], line: int) -> EnrollmentRow:
     try:
         status = EnrollmentStatus(row["status"].strip())
     except ValueError:
-        raise RowError(line, f"invalid status {row['status']!r}") from None
+        raise RowError(line, "invalid status") from None
     return EnrollmentRow(
         subject_token=token,
         insurance_number=row["insurance_number"].strip(),
@@ -198,7 +199,7 @@ def _parse_enrollment(row: Mapping[str, str], line: int) -> EnrollmentRow:
 def _parse_coverage_rule(row: Mapping[str, str], line: int) -> CoverageRule:
     covered_cell = row["covered"].strip().lower()
     if covered_cell not in ("yes", "no"):
-        raise RowError(line, f"covered must be yes or no, got {row['covered']!r}")
+        raise RowError(line, "covered must be yes or no")
     return CoverageRule(
         plan_id=row["plan_id"].strip(),
         treatment_code=row["treatment_code"].strip(),
@@ -240,16 +241,16 @@ def load_clinic_store(
     for row, line in zip(patients_table.rows, patients_table.lines):
         patient_id = _patient_id(row, line)
         if patient_id in seen_ids:
-            raise RowError(line, f"duplicate patient_id {patient_id!r}")
+            raise RowError(line, "duplicate patient_id")
         seen_ids.add(patient_id)
 
     observations: dict[str, ClinicalObservation] = {}
     for row, line in zip(obs_table.rows, obs_table.lines):
         obs = _parse_observation(row, line)
         if obs.patient_id.value in observations:
-            raise RowError(line, f"duplicate patient_id {obs.patient_id.value!r}")
+            raise RowError(line, "duplicate patient_id")
         if obs.patient_id.value not in seen_ids:
-            raise RowError(line, f"observation {obs.patient_id.value!r} has no patient record")
+            raise RowError(line, "observation patient_id has no patient record")
         observations[obs.patient_id.value] = obs
 
     return ClinicStore(observations=observations), {
@@ -277,7 +278,7 @@ def load_insurer_store(
         rule = _parse_coverage_rule(row, line)
         key = (rule.plan_id, rule.treatment_code)
         if key in rules:
-            raise RowError(line, f"duplicate rule for {key}")
+            raise RowError(line, "duplicate rule for (plan_id, treatment_code)")
         rules[key] = rule
 
     return InsurerStore(enrollment=enrollment, rules=rules), {
@@ -507,81 +508,232 @@ class ProtectedSpec:
     allowed_to: frozenset[str] = frozenset()
 
 
-# Needle length -> {needle: entry position}; the position becomes a tuple
-# only when several entries share the needle.
-_Buckets = dict[int, dict[str, "int | tuple[int, ...]"]]
+# Needles of at least Q characters are found through their Q-grams.
+Q = 8
+
+# What entries share: (source column, match mode, allowed_to).
+_Kind = tuple[str, MatchMode, frozenset[str]]
+
+
+class ProtectedEntries(Sequence[ProtectedValue]):
+    """The entries of an index, kept as parallel tables: each position's
+    value and the id of its kind in a small table of kinds.
+
+    Reads as a sequence of ``ProtectedValue``, made on access, and compares
+    equal to the tuple of them.
+    """
+
+    __slots__ = ("_values", "_kind_ids", "_kinds")
+
+    def __init__(
+        self, values: tuple[str, ...], kind_ids: Sequence[int], kinds: tuple[_Kind, ...]
+    ) -> None:
+        self._values = values
+        self._kind_ids = bytes(kind_ids) if len(kinds) <= 256 else array("L", kind_ids)
+        self._kinds = kinds
+
+    @classmethod
+    def of(cls, entries: Iterable[ProtectedValue]) -> ProtectedEntries:
+        values: list[str] = []
+        kind_ids: list[int] = []
+        kinds: dict[_Kind, int] = {}
+        for entry in entries:
+            values.append(entry.value)
+            kind = (entry.source_column, entry.match, entry.allowed_to)
+            kind_ids.append(kinds.setdefault(kind, len(kinds)))
+        return cls(tuple(values), kind_ids, tuple(kinds))
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __getitem__(self, pos):  # type: ignore[override]
+        if isinstance(pos, slice):
+            return tuple(self)[pos]
+        return ProtectedValue(self._values[pos], *self._kinds[self._kind_ids[pos]])
+
+    def __iter__(self) -> Iterator[ProtectedValue]:
+        kinds = self._kinds
+        for value, kind_id in zip(self._values, self._kind_ids):
+            yield ProtectedValue(value, *kinds[kind_id])
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ProtectedEntries):
+            other = tuple(other)
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"ProtectedEntries({tuple(self)!r})"
+
+
+# An entry position, or the positions of several entries.
+_Positions = int | tuple[int, ...]
+
+
+class _Group:
+    """The needles of the entries that share one match mode and one
+    ``allowed_to`` set.
+
+    A needle is an entry's value (``exact``) or its casefolded value
+    (``text``). Needles shorter than ``Q`` are bucketed by length, each
+    mapped to the positions of the entries that share it. The position of
+    each longer needle is filed under one of the needle's ``Q``-grams: the
+    first one, from the needle's end, under which nothing is filed yet, or
+    else the one with the fewest positions filed under it.
+    """
+
+    __slots__ = ("fold", "allowed_to", "short", "long", "grams")
+
+    def __init__(self, match: MatchMode, allowed_to: frozenset[str]) -> None:
+        self.fold = match is MatchMode.TEXT
+        self.allowed_to = allowed_to
+        self.short: dict[int, dict[str, _Positions]] = {}
+        self.long: list[int] = []
+        self.grams: dict[str, _Positions] = {}
+
+    def add(self, needle: str, pos: int) -> None:
+        if len(needle) >= Q:
+            self.long.append(pos)
+            self._file(needle, pos)
+            return
+        needles = self.short.setdefault(len(needle), {})
+        shared = needles.get(needle)
+        if shared is None:
+            needles[needle] = pos
+        else:
+            needles[needle] = (shared if isinstance(shared, tuple) else (shared,)) + (pos,)
+
+    def _file(self, needle: str, pos: int) -> None:
+        grams = self.grams
+        best, fewest = "", 0
+        for start in range(len(needle) - Q, -1, -1):
+            gram = needle[start:start + Q]
+            filed = grams.get(gram)
+            if filed is None:
+                grams[gram] = pos
+                return
+            count = 1 if isinstance(filed, int) else len(filed)
+            if not fewest or count < fewest:
+                best, fewest = gram, count
+        filed = grams[best]
+        grams[best] = ((filed,) if isinstance(filed, int) else filed) + (pos,)
+
+    def search(
+        self, subject: str, windows: dict[int, set[str]], values: tuple[str, ...], hits: list[int]
+    ) -> None:
+        """Add the positions of every needle occurring in ``subject`` to
+        ``hits``.
+
+        Needles that outnumber ``subject``'s windows of their length (``Q``
+        for long needles) are searched through those windows, which
+        ``windows`` keeps for the other groups: a short needle by looking
+        each window up, a long one by looking each ``Q``-gram up and
+        testing the needles filed under it with ``in``. Other needles are
+        each tested with ``in``.
+        """
+        size = len(subject)
+        for length, needles in self.short.items():
+            count = size - length + 1
+            if count <= 0:
+                continue
+            if len(needles) > count:
+                found: Iterable[str] = needles.keys() & _windows(subject, length, windows)
+            else:
+                found = [needle for needle in needles if needle in subject]
+            for needle in found:
+                pos = needles[needle]
+                if isinstance(pos, tuple):
+                    hits.extend(pos)
+                else:
+                    hits.append(pos)
+        candidates: Sequence[int] = self.long
+        if not candidates or size < Q:
+            return
+        if len(candidates) > size - Q + 1:
+            grams = self.grams
+            candidates = [
+                pos
+                for gram in grams.keys() & _windows(subject, Q, windows)
+                for pos in ((grams[gram],) if isinstance(grams[gram], int) else grams[gram])
+            ]
+        if self.fold:
+            hits += [pos for pos in candidates if values[pos].casefold() in subject]
+        else:
+            hits += [pos for pos in candidates if values[pos] in subject]
+
+
+def _windows(subject: str, length: int, cache: dict[int, set[str]]) -> set[str]:
+    found = cache.get(length)
+    if found is None:
+        found = cache[length] = {subject[i:i + length] for i in range(len(subject) - length + 1)}
+    return found
 
 
 @dataclass(frozen=True)
 class ProtectedValueIndex:
     """A node's protected values, compiled for matching when constructed.
 
-    Each entry's needle is its value (``exact``) or its casefolded value
-    (``text``), bucketed per match mode by the needle's length. Text
-    needles go by their folded length, since folding can lengthen a value
-    (``ß`` -> ``ss``).
+    ``entries`` may be given as any sequence of ``ProtectedValue``; it is
+    kept as ``ProtectedEntries``. The entries are grouped by match mode and
+    ``allowed_to`` set, so that a scan skips every group whitelisted for
+    its destination before testing it. Within a group, needles shorter than
+    ``Q`` are bucketed by length and longer ones are filed under one
+    ``Q``-gram each (q-gram filtration). Text needles go by their folded
+    form, since folding can lengthen a value (``ß`` -> ``ss``).
     """
 
     node_id: str
-    entries: tuple[ProtectedValue, ...]
-    _exact: _Buckets = field(init=False, repr=False, compare=False)
-    _text: _Buckets = field(init=False, repr=False, compare=False)
+    entries: Sequence[ProtectedValue]
+    _groups: tuple[_Group, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        exact: _Buckets = {}
-        text: _Buckets = {}
-        for pos, entry in enumerate(self.entries):
-            if entry.match is MatchMode.TEXT:
-                needle, buckets = entry.value.casefold(), text
-            else:
-                needle, buckets = entry.value, exact
-            bucket = buckets.setdefault(len(needle), {})
-            shared = bucket.get(needle)
-            if shared is None:
-                bucket[needle] = pos
-            else:
-                bucket[needle] = (shared if isinstance(shared, tuple) else (shared,)) + (pos,)
-        object.__setattr__(self, "_exact", exact)
-        object.__setattr__(self, "_text", text)
+        entries = self.entries
+        if not isinstance(entries, ProtectedEntries):
+            entries = ProtectedEntries.of(entries)
+            object.__setattr__(self, "entries", entries)
+        groups: dict[tuple[MatchMode, frozenset[str]], _Group] = {}
+        group_of = [
+            groups.setdefault((match, allowed_to), _Group(match, allowed_to))
+            for _, match, allowed_to in entries._kinds
+        ]
+        for pos, (value, kind_id) in enumerate(zip(entries._values, entries._kind_ids)):
+            group = group_of[kind_id]
+            group.add(value.casefold() if group.fold else value, pos)
+        object.__setattr__(self, "_groups", tuple(groups.values()))
 
     def values(self) -> set[str]:
-        return {entry.value for entry in self.entries}
+        return set(self.entries._values)  # type: ignore[attr-defined]
 
-    def find(self, body: str) -> list[int]:
-        """Positions, ascending, of the entries whose needle occurs in
-        ``body`` (exact needles) or in ``body.casefold()`` (text needles)."""
+    def find(self, body: str, to_node: str) -> list[int]:
+        """Positions, ascending, of the entries not whitelisted for
+        ``to_node`` whose needle occurs in ``body`` (exact needles) or in
+        ``body.casefold()`` (text needles).
+
+        The cost is bounded by the body's length, however many entries the
+        index holds: for each of its short needle lengths, and for its long
+        needles, a group costs at most one ``in`` test or one lookup per
+        window of the body, plus an ``in`` test for each long needle filed
+        under a gram the body contains. The windows are cut once per match
+        mode.
+        """
         hits: list[int] = []
-        if self._exact:
-            _search(body, self._exact, hits)
-        if self._text:
-            _search(body.casefold(), self._text, hits)
+        values = self.entries._values  # type: ignore[attr-defined]
+        folded = None
+        windows: dict[int, set[str]] = {}
+        folded_windows: dict[int, set[str]] = {}
+        for group in self._groups:
+            if to_node in group.allowed_to:
+                continue
+            if not group.fold:
+                group.search(body, windows, values, hits)
+                continue
+            if folded is None:
+                folded = body.casefold()
+            group.search(folded, folded_windows, values, hits)
         hits.sort()
         return hits
-
-
-def _search(subject: str, buckets: _Buckets, hits: list[int]) -> None:
-    """Add the positions of every needle occurring in ``subject`` to ``hits``.
-
-    A bucket with more needles than ``subject`` has windows of its length
-    is searched by looking each window up; any other bucket by testing each
-    needle with ``in``. Either way a bucket costs at most one lookup or one
-    ``in`` test per window, however many entries it holds.
-    """
-    size = len(subject)
-    for length, bucket in buckets.items():
-        windows = size - length + 1
-        if windows <= 0:
-            continue
-        if len(bucket) > windows:
-            found = bucket.keys() & {subject[i:i + length] for i in range(windows)}
-        else:
-            found = filter(subject.__contains__, bucket)
-        for needle in found:
-            pos = bucket[needle]
-            if isinstance(pos, tuple):
-                hits.extend(pos)
-            else:
-                hits.append(pos)
 
 
 def protected_values(
@@ -595,20 +747,23 @@ def protected_values(
     Every distinct cell of each declared column is indexed. A ``derived:
     case_tokens`` spec additionally indexes the case token of every
     identifier in the named column, so derived pseudonyms are confined to
-    their whitelisted edge just like stored values.
+    their whitelisted edge just like stored values. A value is indexed once
+    per column and ``allowed_to`` set, whatever its match mode.
     """
-    entries: list[ProtectedValue] = []
-    seen: set[tuple[str, str, frozenset[str]]] = set()
+    values: list[str] = []
+    kind_ids: list[int] = []
+    kinds: dict[_Kind, int] = {}
+    seen: dict[tuple[str, frozenset[str]], set[str]] = {}
 
-    def add(value: str, column: str, match: MatchMode, allowed_to: frozenset[str]) -> None:
-        value = value.strip()
-        if not value:
-            return
-        key = (value, column, allowed_to)
-        if key in seen:
-            return
-        seen.add(key)
-        entries.append(ProtectedValue(value, column, match, allowed_to))
+    def add(cells: Iterable[str], column: str, match: MatchMode, allowed_to: frozenset[str]) -> None:
+        kind_id = kinds.setdefault((column, match, allowed_to), len(kinds))
+        indexed = seen.setdefault((column, allowed_to), set())
+        for value in cells:
+            value = value.strip()
+            if value and value not in indexed:
+                indexed.add(value)
+                values.append(value)
+                kind_ids.append(kind_id)
 
     for spec in specs:
         if spec.derived is None:
@@ -622,8 +777,7 @@ def protected_values(
                     raise ConfigError(
                         f"node {node_id!r}: protected column {column!r} not in store {spec.store!r}"
                     )
-                for cell in table.column(column):
-                    add(cell, column, spec.match, spec.allowed_to)
+                add(table.column(column), column, spec.match, spec.allowed_to)
         elif spec.derived == "case_tokens":
             if secrets is None or spec.secret is None:
                 raise ConfigError(f"node {node_id!r}: derived case_tokens entry needs a secret")
@@ -636,12 +790,13 @@ def protected_values(
                     f"node {node_id!r}: derived column {spec.column!r} not in store {store_name!r}"
                 )
             key = load_secret(spec.secret, secrets)
-            for cell in table.column(spec.column):
-                if not cell.strip():
-                    continue
-                token = derive_token(key, normalize_id(cell))
-                add(token.hex, "case_token", MatchMode.EXACT, spec.allowed_to)
+            tokens = (
+                derive_token(key, normalize_id(cell)).hex
+                for cell in table.column(spec.column)
+                if cell.strip()
+            )
+            add(tokens, "case_token", MatchMode.EXACT, spec.allowed_to)
         else:
             raise ConfigError(f"unknown derived protected kind {spec.derived!r}")
 
-    return ProtectedValueIndex(node_id=node_id, entries=tuple(entries))
+    return ProtectedValueIndex(node_id, ProtectedEntries(tuple(values), kind_ids, tuple(kinds)))

@@ -170,16 +170,16 @@ def scan_outbound(body: str, index: ProtectedValueIndex, edge: tuple[str, str]) 
 
     Matching is plain substring search: case-insensitive for values marked
     as human-readable text (names), case-sensitive for identifiers, dates,
-    and tokens. Values whitelisted for the destination node are skipped.
+    and tokens. Values whitelisted for the destination node are skipped
+    before they are tested, and the cost of a scan is bounded by the
+    body's length, not by the index's size (``ProtectedValueIndex.find``).
     Findings come one per matching entry, in index order. The body is never
     mutated; the caller decides whether to abort the send.
     """
-    _, to_node = edge
     findings: list[LeakFinding] = []
-    for pos in index.find(body):
+    for pos in index.find(body, edge[1]):
         entry = index.entries[pos]
-        if to_node not in entry.allowed_to:
-            findings.append(LeakFinding(entry.value, entry.source_column, edge))
+        findings.append(LeakFinding(entry.value, entry.source_column, edge))
     return LeakVerdict(clean=not findings, findings=tuple(findings))
 
 

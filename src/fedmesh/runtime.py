@@ -144,7 +144,7 @@ class Node:
     enforce_guard: bool = True
     outbound_mutators: list[Callable[[str, str], str]] = field(default_factory=list)
     _hmac_key: SecretKey | None = field(default=None, init=False, repr=False)
-    _conversation_locks: dict[str, threading.Lock] = field(
+    _conversation_locks: dict[str, _ConversationLock] = field(
         default_factory=dict, init=False, repr=False
     )
     _locks_guard: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
@@ -169,9 +169,36 @@ class Node:
             self._hmac_key = load_secret(self.hmac_secret, self.secrets)  # type: ignore[arg-type]
         return self._hmac_key
 
-    def conversation_lock(self, conversation_id: str) -> threading.Lock:
+    def conversation_lock(self, conversation_id: str) -> _ConversationLock:
+        """The conversation's lock, to be held with ``with`` and nothing
+        else. The map keeps it only while some thread holds or awaits it."""
         with self._locks_guard:
-            return self._conversation_locks.setdefault(conversation_id, threading.Lock())
+            entry = self._conversation_locks.get(conversation_id)
+            if entry is None:
+                entry = _ConversationLock(self, conversation_id)
+                self._conversation_locks[conversation_id] = entry
+            entry.users += 1
+        return entry
+
+
+class _ConversationLock:
+    __slots__ = ("node", "conversation_id", "lock", "users")
+
+    def __init__(self, node: Node, conversation_id: str) -> None:
+        self.node = node
+        self.conversation_id = conversation_id
+        self.lock = threading.Lock()
+        self.users = 0  # threads holding or awaiting ``lock``
+
+    def __enter__(self) -> None:
+        self.lock.acquire()
+
+    def __exit__(self, *exc: object) -> None:
+        self.lock.release()
+        with self.node._locks_guard:
+            self.users -= 1
+            if not self.users:
+                del self.node._conversation_locks[self.conversation_id]
 
 
 def handle_operation(node: Node, req: RelayRequest) -> OperationResponse:

@@ -146,6 +146,59 @@ def test_observation_without_patient_record(tmp_path):
         load_clinic_store(obs, patients)
 
 
+_TOKEN = "ab" * 32
+_LOAD_ERROR_SITES = {
+    # site: (table, rows after its header, column the error names, cell it must not quote, line)
+    "invalid-dob": ("patients", "CLN-0001,Ann Lee,1968-02-30,n\n", "dob", "1968-02-30", 2),
+    "duplicate-patient": (
+        "patients", "CLN-0042,Ann Lee,1968-02-03,n\nCLN-0042,Bo Lee,1970-01-01,n\n",
+        "patient_id", "CLN-0042", 3,
+    ),
+    "duplicate-observation": (
+        "observations", "CLN-0002,mild,4,walks,x\nCLN-0002,mild,4,walks,x\n", "patient_id", "CLN-0002", 3,
+    ),
+    "orphan-observation": ("observations", "CLN-0009,mild,4,walks,x\n", "patient_id", "CLN-0009", 2),
+    "invalid-symptom-class": (
+        "observations", "CLN-0001,catastrophic,4,walks,x\n", "symptom_class", "catastrophic", 2,
+    ),
+    "invalid-duration": ("observations", "CLN-0001,mild,twelve,walks,x\n", "duration_weeks", "twelve", 2),
+    "negative-duration": ("observations", "CLN-0001,mild,-7,walks,x\n", "duration_weeks", "-7", 2),
+    "invalid-token": ("enrollment", "zz-not-a-token,INS-1,PLAN-A,active\n", "subject_token", "zz-not-a-token", 2),
+    "invalid-status": ("enrollment", f"{_TOKEN},INS-1,PLAN-A,suspended\n", "status", "suspended", 2),
+    "invalid-covered": ("coverage_rules", "PLAN-A,physio,maybe,—\n", "covered", "maybe", 2),
+    "duplicate-rule": (
+        "coverage_rules", "PLAN-Q,massage_q,yes,—\nPLAN-Q,massage_q,no,—\n", "plan_id", "massage_q", 3,
+    ),
+}
+_LOAD_HEADERS = {
+    "patients": "patient_id,full_name,dob,notes\n",
+    "observations": "patient_id,symptom_class,duration_weeks,functional_limitation,prior_conservative_tx\n",
+    "enrollment": "subject_token,insurance_number,plan_id,status\n",
+    "coverage_rules": "plan_id,treatment_code,covered,prerequisites\n",
+}
+
+
+@pytest.mark.parametrize("site", list(_LOAD_ERROR_SITES))
+def test_row_errors_name_the_column_never_the_cell(tmp_path, workspace, site):
+    table, rows, column, cell, line = _LOAD_ERROR_SITES[site]
+    paths = {
+        "patients": workspace.root / "clinic" / "patients.csv",
+        "observations": workspace.root / "clinic" / "clinical_observations.csv",
+        "enrollment": workspace.root / "insurer" / "enrollment.csv",
+        "coverage_rules": workspace.root / "insurer" / "coverage_rules.csv",
+    }
+    paths[table] = tmp_path / f"{table}.csv"
+    paths[table].write_text(_LOAD_HEADERS[table] + rows, encoding="utf-8")
+    with pytest.raises(RowError) as err:
+        if table in ("patients", "observations"):
+            load_clinic_store(paths["observations"], paths["patients"])
+        else:
+            load_insurer_store(paths["enrollment"], paths["coverage_rules"])
+    assert column in str(err.value)
+    assert cell not in str(err.value)
+    assert err.value.line == line
+
+
 def test_match_enrollment_by_fixture_token(insurer):
     row = match_enrollment(insurer, GOLDEN_TOKENS["CLN-0001"])
     assert row is not None

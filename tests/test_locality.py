@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fedmesh.config import load_node_config
-from fedmesh.datastore import MatchMode, ProtectedValue, ProtectedValueIndex
+from fedmesh.datastore import Q, MatchMode, ProtectedValue, ProtectedValueIndex
 from fedmesh.errors import ConfigError, TraceFormatError
 from fedmesh.locality import (
     MessageEnvelope,
@@ -77,6 +77,17 @@ _DENSE = st.integers(1, 3).flatmap(
 )
 
 
+# Values of at least Q characters over two letters, so their Q-grams
+# collide, and values of ``ß``, ``İ`` and ``a`` that may reach Q only once
+# casefolded. There are enough of them to outnumber a short body's
+# Q-windows, so that their group is searched gram by gram.
+_LONG = st.lists(
+    st.one_of(st.text("ab", min_size=Q, max_size=Q + 4), st.text("aßİ", min_size=4, max_size=Q)),
+    min_size=24,
+    max_size=64,
+)
+
+
 @st.composite
 def _index_and_body(draw):
     columns = st.sampled_from(["col_a", "col_b"])
@@ -89,13 +100,33 @@ def _index_and_body(draw):
     ), max_size=12))
     for value in draw(st.one_of(st.just([]), _DENSE)):
         entries.append(ProtectedValue(value, draw(columns), draw(st.sampled_from(MatchMode))))
+    # The long values share one match mode and one whitelist; some are
+    # indexed in both columns.
+    match = draw(st.sampled_from(MatchMode))
+    allowed_to = draw(st.sampled_from([frozenset(), frozenset({"specialist"})]))
+    long_values = draw(st.one_of(st.just([]), _LONG))
+    for value in long_values:
+        for column in draw(st.sampled_from([["col_a"], ["col_b"], ["col_a", "col_b"]])):
+            entries.append(ProtectedValue(value, column, match, allowed_to))
     entries = draw(st.permutations(entries))
-    # Bodies are spliced from indexed values and free text, so hits are common.
-    pieces = st.one_of(st.text(_ALPHABET, max_size=4), st.text(max_size=50))
+    # Bodies are spliced from indexed values, values less their first or
+    # last character (which keep all but one of their grams) and free text,
+    # so hits and near misses are common. Long free text is left out next to
+    # long values, to keep the body's windows fewer than they are.
+    pieces = st.text(_ALPHABET, max_size=4)
+    if not long_values:
+        pieces = st.one_of(pieces, st.text(max_size=50))
     if entries:
-        pieces = st.one_of(pieces, st.sampled_from([e.value for e in entries]))
+        values = st.sampled_from([e.value for e in entries])
+        near_misses = values.flatmap(lambda v: st.sampled_from([v[1:], v[:-1]]))
+        pieces = st.one_of(pieces, values, near_misses)
     body = "".join(draw(st.lists(pieces, max_size=4)))
     return ProtectedValueIndex(node_id="n", entries=tuple(entries)), body
+
+
+# 32 twelve-letter values whose first Q-grams collide and whose last ones
+# do not; one of them is indexed in two columns.
+_GRAMMED = ["aaaaaaa" + format(i, "05b").translate(str.maketrans("01", "ab")) for i in range(32)]
 
 
 @settings(deadline=None)
@@ -114,9 +145,37 @@ def _index_and_body(draw):
     ),
     edge=("clinic", "insurer"),
 )
+@example(  # exact gram path: a value in the last window, a lone gram of another
+    case=(
+        ProtectedValueIndex(
+            node_id="n",
+            entries=tuple(
+                ProtectedValue(v, "col_a", MatchMode.EXACT, frozenset({"specialist"})) for v in _GRAMMED
+            ) + (ProtectedValue(_GRAMMED[5], "col_b", MatchMode.EXACT, frozenset({"specialist"})),),
+        ),
+        _GRAMMED[3][-Q:] + "z" + _GRAMMED[5],
+    ),
+    edge=("clinic", "insurer"),
+)
+@example(  # text gram path, with values that reach Q only once casefolded
+    case=(
+        ProtectedValueIndex(
+            node_id="n",
+            entries=tuple(ProtectedValue(v.upper(), "col_a", MatchMode.TEXT) for v in _GRAMMED)
+            + (
+                ProtectedValue("ßßßß", "col_a", MatchMode.TEXT),
+                ProtectedValue("İaaaaaa", "col_b", MatchMode.TEXT),
+                ProtectedValue(_GRAMMED[9], "col_b", MatchMode.TEXT),
+            ),
+        ),
+        _GRAMMED[2][-Q:] + "SSSSSSSS" + "i\u0307AAAAAA" + _GRAMMED[9].upper(),
+    ),
+    edge=("clinic", "specialist"),
+)
 def test_scan_soundness_against_bruteforce(case, edge):
     """The compiled matcher returns exactly the linear oracle's findings, in
-    index order, for both match modes, shared needles and whitelists."""
+    index order, for both match modes, shared needles and whitelists, on
+    the window, gram and ``in`` paths alike."""
     index, body = case
     assert scan_outbound(body, index, edge) == oracle_scan(body, index, edge)
 

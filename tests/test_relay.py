@@ -234,7 +234,10 @@ def test_transport_transparency(scenario, specialist_server):
         operation_id="specialist_consult",
         access_key="specialist-demo-key-0003",
     )
-    over_http = transport.send(target, request)
+    try:
+        over_http = transport.send(target, request)
+    finally:
+        transport.close()
     assert over_http.status == "ok"
     assert over_http.body == direct.body
 
@@ -379,6 +382,16 @@ def test_closing_a_network_scenario_ends_its_threads(workspace):
     while threading.active_count() > before and time.monotonic() < deadline:
         time.sleep(0.01)
     assert threading.active_count() == before
+
+
+def test_closing_a_network_scenario_is_fast(workspace):
+    scenario = boot_scenario(workspace.node_configs, transport="network", run_id="run-relay-close")
+    try:
+        scenario.submit(CANONICAL_REQUEST)
+    finally:
+        started = time.monotonic()
+        scenario.close()
+    assert time.monotonic() - started < 0.2
 
 
 def test_network_transport_ignores_proxy_environment(workspace, monkeypatch):

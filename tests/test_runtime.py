@@ -185,6 +185,51 @@ def test_same_conversation_is_serialised():
         assert next_enter >= previous_exit
 
 
+def test_conversation_locks_are_dropped_after_release():
+    node = _test_node(SilentPolicy())
+    for i in range(10_000):
+        with node.conversation_lock(f"conv-{i}"):
+            pass
+    assert node._conversation_locks == {}
+
+
+def test_conversation_lock_serialises_its_holders():
+    import time
+
+    node = _test_node(SilentPolicy())
+    order: list[str] = []
+    held, release = threading.Event(), threading.Event()
+
+    def first() -> None:
+        with node.conversation_lock("shared"):
+            held.set()
+            release.wait(5)
+            order.append("first")
+
+    def second() -> None:
+        held.wait(5)
+        with node.conversation_lock("shared"):
+            order.append("second")
+
+    threads = [threading.Thread(target=first), threading.Thread(target=second)]
+    for thread in threads:
+        thread.start()
+    deadline = time.monotonic() + 5
+    while time.monotonic() < deadline:
+        with node._locks_guard:
+            entry = node._conversation_locks.get("shared")
+            if entry is not None and entry.users == 2:
+                break
+        time.sleep(0.001)
+    assert order == []  # the second holder is waiting on the first
+    release.set()
+    for thread in threads:
+        thread.join(5)
+    assert not any(thread.is_alive() for thread in threads)
+    assert order == ["first", "second"]
+    assert node._conversation_locks == {}
+
+
 # ---------------------------------------------------------------------------
 # Built-in tools against the demo workspace
 # ---------------------------------------------------------------------------
