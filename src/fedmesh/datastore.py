@@ -748,16 +748,16 @@ def protected_values(
     case_tokens`` spec additionally indexes the case token of every
     identifier in the named column, so derived pseudonyms are confined to
     their whitelisted edge just like stored values. A value is indexed once
-    per column and ``allowed_to`` set, whatever its match mode.
+    per column, match mode and ``allowed_to`` set.
     """
     values: list[str] = []
     kind_ids: list[int] = []
     kinds: dict[_Kind, int] = {}
-    seen: dict[tuple[str, frozenset[str]], set[str]] = {}
+    seen: dict[int, set[str]] = {}
 
     def add(cells: Iterable[str], column: str, match: MatchMode, allowed_to: frozenset[str]) -> None:
         kind_id = kinds.setdefault((column, match, allowed_to), len(kinds))
-        indexed = seen.setdefault((column, allowed_to), set())
+        indexed = seen.setdefault(kind_id, set())
         for value in cells:
             value = value.strip()
             if value and value not in indexed:

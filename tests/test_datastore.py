@@ -23,9 +23,10 @@ from fedmesh.datastore import (
     read_table,
 )
 from fedmesh.errors import ConfigError, RowError, SchemaError
+from fedmesh.locality import scan_outbound
 from fedmesh.pseudonym import CaseToken, SecretSource, normalize_id
 
-from conftest import GOLDEN_TOKENS
+from conftest import GOLDEN_TOKENS, oracle_scan
 
 # The published enrolment table's first token, usable only as an opaque
 # replay value since its source key was never published.
@@ -360,6 +361,21 @@ def test_protected_values_clinic_defaults(clinic_tables):
     index = protected_values("clinic", specs, clinic_tables)
     values = index.values()
     assert {"Marina Kovacs", "1968-08-12", "CLN-0001"} <= values
+
+
+@pytest.mark.parametrize("first", list(MatchMode), ids=lambda mode: f"{mode.value}-first")
+def test_protected_values_index_a_column_under_each_match_mode(clinic_tables, first):
+    """A column declared once as ``exact`` and once as ``text`` is indexed
+    under both, in either order, so the case-insensitive match holds."""
+    (second,) = set(MatchMode) - {first}
+    specs = tuple(
+        ProtectedSpec(store="patients", columns=("full_name",), match=mode) for mode in (first, second)
+    )
+    index = protected_values("clinic", specs, clinic_tables)
+    edge = ("clinic", "insurer")
+    verdict = scan_outbound("about MARINA KOVACS", index, edge)
+    assert verdict == oracle_scan("about MARINA KOVACS", index, edge)
+    assert [finding.source_column for finding in verdict.findings] == ["full_name"]
 
 
 def test_protected_values_insurer_defaults(insurer_loaded):

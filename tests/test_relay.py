@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import socket
@@ -416,29 +417,211 @@ def test_network_transport_ignores_proxy_environment(workspace, monkeypatch):
 
 
 def _raw_exchange(address: tuple[str, int], head: bytes) -> bytes:
-    """Send raw request bytes; read until the server closes the connection."""
+    """Send raw request bytes; read until the server closes the connection.
+    A connection left open runs into the socket's timeout and fails."""
     with socket.create_connection(address, timeout=2) as sock:
         sock.sendall(head)
         chunks = []
-        while chunk := sock.recv(65536):
-            chunks.append(chunk)
+        with contextlib.suppress(ConnectionResetError):  # closed with request bytes unread
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
     return b"".join(chunks)
+
+
+def _assert_refused(raw: bytes) -> None:
+    """``raw`` is one ``protocol`` error reply that closes the connection."""
+    head, _, body = raw.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 200")
+    assert b"Connection: close" in head
+    assert json.loads(body)["error"]["code"] == "protocol"
 
 
 @pytest.mark.parametrize(
     "length_header",
     [b"Content-Length: -1\r\n", b"Content-Length: 12abc\r\n", b"",
-     b"Transfer-Encoding: chunked\r\n", b"Content-Length: %d\r\n" % (MAX_REQUEST_BYTES + 1)],
-    ids=["negative", "non-integer", "missing", "chunked", "oversized"],
+     b"Transfer-Encoding: chunked\r\n", b"Content-Length: %d\r\n" % (MAX_REQUEST_BYTES + 1),
+     b"Content-Length: 0\r\ncontent-length: 0\r\n", b"X-Note: a\r\n b\r\nContent-Length: 0\r\n"],
+    ids=["negative", "non-integer", "missing", "chunked", "oversized", "duplicate", "folded"],
 )
 def test_http_bad_content_length_is_protocol_error_and_closes(specialist_server, length_header):
-    raw = _raw_exchange(
+    _assert_refused(_raw_exchange(
         specialist_server.address,
         b"POST /operations/specialist_consult HTTP/1.1\r\nHost: x\r\n" + length_header + b"\r\n",
+    ))
+
+
+def _post_head(length: int, *extra: bytes, version: bytes = b"HTTP/1.1") -> bytes:
+    return b"".join(
+        [b"POST /operations/specialist_consult " + version + b"\r\nHost: x\r\n",
+         *extra, b"Content-Length: %d\r\n\r\n" % length]
     )
-    head, _, body = raw.partition(b"\r\n\r\n")
+
+
+def _read_reply(sock: socket.socket, pending: bytearray) -> tuple[bytes, dict]:
+    """Read one response from ``sock``: its head, and its JSON body."""
+    while b"\r\n\r\n" not in pending:
+        chunk = sock.recv(65536)
+        assert chunk, "connection closed before a reply"
+        pending += chunk
+    head, _, rest = bytes(pending).partition(b"\r\n\r\n")
+    length = int(head.lower().split(b"content-length: ")[1].split(b"\r\n")[0])
+    while len(rest) < length:
+        chunk = sock.recv(65536)
+        assert chunk, "connection closed inside a reply"
+        rest += chunk
+    pending[:] = rest[length:]
+    return head, json.loads(rest[:length])
+
+
+def test_http_listener_reads_a_split_head_and_a_trickled_body(specialist_server):
+    payload = _consult_request().to_json().encode()
+    request = _post_head(len(payload)) + payload
+    head_end = request.index(b"\r\n\r\n") + 4
+    with socket.create_connection(specialist_server.address, timeout=2) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # each piece its own segment
+        for start in range(0, head_end, 7):
+            sock.sendall(request[start:min(start + 7, head_end)])
+            time.sleep(0.001)
+        for start in range(head_end, len(request), 64):
+            sock.sendall(request[start:start + 64])
+            time.sleep(0.001)
+        head, record = _read_reply(sock, bytearray())
     assert head.startswith(b"HTTP/1.1 200")
+    assert b"connection: close" not in head.lower()
+    assert record["status"] == "ok"
+
+
+def test_http_listener_answers_pipelined_requests_in_order(specialist_server):
+    first = _consult_request().to_json().encode()
+    second = dataclasses.replace(_consult_request(), access_key="wrong").to_json().encode()
+    pending = bytearray()
+    with socket.create_connection(specialist_server.address, timeout=2) as sock:
+        sock.sendall(_post_head(len(first)) + first + _post_head(len(second)) + second)
+        replies = [_read_reply(sock, pending)[1] for _ in range(2)]
+    assert replies[0]["status"] == "ok"
+    assert replies[1]["error"]["code"] == "auth"
+
+
+@pytest.mark.parametrize(
+    "version, extra",
+    [(b"HTTP/1.1", b"Connection: close\r\n"), (b"HTTP/1.0", b"")],
+    ids=["connection-close", "http-1.0"],
+)
+def test_http_listener_closes_after_replying_when_asked(specialist_server, version, extra):
+    payload = _consult_request().to_json().encode()
+    raw = _raw_exchange(specialist_server.address, _post_head(len(payload), extra, version=version) + payload)
+    head, _, body = raw.partition(b"\r\n\r\n")
     assert b"Connection: close" in head
-    record = json.loads(body)
-    assert record["status"] == "error"
-    assert record["error"]["code"] == "protocol"
+    assert json.loads(body)["status"] == "ok"
+
+
+@pytest.mark.parametrize(
+    "request_bytes",
+    [b"POST /operations/" + b"x" * relay.MAX_LINE_BYTES + b" HTTP/1.1\r\n\r\n",
+     _post_head(0, *[b"X-Filler-%d: y\r\n" % n for n in range(relay.MAX_HEADERS - 1)])],  # + Host, Content-Length
+    ids=["long-request-line", "101-header-lines"],
+)
+def test_http_listener_refuses_an_oversized_head_and_closes(specialist_server, request_bytes):
+    raw = _raw_exchange(specialist_server.address, request_bytes)
+    if raw:  # the reply may be lost to a reset, but if it arrived it refuses
+        _assert_refused(raw)
+
+
+def test_http_listener_serves_a_head_of_max_header_lines(specialist_server):
+    payload = _consult_request().to_json().encode()
+    filler = [b"X-Filler-%d: y\r\n" % n for n in range(relay.MAX_HEADERS - 2)]  # + Host, Content-Length
+    with socket.create_connection(specialist_server.address, timeout=2) as sock:
+        sock.sendall(_post_head(len(payload), *filler) + payload)
+        _, record = _read_reply(sock, bytearray())
+    assert record["status"] == "ok"
+
+
+def test_http_listener_refuses_get_and_closes(specialist_server):
+    _assert_refused(_raw_exchange(
+        specialist_server.address, b"GET /operations/specialist_consult HTTP/1.1\r\nHost: x\r\n\r\n"
+    ))
+
+
+def test_http_listener_answers_expect_100_continue(specialist_server):
+    payload = _consult_request().to_json().encode()
+    with socket.create_connection(specialist_server.address, timeout=2) as sock:
+        sock.sendall(_post_head(len(payload), b"Expect: 100-continue\r\n"))
+        interim = b""
+        while not interim.endswith(b"\r\n\r\n"):
+            chunk = sock.recv(1)
+            assert chunk, "connection closed before 100 Continue"
+            interim += chunk
+        assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+        sock.sendall(payload)
+        _, record = _read_reply(sock, bytearray())
+    assert record["status"] == "ok"
+
+
+# --- client framing ---
+
+
+OK_BODY = b'{"status": "ok", "body": "fine"}'
+
+
+@contextlib.contextmanager
+def _one_shot_server(reply: bytes):
+    """A listener that answers one request with ``reply`` and closes; yields its URL."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(2)
+    requests = []
+
+    def answer():
+        with listener, listener.accept()[0] as sock:
+            sock.settimeout(2)
+            pending = bytearray()
+            while b"\r\n\r\n" not in pending:
+                pending += sock.recv(65536)
+            head, _, body = bytes(pending).partition(b"\r\n\r\n")
+            length = int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0])
+            while len(body) < length:
+                body += sock.recv(65536)
+            requests.append(head + b"\r\n\r\n" + body)
+            sock.sendall(reply)
+
+    thread = threading.Thread(target=answer)
+    thread.start()
+    try:
+        yield "http://127.0.0.1:%d" % listener.getsockname()[1], requests
+    finally:
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%x\r\n%s\r\n0\r\n\r\n"
+     % (len(OK_BODY), OK_BODY),
+     b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n" + OK_BODY,
+     b"HTTP/1.1 500 Internal Server Error\r\nContent-Length: %d\r\n\r\n%s" % (len(OK_BODY), OK_BODY),
+     b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(OK_BODY) + 10, OK_BODY),
+     b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%sHTTP/1.1" % (len(OK_BODY), OK_BODY)],
+    ids=["chunked", "no-content-length", "status-500", "closed-mid-body", "bytes-after-body"],
+)
+def test_http_transport_refuses_a_bad_response_without_resending(reply):
+    transport = HttpTransport(timeout=2)
+    with _one_shot_server(reply) as (url, requests):
+        with pytest.raises(RelayTransportError):
+            transport.send(_specialist_target(url), _consult_request())
+    assert transport.sends == len(requests) == 1
+    assert transport._idle == {}
+    assert requests[0].startswith(b"POST /operations/specialist_consult HTTP/1.1\r\n")
+
+
+@pytest.mark.parametrize(
+    "status_line, extra",
+    [(b"HTTP/1.1 200 OK", b"Connection: close\r\n"), (b"HTTP/1.0 200 OK", b"")],
+    ids=["connection-close", "http-1.0"],
+)
+def test_http_transport_does_not_pool_a_closing_response(status_line, extra):
+    transport = HttpTransport(timeout=2)
+    reply = status_line + b"\r\n" + extra + b"Content-Length: %d\r\n\r\n" % len(OK_BODY) + OK_BODY
+    with _one_shot_server(reply) as (url, requests):
+        response = transport.send(_specialist_target(url), _consult_request())
+    assert response == RelayResponse.ok("fine")
+    assert transport.sends == len(requests) == 1
+    assert transport._idle == {}
