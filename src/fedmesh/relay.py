@@ -302,6 +302,8 @@ def _route(target: RelayTarget) -> _Route:
             raise ValueError("not an http or https URL with a host")
         selector = f"{parts.path}?{parts.query}" if parts.query else parts.path
         host = parts.netloc.rpartition("@")[2]
+        if any(char <= " " or char == "\x7f" for char in selector + host):
+            raise ValueError("a space or control character in the request target or host")
         head = (
             f"POST {selector} HTTP/1.1\r\nHost: {host}\r\n"
             "Content-Type: application/json\r\nContent-Length: "
