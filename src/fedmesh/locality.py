@@ -109,11 +109,15 @@ class TraceLog:
 
 
 def read_trace(path: Path | str) -> TraceLog:
-    """Parse a JSONL trace file; malformed lines name their line number."""
+    """Parse a JSONL trace file; malformed lines name their line number.
+
+    Records are split on newlines only: a body may hold U+2028, U+2029 or
+    U+0085 raw, which ``str.splitlines`` would also break at.
+    """
     run_id = ""
     envelopes: list[MessageEnvelope] = []
     last_seq = 0
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
         if not line.strip():
             continue
         try:

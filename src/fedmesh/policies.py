@@ -9,15 +9,17 @@ documented in the README; render/parse pairs round-trip by construction.
 
 The three policies are pure functions of (request body, tool history):
 given identical inputs they produce identical turns across runs and
-processes, which is what makes the end-to-end transcript testable.
+processes, which is what makes the end-to-end transcript testable. Each
+instance keeps its last parse, so the turns of one operation, which all
+carry the same text, parse it once; a different text only misses.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .datastore import (
     ClinicalObservation,
@@ -526,6 +528,21 @@ def _explicit_treatment(body: str) -> str | None:
     return candidates[-1] if candidates else None
 
 
+def _recall(policy: Any, parse: Callable[..., Any], *args: str) -> Any:
+    """``parse(*args)``, reusing the policy's last result for equal ``args``.
+
+    The memo is one ``(args, result)`` pair, replaced by a single attribute
+    store, so concurrent turns need no lock: a race costs only a re-parse.
+    A parse that raises is not kept.
+    """
+    last = policy._last_parse
+    if last is not None and last[0] == args:
+        return last[1]
+    result = parse(*args)
+    object.__setattr__(policy, "_last_parse", (args, result))
+    return result
+
+
 def _observation_from_result(text: str, patient_id: str) -> ClinicalObservation:
     values = parse_kv_lines(text)
     prior = tuple(part for part in values.get("prior_conservative_tx", "").split(";") if part)
@@ -549,6 +566,7 @@ class ClinicPolicy:
     """
 
     insurer_target: str = "insurer"
+    _last_parse: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def decide(self, request_body: str, history: Sequence[ToolExchange]) -> PolicyDecision:
         id_match = PATIENT_ID_RE.search(request_body)
@@ -561,7 +579,7 @@ class ClinicPolicy:
             return PolicyDecision(tool_calls=(ToolCall("csv_lookup", {"patient_id": patient_id}),))
         if lookup == NO_OBSERVATION:
             return PolicyDecision(message="Patient not found: no local case record matches the request.")
-        obs = _observation_from_result(lookup, patient_id)
+        obs = _recall(self, _observation_from_result, lookup, patient_id)
 
         token_text = _last_result(history, "hmac_token")
         if token_text is None:
@@ -642,8 +660,10 @@ class InsurerPolicy:
     combined verdict.
 
     The consult body is built from the structurally token-free consultation
-    type. The token lives only in this request's turn context and is never
-    persisted. The specialist is always consulted, since every inquiry
+    type. The token is never persisted: it lives in this request's turn
+    context and, as part of the last parsed inquiry, stays referenced by
+    this policy instance in the insurer's memory until the next inquiry
+    arrives. The specialist is always consulted, since every inquiry
     carries a proposed treatment whose appropriateness feeds the verdict.
 
     ``forward_token`` is a fault-injection hook for exercising the guard
@@ -652,10 +672,11 @@ class InsurerPolicy:
 
     specialist_target: str = "specialist"
     forward_token: bool = False
+    _last_parse: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def decide(self, request_body: str, history: Sequence[ToolExchange]) -> PolicyDecision:
         try:
-            inquiry = parse_inquiry(request_body)
+            inquiry = _recall(self, parse_inquiry, request_body)
         except ParseError as exc:
             return PolicyDecision(
                 message=f"Unable to process the coverage inquiry: missing or malformed field '{exc.field}'."
@@ -743,10 +764,11 @@ class SpecialistPolicy:
     """
 
     guidance_query: str = "osteoarthritis"
+    _last_parse: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def decide(self, request_body: str, history: Sequence[ToolExchange]) -> PolicyDecision:
         try:
-            consult = parse_consult(request_body)
+            consult = _recall(self, parse_consult, request_body)
         except ParseError as exc:
             return PolicyDecision(
                 message=f"Unable to process the consultation request: missing or malformed field '{exc.field}'."

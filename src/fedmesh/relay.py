@@ -525,9 +525,9 @@ def relay_call(node: "Node", target_name: str, body: str, conversation_id: str) 
         conversation_id=conversation_id,
         body=body,
     )
-    record(node.node_id, target.name, body)
     if node.transport is None:
         raise RelayTransportError(f"node {node.node_id!r} has no transport configured")
+    record(node.node_id, target.name, body)
     logger.debug("relay %s->%s operation=%s chars=%d", node.node_id, target.name, target.operation_id, len(body))
     response = node.transport.send(target, request)
 

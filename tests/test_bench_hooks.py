@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import fedmesh.scenario as scenario_mod
+from fedmesh.fixtures import CANONICAL_REQUEST
 from fedmesh.scenario import boot_scenario, load_audit_context
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -58,6 +60,30 @@ def test_span_wrappers_replace_existing_attributes(workspace, monkeypatch):
         "datastore.protected_values_ms",
         "relay.serve_ms",
     }
+
+
+def test_traced_request_decides_every_turn_and_parses_once(workspace, monkeypatch):
+    """The runtime reaches a policy only through ``decide``, so the traced
+    run times all 10 turns (clinic 4, insurer 4, specialist 2), while the
+    insurer parses its inquiry once for the whole operation."""
+    spans = _load_spans(monkeypatch)
+    tracer = spans.Tracer()
+    patches = spans.Patches()
+    try:
+        spans.install_module_wrappers(tracer, patches)
+        scenario = boot_scenario(workspace.node_configs, run_id="run-hooks-parse")
+        try:
+            spans.install_node_wrappers(tracer, patches, scenario.nodes)
+            reply = scenario.submit(CANONICAL_REQUEST)
+        finally:
+            scenario.close()
+    finally:
+        patches.restore()
+
+    assert reply.startswith("Coverage: ")
+    names = Counter(span.name for span in tracer.spans)
+    assert names["policies.decide_us"] == 10
+    assert names["policies.parse_inquiry"] == 1
 
 
 def _count_loader_calls(monkeypatch) -> dict[str, int]:

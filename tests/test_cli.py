@@ -151,6 +151,20 @@ def test_check_trace_flags_forwarded_token(workspace, tmp_path, capsys):
     assert "token-leak" in out
 
 
+def test_check_trace_reads_a_leak_after_a_unicode_line_separator(workspace, tmp_path, capsys):
+    trace = tmp_path / "trace.jsonl"
+    run_code = main(
+        _run_args(workspace, "--trace", str(trace), "--inject-leak", "see\u2028Marina Kovacs",
+                  "--bypass-guard")
+    )
+    assert run_code == 2
+    capsys.readouterr()
+    code = main(["check-trace", "--trace", str(trace), "--topology", str(workspace.topology_config)])
+    assert code == 2
+    violations = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [v["kind"] for v in violations] == ["protected-value"]
+
+
 def test_check_trace_empty_file(workspace, tmp_path, capsys):
     trace = tmp_path / "empty.jsonl"
     trace.write_text("")

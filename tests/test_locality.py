@@ -242,6 +242,18 @@ def test_trace_round_trip(tmp_path):
     assert loaded.envelopes == trace.envelopes
 
 
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
+def test_trace_round_trip_keeps_unicode_line_separators(tmp_path, separator):
+    """``to_jsonl`` writes these raw inside a body; only ``\\n`` ends a record."""
+    trace = TraceLog("run-8")
+    trace.append(from_node="a", to_node="b", operation_id="op", conversation_id="c",
+                 body=f"see{separator}Marina Kovacs")
+    path = tmp_path / "trace.jsonl"
+    trace.write(path)
+    assert separator in path.read_text(encoding="utf-8")
+    assert read_trace(path).envelopes == trace.envelopes
+
+
 def test_read_trace_malformed_line_number(tmp_path):
     path = tmp_path / "trace.jsonl"
     good = TraceLog("run-1")

@@ -176,7 +176,7 @@ limitations = st.text(
     min_size=1,
     max_size=80,
 )
-tokens = st.from_regex(r"[0-9a-f]{64}", fullmatch=True).map(CaseToken)
+tokens = st.binary(min_size=32, max_size=32).map(lambda raw: CaseToken(raw.hex()))
 
 
 @st.composite
@@ -559,3 +559,70 @@ def test_specialist_parse_failure_response():
     decision = SpecialistPolicy().decide("not a consult", [])
     assert decision.tool_calls == ()
     assert "Unable to process" in decision.message
+
+
+# ---------------------------------------------------------------------------
+# Last-parse memo
+# ---------------------------------------------------------------------------
+
+patient_ids = st.integers(0, 9999).map(lambda n: f"CLN-{n:04d}")
+MALFORMED_BODY = "A request in free text, with no labelled fields and no patient."
+
+
+def _clinic_conversation(patient_id: str, facts: CoverageInquiry) -> tuple[str, dict[str, str]]:
+    observation = ClinicalObservation(
+        patient_id=normalize_id(patient_id),
+        symptom_class=facts.symptom_class,
+        duration_weeks=facts.duration_weeks,
+        functional_limitation=facts.functional_limitation,
+        prior_conservative_tx=facts.prior_tx,
+    )
+    return f"Confirm coverage for {patient_id} for {facts.proposed_treatment}", {
+        "csv_lookup": render_observation_text(observation),
+        "hmac_token": facts.patient_token.hex,
+        "relay_call": "Coverage: Not covered",
+    }
+
+
+def _insurer_conversation(inquiry: CoverageInquiry) -> tuple[str, dict[str, str]]:
+    return render_inquiry(inquiry), {
+        "enrollment_match": _enrollment_text(),
+        "coverage_lookup": render_rule_text(_rule()),
+        "relay_call": _recommendation_text(),
+    }
+
+
+def _assert_memo_is_invisible(policy_type: type, conversations: list[tuple[str, dict[str, str]]]) -> None:
+    """Interleave the conversations' turns on one instance, with a malformed
+    body after each turn; every decision must equal a fresh instance's."""
+    shared = policy_type()
+    histories: list[list[ToolExchange]] = [[] for _ in conversations]
+    unfinished = list(range(len(conversations)))
+    for _ in range(8):
+        for i in list(unfinished):
+            body, results = conversations[i]
+            history = tuple(histories[i])
+            decision = shared.decide(body, history)
+            assert decision == policy_type().decide(body, history)
+            assert shared.decide(MALFORMED_BODY, ()) == policy_type().decide(MALFORMED_BODY, ())
+            if not decision.tool_calls:
+                unfinished.remove(i)
+            for call in decision.tool_calls:
+                histories[i].append(_exchange(call.tool, results[call.tool], dict(call.args)))
+    assert unfinished == []
+
+
+@given(patient_ids, patient_ids, inquiries(), inquiries(), consults(), consults())
+def test_last_parse_memo_never_changes_a_decision(
+    guidance_docs, id_a, id_b, inquiry_a, inquiry_b, consult_a, consult_b
+):
+    _assert_memo_is_invisible(
+        ClinicPolicy, [_clinic_conversation(id_a, inquiry_a), _clinic_conversation(id_b, inquiry_b)]
+    )
+    _assert_memo_is_invisible(
+        InsurerPolicy, [_insurer_conversation(inquiry_a), _insurer_conversation(inquiry_b)]
+    )
+    guidance = {"guidance_search": render_guidance_text(guidance_docs)}
+    _assert_memo_is_invisible(
+        SpecialistPolicy, [(render_consult(consult_a), guidance), (render_consult(consult_b), guidance)]
+    )

@@ -154,6 +154,17 @@ def test_leak_blocked_respects_bypass_hook(scenario):
     assert any("Marina Kovacs" in env.body for env in scenario.trace.envelopes)
 
 
+def test_missing_transport_raises_and_records_nothing(scenario):
+    clinic = scenario.nodes["clinic"]
+    transport, clinic.transport = clinic.transport, None
+    try:
+        with pytest.raises(RelayTransportError):
+            relay_call(clinic, "insurer", "hello", "c1")
+    finally:
+        clinic.transport = transport
+    assert scenario.trace.envelopes == []
+
+
 def test_relay_auth_error_on_tampered_key(scenario):
     insurer = scenario.nodes["insurer"]
     target = insurer.relay_targets["specialist"]
