@@ -23,7 +23,7 @@ from .datastore import (
 )
 from .errors import FedmeshError
 from .locality import (
-    LeakVerdict,
+    Finding,
     MessageEnvelope,
     Topology,
     TraceLog,

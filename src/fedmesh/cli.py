@@ -16,7 +16,7 @@ from .errors import FedmeshError, TraceFormatError
 from .fixtures import CANONICAL_REQUEST, ENROLLMENT_TEMPLATE, build_enrollment_csv
 from .locality import check_trace, read_trace
 from .pseudonym import SecretSource, derive_token, load_secret, normalize_id
-from .scenario import load_audit_context, run_scenario
+from .scenario import TRANSPORTS, load_audit_context, run_scenario
 
 
 def _secret_source(name: str, key_file: str | None) -> SecretSource:
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--insurer-config", required=True)
     run.add_argument("--specialist-config", required=True)
     run.add_argument("--request", default=CANONICAL_REQUEST)
-    run.add_argument("--transport", choices=("inprocess", "network"), default="inprocess")
+    run.add_argument("--transport", choices=TRANSPORTS, default="inprocess")
     run.add_argument("--trace", help="write the JSONL message trace here")
     run.add_argument("--run-id")
     run.add_argument("--inject-leak", metavar="TEXT", help="fault injection: append TEXT to outbound clinic bodies")

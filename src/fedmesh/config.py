@@ -10,14 +10,16 @@ destination node's id.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from .datastore import MatchMode, ProtectedSpec
 from .errors import ConfigError
 from .locality import Topology
+from .policies import POLICY_REGISTRY
 from .relay import RelayTarget
 from .runtime import DEFAULT_LOOP_LIMIT, OperationConfig
 
@@ -43,13 +45,36 @@ class NodeConfig:
     inquiry_targets: frozenset[str]
 
 
-def _expect(record: Mapping[str, object], key: str, kind: type, where: str) -> object:
+_REQUIRED = object()
+
+
+def _expect(
+    record: Mapping[str, object], key: str, kind: type, where: str, default: object = _REQUIRED
+) -> Any:
+    """``record[key]``, which must be a ``kind`` (a JSON bool is no int);
+    ``default`` when the key is absent and a default is given."""
     if key not in record:
-        raise ConfigError(f"{where}: missing key {key!r}")
+        if default is _REQUIRED:
+            raise ConfigError(f"{where}: missing key {key!r}")
+        return default
     value = record[key]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ConfigError(f"{where}: key {key!r} must be {kind.__name__}")
     return value
+
+
+def _check_policy_options(policy: str, options: Mapping[str, object], where: str) -> None:
+    """A dataclass policy takes only its init fields, each typed as its default."""
+    factory = POLICY_REGISTRY.get(policy)
+    if factory is None or not dataclasses.is_dataclass(factory):
+        return
+    defaults = {f.name: f.default for f in dataclasses.fields(factory) if f.init}
+    for key, value in options.items():
+        if key not in defaults:
+            raise ConfigError(f"{where}: unknown policy_options key {key!r} for policy {policy!r}")
+        default = defaults[key]
+        if default is not dataclasses.MISSING and type(value) is not type(default):
+            raise ConfigError(f"{where}: policy_options key {key!r} must be {type(default).__name__}")
 
 
 def _parse_protected(entries: object, where: str) -> tuple[ProtectedSpec, ...]:
@@ -63,7 +88,10 @@ def _parse_protected(entries: object, where: str) -> tuple[ProtectedSpec, ...]:
             match = MatchMode(entry.get("match", "exact"))
         except ValueError:
             raise ConfigError(f"{where}: protected match must be 'exact' or 'text'") from None
-        allowed_to = frozenset(entry.get("allowed_to", ()))
+        allowed_to = _expect(entry, "allowed_to", list, where, [])
+        if not all(isinstance(node, str) for node in allowed_to):
+            raise ConfigError(f"{where}: key 'allowed_to' must list node ids")
+        allowed_to = frozenset(allowed_to)
         if "derived" in entry:
             specs.append(
                 ProtectedSpec(
@@ -114,7 +142,7 @@ def load_node_config(path: Path | str) -> NodeConfig:
         datasets[kind] = {name: base_dir / str(p) for name, p in paths.items()}
 
     secret_files: dict[str, Path] = {}
-    for name, source in record.get("secrets", {}).items():
+    for name, source in _expect(record, "secrets", dict, where, {}).items():
         if not isinstance(source, dict):
             raise ConfigError(f"{where}: secret {name!r} must be an object")
         if "file" in source:
@@ -143,10 +171,11 @@ def load_node_config(path: Path | str) -> NodeConfig:
         options = op.get("policy_options", {})
         if not isinstance(options, dict):
             raise ConfigError(f"{where}: operation {op_id!r}: 'policy_options' must be an object")
+        _check_policy_options(operations[-1].agent_policy, options, f"{where}:{op_id}")
         policy_options[str(op_id)] = dict(options)
 
     targets: list[RelayTarget] = []
-    for name, target in record.get("relay_targets", {}).items():
+    for name, target in _expect(record, "relay_targets", dict, where, {}).items():
         if not isinstance(target, dict):
             raise ConfigError(f"{where}: relay target {name!r} must be an object")
         targets.append(
@@ -169,9 +198,10 @@ def load_node_config(path: Path | str) -> NodeConfig:
         if name not in relay_names:
             raise ConfigError(f"{where}: inquiry target {name!r} is not a relay target")
 
-    bind = record.get("bind", {})
-    if not isinstance(bind, dict):
-        raise ConfigError(f"{where}: 'bind' must be an object")
+    bind = _expect(record, "bind", dict, where, {})
+    bind_port = _expect(bind, "port", int, f"{where}:bind", 0)
+    if not 0 <= bind_port <= 65535:
+        raise ConfigError(f"{where}:bind: key 'port' must be in 0..65535")
 
     return NodeConfig(
         node_id=node_id,
@@ -182,9 +212,9 @@ def load_node_config(path: Path | str) -> NodeConfig:
         operations=tuple(operations),
         policy_options=policy_options,
         relay_targets=tuple(targets),
-        bind_host=str(bind.get("host", "127.0.0.1")),
-        bind_port=int(bind.get("port", 0)),
-        loop_limit=int(record.get("loop_limit", DEFAULT_LOOP_LIMIT)),
+        bind_host=_expect(bind, "host", str, f"{where}:bind", "127.0.0.1"),
+        bind_port=bind_port,
+        loop_limit=_expect(record, "loop_limit", int, where, DEFAULT_LOOP_LIMIT),
         token_free=token_free,
         inquiry_targets=frozenset(inquiry_targets),
     )
@@ -225,19 +255,27 @@ def load_topology_config(path: Path | str) -> tuple[Path, ...]:
 def build_topology(configs: Sequence[NodeConfig]) -> Topology:
     """Declared relay edges are exactly the configured (node, target) pairs;
     the audit rules are the ones each node declares for itself. Node ids
-    must be unique."""
+    must be unique, and each operation may be the relay target of one node
+    only, which is then where its replies go."""
     seen: set[str] = set()
     for cfg in configs:
         if cfg.node_id in seen:
             raise ConfigError(f"duplicate node id {cfg.node_id!r}")
         seen.add(cfg.node_id)
-    edges = frozenset(
-        (cfg.node_id, target.name) for cfg in configs for target in cfg.relay_targets
-    )
+    callers: dict[tuple[str, str], str] = {}
+    for cfg in configs:
+        for target in cfg.relay_targets:
+            caller = callers.setdefault((target.name, target.operation_id), cfg.node_id)
+            if caller != cfg.node_id:
+                raise ConfigError(
+                    f"operation {target.operation_id!r} of node {target.name!r} is called by "
+                    f"both {caller!r} and {cfg.node_id!r}; its replies need one caller"
+                )
     return Topology(
-        edges=edges,
+        edges=frozenset((caller, node) for (node, _), caller in callers.items()),
         token_free_nodes=frozenset(cfg.node_id for cfg in configs if cfg.token_free),
         inquiry_edges=frozenset(
             (cfg.node_id, target) for cfg in configs for target in cfg.inquiry_targets
         ),
+        callers=callers,
     )

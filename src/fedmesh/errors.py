@@ -84,10 +84,12 @@ class TargetNotConfigured(FedmeshError):
 
 
 class LeakBlocked(FedmeshError):
-    """Outbound guard found protected values; nothing was sent.
+    """The guard found a request that breaks a locality rule; nothing was
+    sent.
 
-    The message names source columns and the edge but never the offending
-    values themselves; the structured findings carry those for local use.
+    The message names the edge, the rules and the source columns but never
+    the offending values themselves; the structured findings
+    (``locality.Finding``) carry those for local use.
     """
 
     def __init__(self, message: str, findings: tuple = ()) -> None:

@@ -1,13 +1,16 @@
 """Data-locality enforcement and audit.
 
-Two layers guard the same constraint, that no protected dataset value may
-appear in a message crossing a node boundary:
+One function, ``scan_outbound``, holds the locality rules: a message must
+ride a declared edge, carry no protected value of its sender, carry no
+64-hex substring toward a token-free node, and carry no raw patient
+identifier on an inquiry edge. Two layers apply it:
 
-- ``scan_outbound`` is the runtime guard. The relay applies it to every
-  outbound request body before any bytes leave the node and fails closed.
-- ``check_trace`` is the offline auditor. It replays a full run's message
-  trace against the per-node protected-value indexes and the declared relay
-  topology, so guard bugs and bypasses are still caught after the fact.
+- The relay's runtime guard applies it to every request before any bytes
+  leave the node, and to every reply before it is answered, and fails
+  closed.
+- ``check_trace`` is the offline auditor. It applies the same function to
+  every envelope of a full run's trace, so guard bypasses are still caught
+  after the fact.
 
 Trace files are JSON lines with fields exactly
 ``{run_id, seq, from, to, operation_id, conversation_id, body}``.
@@ -18,7 +21,7 @@ from __future__ import annotations
 import json
 import re
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -152,43 +155,7 @@ def read_trace(path: Path | str) -> TraceLog:
 
 
 # ---------------------------------------------------------------------------
-# Outbound guard
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LeakFinding:
-    offending_value: str
-    source_column: str
-    edge: tuple[str, str]
-
-
-@dataclass(frozen=True)
-class LeakVerdict:
-    clean: bool
-    findings: tuple[LeakFinding, ...]
-
-
-def scan_outbound(body: str, index: ProtectedValueIndex, edge: tuple[str, str]) -> LeakVerdict:
-    """Report every protected value occurring in an outbound body.
-
-    Matching is plain substring search: case-insensitive for values marked
-    as human-readable text (names), case-sensitive for identifiers, dates,
-    and tokens. Values whitelisted for the destination node are skipped
-    before they are tested, and the cost of a scan is bounded by the
-    body's length, not by the index's size (``ProtectedValueIndex.find``).
-    Findings come one per matching entry, in index order. The body is never
-    mutated; the caller decides whether to abort the send.
-    """
-    findings: list[LeakFinding] = []
-    for pos in index.find(body, edge[1]):
-        entry = index.entries[pos]
-        findings.append(LeakFinding(entry.value, entry.source_column, edge))
-    return LeakVerdict(clean=not findings, findings=tuple(findings))
-
-
-# ---------------------------------------------------------------------------
-# Offline trace checker
+# Locality rules: one check per message, for the guard and the checker alike
 # ---------------------------------------------------------------------------
 
 
@@ -197,6 +164,107 @@ class ViolationKind(str, Enum):
     TOKEN_LEAK = "token-leak"  # 64-hex string bound for a token-free node
     UNDECLARED_EDGE = "undeclared-edge"  # envelope outside the configured topology
     RAW_PATIENT_ID = "raw-patient-id"  # raw identifier in an inquiry body
+
+
+@dataclass(frozen=True)
+class Topology:
+    """Declared relay edges plus the nodes' locality rules.
+
+    ``edges`` are the configured (caller, target) pairs; response envelopes
+    legitimately ride the reverse direction of a declared edge. Nodes in
+    ``token_free_nodes`` must never receive any 64-hex substring, known or
+    not. ``inquiry_edges`` are the edges whose bodies must never carry a raw
+    patient identifier (``PATIENT_ID_RE``). ``callers`` maps each called
+    ``(node, operation_id)`` to the one node that calls it, so a reply's
+    edge is known without a wire field.
+    """
+
+    edges: frozenset[tuple[str, str]] = frozenset()
+    token_free_nodes: frozenset[str] = frozenset()
+    inquiry_edges: frozenset[tuple[str, str]] = frozenset()
+    callers: Mapping[tuple[str, str], str] = field(default_factory=dict, hash=False)
+
+    def permits(self, from_node: str, to_node: str) -> bool:
+        return (from_node, to_node) in self.edges or (to_node, from_node) in self.edges
+
+
+@dataclass(frozen=True)
+class Finding:
+    """One locality rule a message body breaks. ``source_column`` is set
+    for protected values only; ``offending_value`` is the matched value,
+    for local use, and is ``None`` for an undeclared edge."""
+
+    kind: ViolationKind
+    source_column: str | None = None
+    offending_value: str | None = None
+
+    def detail(self, edge: tuple[str, str]) -> str:
+        from_node, to_node = edge
+        if self.kind is ViolationKind.UNDECLARED_EDGE:
+            return f"edge {from_node}->{to_node} is not declared in the relay topology"
+        if self.kind is ViolationKind.PROTECTED_VALUE:
+            return f"protected value from column {self.source_column!r} crossed {from_node}->{to_node}"
+        if self.kind is ViolationKind.TOKEN_LEAK:
+            return f"64-hex substring in a body bound for token-free node {to_node!r}"
+        return f"raw patient identifier in an inquiry body on {from_node}->{to_node}"
+
+
+def scan_outbound(
+    body: str,
+    index: ProtectedValueIndex | None,
+    edge: tuple[str, str],
+    topology: Topology,
+) -> list[Finding]:
+    """Every locality rule ``body`` breaks on ``edge``, in rule order: an
+    undeclared edge; each protected value of the sender's ``index`` not
+    whitelisted for the destination, in index order; any 64-hex substring
+    bound for a token-free node; a raw patient identifier on an inquiry
+    edge. An empty list means the message may cross.
+
+    Protected values are plain substrings: case-insensitive for values
+    marked as human-readable text (names), case-sensitive for identifiers,
+    dates and tokens. The cost of the value rule is bounded by the body's
+    length, not by the index's size (``ProtectedValueIndex.find``). The
+    body is never mutated; the caller decides whether to abort.
+    """
+    findings: list[Finding] = []
+    if not topology.permits(*edge):
+        findings.append(Finding(ViolationKind.UNDECLARED_EDGE))
+    if index is not None:
+        for pos in index.find(body, edge[1]):
+            entry = index.entries[pos]
+            findings.append(Finding(ViolationKind.PROTECTED_VALUE, entry.source_column, entry.value))
+    if edge[1] in topology.token_free_nodes:
+        match = HEX64_RE.search(body)
+        if match:
+            findings.append(Finding(ViolationKind.TOKEN_LEAK, offending_value=match.group(0)))
+    # Every id holds a "-", which has no other case: the plain test spares
+    # most bodies the case-blind regex, the slowest step at 5 patients.
+    if edge in topology.inquiry_edges and "-" in body:
+        match = PATIENT_ID_RE.search(body)
+        if match:
+            findings.append(Finding(ViolationKind.RAW_PATIENT_ID, offending_value=match.group(0)))
+    return findings
+
+
+def blocked_message(edge: tuple[str, str], findings: Iterable[Finding]) -> str:
+    """Why a message was stopped: the edge, the rules it breaks and, for
+    protected values, their columns. It never carries a matched value."""
+    columns: dict[ViolationKind, set[str]] = {}
+    for finding in findings:
+        names = columns.setdefault(finding.kind, set())
+        if finding.source_column is not None:
+            names.add(finding.source_column)
+    rules = [
+        f"{kind.value} from column(s) {', '.join(sorted(names))}" if names else kind.value
+        for kind, names in columns.items()
+    ]
+    return f"message {edge[0]}->{edge[1]} blocked: {'; '.join(rules)}"
+
+
+# ---------------------------------------------------------------------------
+# Offline trace checker
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -221,94 +289,26 @@ class Violation:
         return json.dumps(record, ensure_ascii=False)
 
 
-@dataclass(frozen=True)
-class Topology:
-    """Declared relay edges plus per-run audit settings.
-
-    ``edges`` are the configured (caller, target) pairs; response envelopes
-    legitimately ride the reverse direction of a declared edge. Nodes in
-    ``token_free_nodes`` must never receive any 64-hex substring, known or
-    not. ``inquiry_edges`` are the edges whose bodies must never carry a raw
-    patient identifier (``PATIENT_ID_RE``).
-    """
-
-    edges: frozenset[tuple[str, str]]
-    token_free_nodes: frozenset[str] = frozenset()
-    inquiry_edges: frozenset[tuple[str, str]] = frozenset()
-
-    def permits(self, from_node: str, to_node: str) -> bool:
-        return (from_node, to_node) in self.edges or (to_node, from_node) in self.edges
-
-
 def check_trace(
     trace: TraceLog,
     topology: Topology,
     indexes: Mapping[str, ProtectedValueIndex],
 ) -> list[Violation]:
     """Audit a complete run; an empty result means the run satisfied the
-    locality model.
-
-    Checks, per envelope: protected-value leakage against the sender's
-    index; any 64-hex substring bound for a token-free node; transit on an
-    edge outside the declared topology; and raw patient identifiers on
-    inquiry edges.
-    """
+    locality model. Each envelope is checked by ``scan_outbound`` against
+    its sender's index, exactly as the runtime guard checks it."""
     violations: list[Violation] = []
-
     for env in trace.envelopes:
         edge = (env.from_node, env.to_node)
-
-        if not topology.permits(*edge):
+        for finding in scan_outbound(env.body, indexes.get(env.from_node), edge, topology):
             violations.append(
                 Violation(
-                    kind=ViolationKind.UNDECLARED_EDGE,
+                    kind=finding.kind,
                     seq=env.sent_at,
                     from_node=env.from_node,
                     to_node=env.to_node,
-                    detail=f"edge {env.from_node}->{env.to_node} is not declared in the relay topology",
+                    detail=finding.detail(edge),
+                    offending_value=finding.offending_value,
                 )
             )
-
-        index = indexes.get(env.from_node)
-        if index is not None:
-            for finding in scan_outbound(env.body, index, edge).findings:
-                violations.append(
-                    Violation(
-                        kind=ViolationKind.PROTECTED_VALUE,
-                        seq=env.sent_at,
-                        from_node=env.from_node,
-                        to_node=env.to_node,
-                        detail=f"protected value from column {finding.source_column!r} crossed {env.from_node}->{env.to_node}",
-                        offending_value=finding.offending_value,
-                    )
-                )
-
-        if env.to_node in topology.token_free_nodes:
-            match = HEX64_RE.search(env.body)
-            if match:
-                violations.append(
-                    Violation(
-                        kind=ViolationKind.TOKEN_LEAK,
-                        seq=env.sent_at,
-                        from_node=env.from_node,
-                        to_node=env.to_node,
-                        detail=f"64-hex substring in a body bound for token-free node {env.to_node!r}",
-                        offending_value=match.group(0),
-                    )
-                )
-
-        if edge in topology.inquiry_edges:
-            match = PATIENT_ID_RE.search(env.body)
-            if match:
-                violations.append(
-                    Violation(
-                        kind=ViolationKind.RAW_PATIENT_ID,
-                        seq=env.sent_at,
-                        from_node=env.from_node,
-                        to_node=env.to_node,
-                        detail=f"raw patient identifier in an inquiry body on {env.from_node}->{env.to_node}",
-                        offending_value=match.group(0),
-                    )
-                )
-
     return violations

@@ -5,14 +5,18 @@ carried over HTTP POST to ``/operations/<operation_id>``. Requests are
 ``{"operation_id", "access_key", "conversation_id", "body"}``; responses are
 ``{"status": "ok", "body": ...}`` or
 ``{"status": "error", "error": {"code", "message"}}`` with codes ``auth``,
-``not_found``, ``protocol``, and ``internal``. Bodies are natural-language
-text only; no structured record ever rides the wire.
+``not_found``, ``protocol``, ``blocked``, and ``internal``. Bodies are
+natural-language text only; no structured record ever rides the wire.
 
 Calls are least-privilege: a remote operation is reachable only through a
 target declared in node config, and the target's name must equal the
-destination node's id so traces and topology checks line up. The outbound
-leak guard runs before any bytes leave the node and fails closed: a finding
-aborts the call with nothing sent and nothing recorded.
+destination node's id so traces and topology checks line up. The guard is
+``locality.scan_outbound``, the trace checker's own per-envelope check, and
+it fails closed on both sides of a call. A request that breaks a rule
+raises ``LeakBlocked`` before any bytes leave the node, with nothing sent
+and nothing recorded. A reply that breaks one, ``ok`` or error alike, is
+answered as ``error[blocked]`` instead, with a message that names rules and
+columns but no value.
 
 Over HTTP both sides frame messages by hand, in the subset of HTTP/1.1
 (RFC 9112) the relay needs: a POST or a ``200`` response whose body is
@@ -53,7 +57,7 @@ from .errors import (
     RelayTransportError,
     TargetNotConfigured,
 )
-from .locality import scan_outbound
+from .locality import blocked_message, scan_outbound
 
 if TYPE_CHECKING:
     from .runtime import Node
@@ -143,6 +147,12 @@ class RelayResponse:
             {"status": "error", "error": {"code": self.error_code, "message": self.error_message}},
             ensure_ascii=False,
         )
+
+    def trace_body(self) -> str:
+        """The reply as its caller records it in the trace."""
+        if self.status == "ok" and self.body is not None:
+            return self.body
+        return f"error[{self.error_code or 'internal'}]: {self.error_message or ''}"
 
     @classmethod
     def from_json(cls, raw: str) -> "RelayResponse":
@@ -464,31 +474,43 @@ def serve_request(node: "Node", request: RelayRequest) -> RelayResponse:
 
     Authenticates the access key against the addressed operation, runs the
     node's tool-calling loop, and wraps the outcome in the wire response.
-    Error messages carry exception types and identifiers, never dataset
-    values.
+    The reply, exactly as the caller will record it, then passes the guard
+    on its edge back to the operation's declared caller; one that breaks a
+    locality rule is answered as ``error[blocked]``. An operation no
+    declared relay target calls, such as the entry operation, has no reply
+    edge and is not inspected.
     """
     from .runtime import handle_operation
 
     try:
-        return RelayResponse.ok(handle_operation(node, request).body)
+        response = RelayResponse.ok(handle_operation(node, request).body)
     except OperationNotFound as exc:
-        return RelayResponse.fail("not_found", str(exc))
+        response = RelayResponse.fail("not_found", str(exc))
     except AuthError as exc:
-        return RelayResponse.fail("auth", str(exc))
+        response = RelayResponse.fail("auth", str(exc))
     except FedmeshError as exc:
-        return RelayResponse.fail("internal", f"{type(exc).__name__}: {exc}")
+        response = RelayResponse.fail("internal", f"{type(exc).__name__}: {exc}")
     except Exception:
         logger.exception("node=%s operation=%s failed", node.node_id, request.operation_id)
-        return RelayResponse.fail("internal", "internal error")
+        response = RelayResponse.fail("internal", "internal error")
+
+    caller = node.topology.callers.get((node.node_id, request.operation_id))
+    if caller is None or not node.enforce_guard:
+        return response
+    edge = (node.node_id, caller)
+    findings = scan_outbound(response.trace_body(), node.protected_index, edge, node.topology)
+    if findings:
+        return RelayResponse.fail("blocked", blocked_message(edge, findings))
+    return response
 
 
 def relay_call(node: "Node", target_name: str, body: str, conversation_id: str) -> str:
     """Call a remote operation on a configured target.
 
-    Order matters: target lookup, outbound guard, then transport. When the
-    guard finds protected values the call aborts with ``LeakBlocked`` and
-    the transport counters confirm zero bytes were sent. Both the request
-    and the response envelope are recorded in the run's trace.
+    Order matters: target lookup, guard, then transport. When the guard
+    finds a broken rule the call aborts with ``LeakBlocked`` and the
+    transport counters confirm zero bytes were sent. Both the request and
+    the response envelope are recorded in the run's trace.
     """
     target = node.relay_targets.get(target_name)
     if target is None:
@@ -500,14 +522,9 @@ def relay_call(node: "Node", target_name: str, body: str, conversation_id: str) 
 
     edge = (node.node_id, target.name)
     if node.enforce_guard:
-        verdict = scan_outbound(body, node.protected_index, edge)
-        if not verdict.clean:
-            columns = sorted({finding.source_column for finding in verdict.findings})
-            raise LeakBlocked(
-                f"outbound message {node.node_id}->{target.name} blocked: "
-                f"{len(verdict.findings)} protected value(s) from column(s) {', '.join(columns)}",
-                verdict.findings,
-            )
+        findings = scan_outbound(body, node.protected_index, edge, node.topology)
+        if findings:
+            raise LeakBlocked(blocked_message(edge, findings), tuple(findings))
 
     def record(from_node: str, to_node: str, body: str) -> None:
         if node.trace is not None:
@@ -530,14 +547,12 @@ def relay_call(node: "Node", target_name: str, body: str, conversation_id: str) 
     record(node.node_id, target.name, body)
     logger.debug("relay %s->%s operation=%s chars=%d", node.node_id, target.name, target.operation_id, len(body))
     response = node.transport.send(target, request)
+    record(target.name, node.node_id, response.trace_body())
 
     if response.status == "ok" and response.body is not None:
-        record(target.name, node.node_id, response.body)
         return response.body
-
     code = response.error_code or "internal"
     message = response.error_message or ""
-    record(target.name, node.node_id, f"error[{code}]: {message}")
     if code == "auth":
         raise RelayAuthError(f"target {target.name!r} rejected the access key: {message}")
     raise RelayRemoteError(f"target {target.name!r} answered error[{code}]: {message}")

@@ -41,7 +41,7 @@ from .errors import (
     ToolError,
     ToolNotPermitted,
 )
-from .locality import TraceLog
+from .locality import Topology, TraceLog
 from .pseudonym import SecretKey, SecretSource, derive_token, load_secret, normalize_id
 from .relay import RelayRequest, RelayTarget, Transport, relay_call
 
@@ -125,8 +125,10 @@ class Node:
     """One organisation's isolated deployment.
 
     Datasets, secrets, and tools are local; the only outward path is a
-    relay target declared in config. ``enforce_guard`` exists as a test
-    hook so the offline checker can be exercised against guard bypasses.
+    relay target declared in config. ``topology`` is the deployment's, from
+    which the guard takes its rules and each reply's edge. ``enforce_guard``
+    exists as a test hook so the offline checker can be exercised against
+    guard bypasses.
     """
 
     node_id: str
@@ -140,6 +142,7 @@ class Node:
     hmac_secret: str | None = None
     transport: Transport | None = None
     trace: TraceLog | None = None
+    topology: Topology = field(default_factory=Topology)
     loop_limit: int = DEFAULT_LOOP_LIMIT
     enforce_guard: bool = True
     outbound_mutators: list[Callable[[str, str], str]] = field(default_factory=list)
@@ -341,7 +344,7 @@ def tool_hmac_token(ctx: ToolContext, args: Mapping[str, str]) -> str:
 
 
 def tool_relay_call(ctx: ToolContext, args: Mapping[str, str]) -> str:
-    """Call a configured remote operation; the outbound guard applies."""
+    """Call a configured remote operation; the guard applies."""
     target = _require_arg(args, "target", "relay_call")
     body = _require_arg(args, "body", "relay_call")
     return relay_call(ctx.node, target, body, ctx.conversation_id)

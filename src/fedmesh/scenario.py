@@ -61,10 +61,14 @@ def load_stores(
 def build_node(
     cfg: NodeConfig,
     *,
+    topology: Topology | None = None,
     trace: TraceLog | None = None,
     env: Mapping[str, str] | None = None,
 ) -> Node:
-    """Load datasets, build the protected index, and instantiate policies."""
+    """Load datasets, build the protected index, and instantiate policies.
+
+    ``topology`` is the deployment's; without one, the node's guard knows
+    only the edges and rules its own config declares."""
     secrets = SecretSource(files=dict(cfg.secret_files), env=env)
     datasets, index = load_stores(cfg, secrets)
     if "guidance" in cfg.datasets:
@@ -86,6 +90,7 @@ def build_node(
         tools=dict(TOOL_REGISTRY),
         hmac_secret=cfg.hmac_secret,
         trace=trace,
+        topology=topology or build_topology([cfg]),
         loop_limit=cfg.loop_limit,
     )
 
@@ -164,36 +169,38 @@ def boot_scenario(
     configs = [load_node_config(path) for path in config_paths]
     topology = build_topology(configs)
 
-    nodes = {cfg.node_id: build_node(cfg, trace=trace, env=env) for cfg in configs}
-
-    servers: list[RelayServer] = []
-    if transport == "inprocess":
-        for node in nodes.values():
-            node.transport = LoopbackTransport(nodes)
-    else:
-        urls: dict[str, str] = {}
-        for cfg in configs:
-            server = serve(nodes[cfg.node_id], (cfg.bind_host, cfg.bind_port))
-            servers.append(server)
-            urls[cfg.node_id] = server.url
-        for node in nodes.values():
-            node.transport = HttpTransport()
-            node.relay_targets = {
-                name: dataclasses.replace(target, url=urls.get(target.name, target.url))
-                for name, target in node.relay_targets.items()
-            }
-        logger.info("network listeners: %s", ", ".join(f"{n}={u}" for n, u in urls.items()))
-
-    entry = configs[0]
-    return Scenario(
+    nodes = {
+        cfg.node_id: build_node(cfg, topology=topology, trace=trace, env=env) for cfg in configs
+    }
+    scenario = Scenario(
         run_id=run_id,
         nodes=nodes,
         trace=trace,
         topology=topology,
-        entry_node=entry.node_id,
-        entry_operation=entry.operations[0].operation_id,
-        servers=servers,
+        entry_node=configs[0].node_id,
+        entry_operation=configs[0].operations[0].operation_id,
     )
+    try:
+        if transport == "inprocess":
+            for node in nodes.values():
+                node.transport = LoopbackTransport(nodes)
+        else:
+            urls: dict[str, str] = {}
+            for cfg in configs:
+                server = serve(nodes[cfg.node_id], (cfg.bind_host, cfg.bind_port))
+                scenario.servers.append(server)
+                urls[cfg.node_id] = server.url
+            for node in nodes.values():
+                node.transport = HttpTransport()
+                node.relay_targets = {
+                    name: dataclasses.replace(target, url=urls.get(target.name, target.url))
+                    for name, target in node.relay_targets.items()
+                }
+            logger.info("network listeners: %s", ", ".join(f"{n}={u}" for n, u in urls.items()))
+    except BaseException:  # a listener failed to bind: stop the ones already started
+        scenario.close()
+        raise
+    return scenario
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import pytest
 
 from fedmesh.datastore import MatchMode, ProtectedValueIndex
 from fedmesh.fixtures import write_demo_workspace
-from fedmesh.locality import LeakFinding, LeakVerdict
+from fedmesh.locality import Finding, ViolationKind
 
 # Pinned before implementation against two independent HMAC-SHA256
 # references (openssl dgst and the RFC 2104 construction below), key
@@ -30,12 +30,12 @@ def hmac_sha256_reference(key: bytes, message: bytes) -> str:
     return hashlib.sha256(bytes(b ^ 0x5C for b in key) + inner).hexdigest()
 
 
-def oracle_scan(body: str, index: ProtectedValueIndex, edge: tuple[str, str]) -> LeakVerdict:
-    """Reference outbound scan: one substring test per index entry, in index
-    order, skipping entries whitelisted for the destination. The compiled
-    matcher behind ``scan_outbound`` must return exactly this."""
+def oracle_scan(body: str, index: ProtectedValueIndex, edge: tuple[str, str]) -> list[Finding]:
+    """Reference protected-value rule: one substring test per index entry,
+    in index order, skipping entries whitelisted for the destination. The
+    compiled matcher behind ``scan_outbound`` must find exactly this."""
     _, to_node = edge
-    findings: list[LeakFinding] = []
+    findings: list[Finding] = []
     folded = body.casefold()
     for entry in index.entries:
         if to_node in entry.allowed_to:
@@ -45,8 +45,8 @@ def oracle_scan(body: str, index: ProtectedValueIndex, edge: tuple[str, str]) ->
         else:
             hit = entry.value in body
         if hit:
-            findings.append(LeakFinding(entry.value, entry.source_column, edge))
-    return LeakVerdict(clean=not findings, findings=tuple(findings))
+            findings.append(Finding(ViolationKind.PROTECTED_VALUE, entry.source_column, entry.value))
+    return findings
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import fedmesh.scenario as scenario_mod
 from fedmesh.fixtures import CANONICAL_REQUEST
+from fedmesh.locality import check_trace
 from fedmesh.scenario import boot_scenario, load_audit_context
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -65,7 +66,9 @@ def test_span_wrappers_replace_existing_attributes(workspace, monkeypatch):
 def test_traced_request_decides_every_turn_and_parses_once(workspace, monkeypatch):
     """The runtime reaches a policy only through ``decide``, so the traced
     run times all 10 turns (clinic 4, insurer 4, specialist 2), while the
-    insurer parses its inquiry once for the whole operation."""
+    insurer parses its inquiry once for the whole operation. The guard's
+    span times each of its four inspections (two requests, two replies),
+    and the audit, which calls the same check, adds none."""
     spans = _load_spans(monkeypatch)
     tracer = spans.Tracer()
     patches = spans.Patches()
@@ -77,13 +80,17 @@ def test_traced_request_decides_every_turn_and_parses_once(workspace, monkeypatc
             reply = scenario.submit(CANONICAL_REQUEST)
         finally:
             scenario.close()
+        request_names = Counter(span.name for span in tracer.spans)
+        topology, indexes = load_audit_context(workspace.topology_config)
+        assert check_trace(scenario.trace, topology, indexes) == []
     finally:
         patches.restore()
 
     assert reply.startswith("Coverage: ")
-    names = Counter(span.name for span in tracer.spans)
-    assert names["policies.decide_us"] == 10
-    assert names["policies.parse_inquiry"] == 1
+    assert request_names["policies.decide_us"] == 10
+    assert request_names["policies.parse_inquiry"] == 1
+    assert request_names["locality.scan_us"] == 4
+    assert Counter(span.name for span in tracer.spans)["locality.scan_us"] == 4
 
 
 def _count_loader_calls(monkeypatch) -> dict[str, int]:

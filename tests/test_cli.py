@@ -5,6 +5,7 @@ import json
 import pytest
 
 from fedmesh.cli import main
+from fedmesh.config import load_node_config
 from fedmesh.errors import ConfigError
 from fedmesh.fixtures import CANONICAL_REQUEST, FIXTURE_SECRET, write_demo_workspace
 from fedmesh.scenario import boot_scenario, run_scenario
@@ -181,15 +182,22 @@ def test_check_trace_malformed_line(workspace, tmp_path, capsys):
 
 
 def test_run_scenario_and_check_trace_apply_the_same_rules(tmp_path, capsys):
-    """Both audits take the token-free nodes from the node configs: marking
-    the insurer token-free flags the case token in the clinic's inquiry."""
+    """The guard and both audits take the token-free nodes from the node
+    configs: marking the insurer token-free blocks the clinic's inquiry,
+    and past a bypassed guard flags the case token in it."""
     ws = write_demo_workspace(tmp_path / "ws")
     record = json.loads(ws.insurer_config.read_text())
     record["token_free"] = True
     ws.insurer_config.write_text(json.dumps(record))
     trace = tmp_path / "trace.jsonl"
 
-    result = run_scenario(ws.node_configs, CANONICAL_REQUEST, run_id="run-cli-same", trace_path=trace)
+    guarded = run_scenario(ws.node_configs, CANONICAL_REQUEST, run_id="run-cli-guarded")
+    assert guarded.error.startswith("LeakBlocked: message clinic->insurer blocked: token-leak")
+    assert guarded.trace.envelopes == [] and guarded.violations == ()
+
+    result = run_scenario(
+        ws.node_configs, CANONICAL_REQUEST, run_id="run-cli-same", trace_path=trace, bypass_guard=True
+    )
     assert [(v.kind.value, v.seq) for v in result.violations] == [("token-leak", 1)]
     assert result.exit_code == 2
 
@@ -228,3 +236,44 @@ def test_duplicate_node_id_is_rejected_by_boot_and_audit(workspace, tmp_path, ca
     trace.write_text("")
     assert main(["check-trace", "--trace", str(trace), "--topology", str(topology)]) == 1
     assert "ConfigError: duplicate node id 'clinic'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path, value, key",
+    [
+        (("bind", "port"), "abc", "port"),
+        (("bind", "port"), 70000, "port"),
+        (("loop_limit",), "x", "loop_limit"),
+        (("loop_limit",), True, "loop_limit"),
+        (("relay_targets",), [], "relay_targets"),
+        (("secrets",), [], "secrets"),
+        (("protected", 0, "allowed_to"), 5, "allowed_to"),
+        (("protected", 3, "allowed_to"), "insurer", "allowed_to"),
+        (("operations", "coverage_request", "policy_options"), {"insurer": "x"}, "insurer"),
+        (("operations", "coverage_request", "policy_options"), {"insurer_target": 5}, "insurer_target"),
+    ],
+    ids=[
+        "port-text", "port-range", "loop_limit-text", "loop_limit-bool", "relay_targets-list",
+        "secrets-list", "allowed_to-number", "allowed_to-text", "policy_options-unknown",
+        "policy_options-type",
+    ],
+)
+def test_wrong_typed_config_fields_are_config_errors(tmp_path, capsys, path, value, key):
+    """Each is a ConfigError naming the file and the key, which the CLI
+    reports in one line instead of a traceback."""
+    ws = write_demo_workspace(tmp_path / "ws")
+    record = json.loads(ws.clinic_config.read_text())
+    *parents, last = path
+    owner = record
+    for step in parents:
+        owner = owner[step]
+    owner[last] = value
+    ws.clinic_config.write_text(json.dumps(record))
+
+    with pytest.raises(ConfigError) as err:
+        load_node_config(ws.clinic_config)
+    assert str(err.value).startswith(f"{ws.clinic_config.name}")
+    assert repr(key) in str(err.value)
+
+    assert main(_run_args(ws)) == 1
+    assert capsys.readouterr().err == f"error: ConfigError: {err.value}\n"

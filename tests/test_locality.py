@@ -10,10 +10,12 @@ from fedmesh.config import load_node_config
 from fedmesh.datastore import Q, MatchMode, ProtectedValue, ProtectedValueIndex
 from fedmesh.errors import ConfigError, TraceFormatError
 from fedmesh.locality import (
+    Finding,
     MessageEnvelope,
     Topology,
     TraceLog,
     ViolationKind,
+    blocked_message,
     check_trace,
     read_trace,
     scan_outbound,
@@ -35,33 +37,61 @@ TOKEN_ENTRY = ProtectedValue(
 
 EDGE = ("clinic", "insurer")
 
+TOPOLOGY = Topology(
+    edges=frozenset({("clinic", "insurer"), ("insurer", "specialist")}),
+    token_free_nodes=frozenset({"specialist"}),
+    inquiry_edges=frozenset({("clinic", "insurer")}),
+)
+
+
+# Both edges declared and no other rule: only the protected-value rule fires.
+OPEN = Topology(edges=frozenset({("clinic", "insurer"), ("clinic", "specialist")}))
+
 
 def test_scan_finds_name_case_insensitively():
-    verdict = scan_outbound("details for MARINA kovacs attached", _index(NAME), EDGE)
-    assert not verdict.clean
-    assert verdict.findings[0].source_column == "full_name"
-    assert verdict.findings[0].offending_value == "Marina Kovacs"
+    findings = scan_outbound("details for MARINA kovacs attached", _index(NAME), EDGE, OPEN)
+    assert findings == [Finding(ViolationKind.PROTECTED_VALUE, "full_name", "Marina Kovacs")]
 
 
 def test_scan_ids_are_case_sensitive():
-    assert scan_outbound("cln-0001 mentioned", _index(PATIENT_ID), EDGE).clean
-    assert not scan_outbound("CLN-0001 mentioned", _index(PATIENT_ID), EDGE).clean
+    assert scan_outbound("cln-0001 mentioned", _index(PATIENT_ID), EDGE, OPEN) == []
+    assert scan_outbound("CLN-0001 mentioned", _index(PATIENT_ID), EDGE, OPEN) != []
 
 
 def test_scan_respects_edge_whitelist():
     body = f"Coverage inquiry for patient_token={GOLDEN_TOKENS['CLN-0001']}"
-    assert scan_outbound(body, _index(TOKEN_ENTRY), ("clinic", "insurer")).clean
-    assert not scan_outbound(body, _index(TOKEN_ENTRY), ("clinic", "specialist")).clean
+    assert scan_outbound(body, _index(TOKEN_ENTRY), ("clinic", "insurer"), OPEN) == []
+    assert scan_outbound(body, _index(TOKEN_ENTRY), ("clinic", "specialist"), OPEN) != []
 
 
 def test_scan_empty_index_is_clean():
-    assert scan_outbound("anything at all", _index(), EDGE).clean
+    assert scan_outbound("anything at all", _index(), EDGE, OPEN) == []
 
 
 def test_scan_never_mutates_body():
     body = "report on Marina Kovacs"
-    scan_outbound(body, _index(NAME), EDGE)
+    scan_outbound(body, _index(NAME), EDGE, OPEN)
     assert body == "report on Marina Kovacs"
+
+
+def test_scan_applies_the_rules_in_order():
+    """One body breaking all four rules gets one finding per rule, in the
+    checker's order, and the block message names rules and columns only."""
+    topology = Topology(
+        edges=frozenset(), token_free_nodes=frozenset({"insurer"}), inquiry_edges=frozenset({EDGE})
+    )
+    token = GOLDEN_TOKENS["CLN-0001"]
+    findings = scan_outbound(f"Marina Kovacs cln-0001 {token}", _index(NAME), EDGE, topology)
+    assert findings == [
+        Finding(ViolationKind.UNDECLARED_EDGE),
+        Finding(ViolationKind.PROTECTED_VALUE, "full_name", "Marina Kovacs"),
+        Finding(ViolationKind.TOKEN_LEAK, None, token),
+        Finding(ViolationKind.RAW_PATIENT_ID, None, "cln-0001"),
+    ]
+    assert blocked_message(EDGE, findings) == (
+        "message clinic->insurer blocked: undeclared-edge; protected-value from column(s) "
+        "full_name; token-leak; raw-patient-id"
+    )
 
 
 # Characters whose casefold changes length or spelling (``ß`` -> ``ss``,
@@ -175,9 +205,11 @@ _GRAMMED = ["aaaaaaa" + format(i, "05b").translate(str.maketrans("01", "ab")) fo
 def test_scan_soundness_against_bruteforce(case, edge):
     """The compiled matcher returns exactly the linear oracle's findings, in
     index order, for both match modes, shared needles and whitelists, on
-    the window, gram and ``in`` paths alike."""
+    the window, gram and ``in`` paths alike, whatever the other rules find."""
     index, body = case
-    assert scan_outbound(body, index, edge) == oracle_scan(body, index, edge)
+    findings = scan_outbound(body, index, edge, TOPOLOGY)
+    values = [f for f in findings if f.kind is ViolationKind.PROTECTED_VALUE]
+    assert values == oracle_scan(body, index, edge)
 
 
 def test_fault_injection_always_detected(workspace):
@@ -197,8 +229,8 @@ def test_fault_injection_always_detected(workspace):
         value = rng.choice(spliceable)
         position = rng.randrange(len(golden_body) + 1)
         spliced = golden_body[:position] + value + golden_body[position:]
-        verdict = scan_outbound(spliced, clinic_index, EDGE)
-        assert value in {f.offending_value for f in verdict.findings}
+        findings = scan_outbound(spliced, clinic_index, EDGE, OPEN)
+        assert value in {f.offending_value for f in findings}
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +312,6 @@ def test_read_trace_empty_file(tmp_path):
 # ---------------------------------------------------------------------------
 # check_trace
 # ---------------------------------------------------------------------------
-
-
-TOPOLOGY = Topology(
-    edges=frozenset({("clinic", "insurer"), ("insurer", "specialist")}),
-    token_free_nodes=frozenset({"specialist"}),
-    inquiry_edges=frozenset({("clinic", "insurer")}),
-)
 
 
 def _trace_with(*bodies_and_edges) -> TraceLog:

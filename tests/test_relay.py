@@ -19,7 +19,7 @@ from fedmesh.errors import (
     TargetNotConfigured,
 )
 from fedmesh import relay
-from fedmesh.fixtures import CANONICAL_REQUEST
+from fedmesh.fixtures import CANONICAL_REQUEST, write_demo_workspace
 from fedmesh.policies import (
     Appropriateness,
     CoverageStatus,
@@ -406,6 +406,22 @@ def test_closing_a_network_scenario_is_fast(workspace):
         started = time.monotonic()
         scenario.close()
     assert time.monotonic() - started < 0.2
+
+
+def test_failed_boot_closes_the_listeners_it_started(tmp_path):
+    """Two nodes on one fixed port: the second cannot bind, and the boot
+    stops the first node's listener before it raises."""
+    ws = write_demo_workspace(tmp_path / "ws")
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    for path in (ws.clinic_config, ws.insurer_config):
+        record = json.loads(path.read_text())
+        record["bind"] = {"host": "127.0.0.1", "port": port}
+        path.write_text(json.dumps(record))
+    with pytest.raises(OSError):
+        boot_scenario(ws.node_configs, transport="network", run_id="run-relay-port")
+    assert [t.name for t in threading.enumerate() if t.name.startswith("relay-")] == []
 
 
 def test_network_transport_ignores_proxy_environment(workspace, monkeypatch):
