@@ -23,7 +23,12 @@ from .policies import POLICY_REGISTRY
 from .relay import RelayTarget
 from .runtime import DEFAULT_LOOP_LIMIT, OperationConfig
 
-DATASET_KINDS = ("clinic", "insurer", "guidance")
+# Each dataset kind and the path names it must give.
+DATASET_KINDS = {
+    "clinic": ("patients", "observations"),
+    "insurer": ("enrollment", "coverage_rules"),
+    "guidance": ("dir",),
+}
 
 
 @dataclass(frozen=True)
@@ -39,10 +44,8 @@ class NodeConfig:
     bind_host: str
     bind_port: int
     loop_limit: int
-    # Audit rules: receives no 64-hex substring; bodies sent to these
-    # relay targets carry no raw patient id.
+    # Audit rule: receives no 64-hex substring.
     token_free: bool
-    inquiry_targets: frozenset[str]
 
 
 _REQUIRED = object()
@@ -95,10 +98,10 @@ def _parse_protected(entries: object, where: str) -> tuple[ProtectedSpec, ...]:
         if "derived" in entry:
             specs.append(
                 ProtectedSpec(
-                    derived=str(entry["derived"]),
-                    store=str(entry.get("store", "patients")),
-                    column=str(entry.get("column", "patient_id")),
-                    secret=str(entry["secret"]) if "secret" in entry else None,
+                    derived=_expect(entry, "derived", str, where),
+                    store=_expect(entry, "store", str, where, "patients"),
+                    column=_expect(entry, "column", str, where, "patient_id"),
+                    secret=_expect(entry, "secret", str, where, None),
                     match=match,
                     allowed_to=allowed_to,
                 )
@@ -109,7 +112,7 @@ def _parse_protected(entries: object, where: str) -> tuple[ProtectedSpec, ...]:
                 raise ConfigError(f"{where}: protected entry needs a non-empty 'columns' list")
             specs.append(
                 ProtectedSpec(
-                    store=str(_expect(entry, "store", str, where)),
+                    store=_expect(entry, "store", str, where),
                     columns=tuple(str(col) for col in columns),
                     match=match,
                     allowed_to=allowed_to,
@@ -129,7 +132,7 @@ def load_node_config(path: Path | str) -> NodeConfig:
         raise ConfigError(f"{where}: config root must be an object")
 
     base_dir = path.parent
-    node_id = str(_expect(record, "node_id", str, where))
+    node_id = _expect(record, "node_id", str, where)
     if not node_id:
         raise ConfigError(f"{where}: node_id must be non-empty")
 
@@ -139,14 +142,17 @@ def load_node_config(path: Path | str) -> NodeConfig:
             raise ConfigError(f"{where}: unknown dataset kind {kind!r}")
         if not isinstance(paths, dict):
             raise ConfigError(f"{where}: dataset {kind!r} must map names to paths")
-        datasets[kind] = {name: base_dir / str(p) for name, p in paths.items()}
+        datasets[kind] = {
+            name: base_dir / _expect(paths, name, str, f"{where}:{kind}")
+            for name in DATASET_KINDS[kind]
+        }
 
     secret_files: dict[str, Path] = {}
     for name, source in _expect(record, "secrets", dict, where, {}).items():
         if not isinstance(source, dict):
             raise ConfigError(f"{where}: secret {name!r} must be an object")
         if "file" in source:
-            secret_files[str(name)] = base_dir / str(source["file"])
+            secret_files[name] = base_dir / _expect(source, "file", str, f"{where}:{name}")
         # otherwise the secret resolves through its environment variable
 
     operations: list[OperationConfig] = []
@@ -163,9 +169,9 @@ def load_node_config(path: Path | str) -> NodeConfig:
         operations.append(
             OperationConfig(
                 operation_id=str(op_id),
-                agent_policy=str(_expect(op, "policy", str, f"{where}:{op_id}")),
+                agent_policy=_expect(op, "policy", str, f"{where}:{op_id}"),
                 permitted_tools=frozenset(str(tool) for tool in tools),
-                access_key=str(_expect(op, "access_key", str, f"{where}:{op_id}")),
+                access_key=_expect(op, "access_key", str, f"{where}:{op_id}"),
             )
         )
         options = op.get("policy_options", {})
@@ -181,22 +187,15 @@ def load_node_config(path: Path | str) -> NodeConfig:
         targets.append(
             RelayTarget(
                 name=str(name),
-                url=str(_expect(target, "url", str, f"{where}:{name}")),
-                operation_id=str(_expect(target, "operation_id", str, f"{where}:{name}")),
-                access_key=str(_expect(target, "access_key", str, f"{where}:{name}")),
+                url=_expect(target, "url", str, f"{where}:{name}"),
+                operation_id=_expect(target, "operation_id", str, f"{where}:{name}"),
+                access_key=_expect(target, "access_key", str, f"{where}:{name}"),
             )
         )
 
     token_free = record.get("token_free", False)
     if not isinstance(token_free, bool):
         raise ConfigError(f"{where}: 'token_free' must be true or false")
-    inquiry_targets = record.get("inquiry_targets", [])
-    if not isinstance(inquiry_targets, list):
-        raise ConfigError(f"{where}: 'inquiry_targets' must be a list")
-    relay_names = [target.name for target in targets]
-    for name in inquiry_targets:
-        if name not in relay_names:
-            raise ConfigError(f"{where}: inquiry target {name!r} is not a relay target")
 
     bind = _expect(record, "bind", dict, where, {})
     bind_port = _expect(bind, "port", int, f"{where}:bind", 0)
@@ -207,7 +206,7 @@ def load_node_config(path: Path | str) -> NodeConfig:
         node_id=node_id,
         datasets=datasets,
         secret_files=secret_files,
-        hmac_secret=str(record["hmac_secret"]) if "hmac_secret" in record else None,
+        hmac_secret=_expect(record, "hmac_secret", str, where, None),
         protected=_parse_protected(record.get("protected", []), where),
         operations=tuple(operations),
         policy_options=policy_options,
@@ -216,7 +215,6 @@ def load_node_config(path: Path | str) -> NodeConfig:
         bind_port=bind_port,
         loop_limit=_expect(record, "loop_limit", int, where, DEFAULT_LOOP_LIMIT),
         token_free=token_free,
-        inquiry_targets=frozenset(inquiry_targets),
     )
 
 
@@ -224,11 +222,12 @@ def load_node_config(path: Path | str) -> NodeConfig:
 # Audit topology
 # ---------------------------------------------------------------------------
 
-# Audit settings a topology file once carried, and where each lives now.
+# Audit settings a topology file once carried, and where each lives now or
+# why it needs none.
 # Ignoring one silently would weaken the checker, so loading rejects it.
 _MOVED_TOPOLOGY_KEYS = {
     "token_free_nodes": 'set "token_free": true in each such node\'s config',
-    "inquiry_edges": 'list the targets in the sending node\'s "inquiry_targets"',
+    "inquiry_edges": "raw patient ids are barred on every edge",
     "patient_id_pattern": "the pattern is fixed (fedmesh.locality.PATIENT_ID_RE)",
 }
 
@@ -274,8 +273,5 @@ def build_topology(configs: Sequence[NodeConfig]) -> Topology:
     return Topology(
         edges=frozenset((caller, node) for (node, _), caller in callers.items()),
         token_free_nodes=frozenset(cfg.node_id for cfg in configs if cfg.token_free),
-        inquiry_edges=frozenset(
-            (cfg.node_id, target) for cfg in configs for target in cfg.inquiry_targets
-        ),
         callers=callers,
     )

@@ -148,7 +148,6 @@ def _clinic_config() -> dict:
                 "access_key": "insurer-demo-key-0002",
             }
         },
-        "inquiry_targets": ["insurer"],
         "bind": {"host": "127.0.0.1", "port": 0},
     }
 

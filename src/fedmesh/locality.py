@@ -3,7 +3,7 @@
 One function, ``scan_outbound``, holds the locality rules: a message must
 ride a declared edge, carry no protected value of its sender, carry no
 64-hex substring toward a token-free node, and carry no raw patient
-identifier on an inquiry edge. Two layers apply it:
+identifier on any edge. Two layers apply it:
 
 - The relay's runtime guard applies it to every request before any bytes
   leave the node, and to every reply before it is answered, and fails
@@ -163,7 +163,7 @@ class ViolationKind(str, Enum):
     PROTECTED_VALUE = "protected-value"  # dataset value crossed an edge
     TOKEN_LEAK = "token-leak"  # 64-hex string bound for a token-free node
     UNDECLARED_EDGE = "undeclared-edge"  # envelope outside the configured topology
-    RAW_PATIENT_ID = "raw-patient-id"  # raw identifier in an inquiry body
+    RAW_PATIENT_ID = "raw-patient-id"  # raw identifier in any body
 
 
 @dataclass(frozen=True)
@@ -173,15 +173,14 @@ class Topology:
     ``edges`` are the configured (caller, target) pairs; response envelopes
     legitimately ride the reverse direction of a declared edge. Nodes in
     ``token_free_nodes`` must never receive any 64-hex substring, known or
-    not. ``inquiry_edges`` are the edges whose bodies must never carry a raw
-    patient identifier (``PATIENT_ID_RE``). ``callers`` maps each called
+    not. No edge may carry a raw patient identifier (``PATIENT_ID_RE``), so
+    that rule needs no declaration here. ``callers`` maps each called
     ``(node, operation_id)`` to the one node that calls it, so a reply's
     edge is known without a wire field.
     """
 
     edges: frozenset[tuple[str, str]] = frozenset()
     token_free_nodes: frozenset[str] = frozenset()
-    inquiry_edges: frozenset[tuple[str, str]] = frozenset()
     callers: Mapping[tuple[str, str], str] = field(default_factory=dict, hash=False)
 
     def permits(self, from_node: str, to_node: str) -> bool:
@@ -206,7 +205,7 @@ class Finding:
             return f"protected value from column {self.source_column!r} crossed {from_node}->{to_node}"
         if self.kind is ViolationKind.TOKEN_LEAK:
             return f"64-hex substring in a body bound for token-free node {to_node!r}"
-        return f"raw patient identifier in an inquiry body on {from_node}->{to_node}"
+        return f"raw patient identifier in a body on {from_node}->{to_node}"
 
 
 def scan_outbound(
@@ -218,8 +217,8 @@ def scan_outbound(
     """Every locality rule ``body`` breaks on ``edge``, in rule order: an
     undeclared edge; each protected value of the sender's ``index`` not
     whitelisted for the destination, in index order; any 64-hex substring
-    bound for a token-free node; a raw patient identifier on an inquiry
-    edge. An empty list means the message may cross.
+    bound for a token-free node; a raw patient identifier. An empty list
+    means the message may cross.
 
     Protected values are plain substrings: case-insensitive for values
     marked as human-readable text (names), case-sensitive for identifiers,
@@ -240,7 +239,7 @@ def scan_outbound(
             findings.append(Finding(ViolationKind.TOKEN_LEAK, offending_value=match.group(0)))
     # Every id holds a "-", which has no other case: the plain test spares
     # most bodies the case-blind regex, the slowest step at 5 patients.
-    if edge in topology.inquiry_edges and "-" in body:
+    if "-" in body:
         match = PATIENT_ID_RE.search(body)
         if match:
             findings.append(Finding(ViolationKind.RAW_PATIENT_ID, offending_value=match.group(0)))

@@ -794,10 +794,6 @@ POLICY_REGISTRY: dict[str, type] = {
 }
 
 
-def register_policy(name: str, factory: type) -> None:
-    POLICY_REGISTRY[name] = factory
-
-
 def build_policy(name: str, options: Mapping[str, object] | None = None) -> AgentPolicy:
     factory = POLICY_REGISTRY.get(name)
     if factory is None:

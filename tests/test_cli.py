@@ -210,7 +210,7 @@ def test_run_scenario_and_check_trace_apply_the_same_rules(tmp_path, capsys):
     "key, value, moved_to",
     [
         ("token_free_nodes", ["specialist"], '"token_free": true'),
-        ("inquiry_edges", [["clinic", "insurer"]], '"inquiry_targets"'),
+        ("inquiry_edges", [["clinic", "insurer"]], "raw patient ids are barred on every edge"),
         ("patient_id_pattern", r"\bCLN-\d{4}\b", "PATIENT_ID_RE"),
     ],
     ids=["token_free_nodes", "inquiry_edges", "patient_id_pattern"],
@@ -251,11 +251,24 @@ def test_duplicate_node_id_is_rejected_by_boot_and_audit(workspace, tmp_path, ca
         (("protected", 3, "allowed_to"), "insurer", "allowed_to"),
         (("operations", "coverage_request", "policy_options"), {"insurer": "x"}, "insurer"),
         (("operations", "coverage_request", "policy_options"), {"insurer_target": 5}, "insurer_target"),
+        (("datasets", "clinic"), {"observations": "obs.csv"}, "patients"),
+        (("datasets", "clinic", "observations"), None, "observations"),
+        (("datasets", "insurer"), {"enrollment": "enrollment.csv"}, "coverage_rules"),
+        (("datasets", "guidance"), {}, "dir"),
+        (("hmac_secret",), None, "hmac_secret"),
+        (("secrets", "clinic_hmac_key", "file"), None, "file"),
+        (("protected", 3, "derived"), None, "derived"),
+        (("protected", 3, "secret"), None, "secret"),
+        (("protected", 3, "column"), 5, "column"),
+        (("protected", 3, "store"), None, "store"),
     ],
     ids=[
         "port-text", "port-range", "loop_limit-text", "loop_limit-bool", "relay_targets-list",
         "secrets-list", "allowed_to-number", "allowed_to-text", "policy_options-unknown",
-        "policy_options-type",
+        "policy_options-type", "clinic-patients-missing", "clinic-observations-null",
+        "insurer-coverage_rules-missing", "guidance-dir-missing", "hmac_secret-null",
+        "secret-file-null", "derived-null", "derived-secret-null", "derived-column-number",
+        "derived-store-null",
     ],
 )
 def test_wrong_typed_config_fields_are_config_errors(tmp_path, capsys, path, value, key):

@@ -176,8 +176,8 @@ def _raise_with_value(message: str) -> str:
     raise ToolError("no coverage rule on file for INS-441122")
 
 
-# Rows of the locality gap table the checker caught only offline, and an
-# error reply that echoes a dataset value: (edge, change, rule, messages
+# Rows of the locality gap table the guard or the checker once let pass, and
+# an error reply that echoes a dataset value: (edge, change, rule, messages
 # crossed before it).
 GAP_ROWS = {
     "reply-insurance-number": (
@@ -191,6 +191,9 @@ GAP_ROWS = {
     ),
     "lower-case-patient-id": (
         ("clinic", "insurer"), lambda body: f"{body}\ncln-0001", ViolationKind.RAW_PATIENT_ID, 0,
+    ),
+    "patient-id-in-consult": (
+        ("insurer", "specialist"), lambda body: f"{body}\nCLN-0001", ViolationKind.RAW_PATIENT_ID, 1,
     ),
     "error-reply-with-value": (
         ("insurer", "clinic"), _raise_with_value, ViolationKind.PROTECTED_VALUE, 3,

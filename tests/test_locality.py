@@ -40,11 +40,11 @@ EDGE = ("clinic", "insurer")
 TOPOLOGY = Topology(
     edges=frozenset({("clinic", "insurer"), ("insurer", "specialist")}),
     token_free_nodes=frozenset({"specialist"}),
-    inquiry_edges=frozenset({("clinic", "insurer")}),
 )
 
 
-# Both edges declared and no other rule: only the protected-value rule fires.
+# Both edges declared and no token-free node: only the protected-value and
+# raw-patient-id rules can fire.
 OPEN = Topology(edges=frozenset({("clinic", "insurer"), ("clinic", "specialist")}))
 
 
@@ -54,8 +54,15 @@ def test_scan_finds_name_case_insensitively():
 
 
 def test_scan_ids_are_case_sensitive():
-    assert scan_outbound("cln-0001 mentioned", _index(PATIENT_ID), EDGE, OPEN) == []
-    assert scan_outbound("CLN-0001 mentioned", _index(PATIENT_ID), EDGE, OPEN) != []
+    """The indexed id matches in its own case only; the raw-id rule, which
+    holds on every edge, matches in any case."""
+    assert scan_outbound("cln-0001 mentioned", _index(PATIENT_ID), EDGE, OPEN) == [
+        Finding(ViolationKind.RAW_PATIENT_ID, None, "cln-0001"),
+    ]
+    assert scan_outbound("CLN-0001 mentioned", _index(PATIENT_ID), EDGE, OPEN) == [
+        Finding(ViolationKind.PROTECTED_VALUE, "patient_id", "CLN-0001"),
+        Finding(ViolationKind.RAW_PATIENT_ID, None, "CLN-0001"),
+    ]
 
 
 def test_scan_respects_edge_whitelist():
@@ -77,9 +84,7 @@ def test_scan_never_mutates_body():
 def test_scan_applies_the_rules_in_order():
     """One body breaking all four rules gets one finding per rule, in the
     checker's order, and the block message names rules and columns only."""
-    topology = Topology(
-        edges=frozenset(), token_free_nodes=frozenset({"insurer"}), inquiry_edges=frozenset({EDGE})
-    )
+    topology = Topology(edges=frozenset(), token_free_nodes=frozenset({"insurer"}))
     token = GOLDEN_TOKENS["CLN-0001"]
     findings = scan_outbound(f"Marina Kovacs cln-0001 {token}", _index(NAME), EDGE, topology)
     assert findings == [
@@ -367,9 +372,8 @@ def test_check_trace_flags_lower_case_patient_id(workspace):
     "key, value, message",
     [
         ("token_free", "yes", "'token_free' must be true or false"),
-        ("inquiry_targets", ["specialist"], "inquiry target 'specialist' is not a relay target"),
     ],
-    ids=["token_free", "inquiry_targets"],
+    ids=["token_free"],
 )
 def test_node_audit_rules_are_validated(workspace, tmp_path, key, value, message):
     record = json.loads(workspace.clinic_config.read_text())
