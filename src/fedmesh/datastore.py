@@ -12,6 +12,7 @@ import csv
 import datetime as dt
 import io
 import re
+import struct
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
@@ -508,8 +509,11 @@ class ProtectedSpec:
     allowed_to: frozenset[str] = frozenset()
 
 
-# Needles of at least Q characters are found through their Q-grams.
+# Needles of at least Q characters are found through their grams: Q-byte
+# windows of their casefolded UTF-8, each read as one native unsigned 64-bit
+# integer, the item of a memoryview cast to "Q".
 Q = 8
+_GRAM = struct.Struct("Q")
 
 # What entries share: (source column, match mode, allowed_to).
 _Kind = tuple[str, MatchMode, frozenset[str]]
@@ -572,6 +576,57 @@ class ProtectedEntries(Sequence[ProtectedValue]):
 _Positions = int | tuple[int, ...]
 
 
+def _utf8(text: str) -> bytes:
+    # "surrogatepass" keeps the encoding total and character by character:
+    # a body decoded from JSON may hold lone surrogates.
+    return text.encode("utf-8", "surrogatepass")
+
+
+class _Cut:
+    """One scanned body and what a scan cuts from it, each at most once:
+    its casefolded form, its windows of each short needle length (of the
+    body for ``exact`` groups, of the folded body for ``text`` ones), and
+    its grams, the ``Q``-byte windows of the folded body's UTF-8, each read
+    in C as one 64-bit integer, which the long needles of every group share.
+    """
+
+    __slots__ = ("body", "_folded", "_windows", "_grams")
+
+    def __init__(self, body: str) -> None:
+        self.body = body
+        self._folded: str | None = None
+        self._windows: dict[tuple[bool, int], set[str]] = {}
+        self._grams: set[int] | None = None
+
+    def subject(self, fold: bool) -> str:
+        if not fold:
+            return self.body
+        if self._folded is None:
+            self._folded = self.body.casefold()
+        return self._folded
+
+    def windows(self, fold: bool, length: int) -> set[str]:
+        found = self._windows.get((fold, length))
+        if found is None:
+            subject = self.subject(fold)
+            found = {subject[i:i + length] for i in range(len(subject) - length + 1)}
+            self._windows[fold, length] = found
+        return found
+
+    def grams(self) -> set[int]:
+        """Every ``Q``-byte window of the folded body's UTF-8, as an int:
+        the union of its casts to unsigned 64-bit items from each byte
+        offset below ``Q``."""
+        if self._grams is None:
+            raw = memoryview(_utf8(self.subject(True)))
+            grams: set[int] = set()
+            for offset in range(Q):
+                end = offset + (len(raw) - offset) // Q * Q
+                grams.update(raw[offset:end].cast("Q"))
+            self._grams = grams
+        return self._grams
+
+
 class _Group:
     """The needles of the entries that share one match mode and one
     ``allowed_to`` set.
@@ -579,9 +634,17 @@ class _Group:
     A needle is an entry's value (``exact``) or its casefolded value
     (``text``). Needles shorter than ``Q`` are bucketed by length, each
     mapped to the positions of the entries that share it. The position of
-    each longer needle is filed under one of the needle's ``Q``-grams: the
-    first one, from the needle's end, under which nothing is filed yet, or
-    else the one with the fewest positions filed under it.
+    each longer needle is filed under one of its grams: a ``Q``-byte
+    substring of the UTF-8 of its casefolded value, read as a native-order
+    64-bit integer (so the table does not depend on string hashing). It is
+    the first gram, from the needle's end, under which nothing is filed
+    yet, or else the one with the fewest positions filed under it.
+
+    Folding goes character by character, so a needle that occurs in a body
+    folds to a substring of the folded body, whose UTF-8 then holds each of
+    the needle's grams: both match modes can look long needles up among one
+    cut of the folded body. ``exact`` candidates are still confirmed on the
+    body itself, case-sensitively.
     """
 
     __slots__ = ("fold", "allowed_to", "short", "long", "grams")
@@ -591,12 +654,15 @@ class _Group:
         self.allowed_to = allowed_to
         self.short: dict[int, dict[str, _Positions]] = {}
         self.long: list[int] = []
-        self.grams: dict[str, _Positions] = {}
+        self.grams: dict[int, _Positions] = {}
 
     def add(self, needle: str, pos: int) -> None:
         if len(needle) >= Q:
             self.long.append(pos)
-            self._file(needle, pos)
+            raw = _utf8(needle if self.fold else needle.casefold())
+            # Most needles take their last gram, which is free.
+            if self.grams.setdefault(_GRAM.unpack_from(raw, len(raw) - Q)[0], pos) != pos:
+                self._file(raw, pos)
             return
         needles = self.short.setdefault(len(needle), {})
         shared = needles.get(needle)
@@ -605,11 +671,11 @@ class _Group:
         else:
             needles[needle] = (shared if isinstance(shared, tuple) else (shared,)) + (pos,)
 
-    def _file(self, needle: str, pos: int) -> None:
+    def _file(self, raw: bytes, pos: int) -> None:
         grams = self.grams
-        best, fewest = "", 0
-        for start in range(len(needle) - Q, -1, -1):
-            gram = needle[start:start + Q]
+        best, fewest = 0, 0
+        for start in range(len(raw) - Q, -1, -1):
+            (gram,) = _GRAM.unpack_from(raw, start)
             filed = grams.get(gram)
             if filed is None:
                 grams[gram] = pos
@@ -620,26 +686,24 @@ class _Group:
         filed = grams[best]
         grams[best] = ((filed,) if isinstance(filed, int) else filed) + (pos,)
 
-    def search(
-        self, subject: str, windows: dict[int, set[str]], values: tuple[str, ...], hits: list[int]
-    ) -> None:
-        """Add the positions of every needle occurring in ``subject`` to
-        ``hits``.
+    def search(self, cut: _Cut, values: tuple[str, ...], hits: list[int]) -> None:
+        """Add the positions of every needle occurring in ``cut``'s body
+        (``exact``) or folded body (``text``) to ``hits``.
 
-        Needles that outnumber ``subject``'s windows of their length (``Q``
-        for long needles) are searched through those windows, which
-        ``windows`` keeps for the other groups: a short needle by looking
-        each window up, a long one by looking each ``Q``-gram up and
-        testing the needles filed under it with ``in``. Other needles are
-        each tested with ``in``.
+        Needles that outnumber the subject's windows of their length (``Q``
+        for long needles) are searched through the windows ``cut`` keeps
+        for every group: a short needle by looking each window up, a long
+        one by looking each gram up and testing the needles filed under it
+        with ``in``. Other needles are each tested with ``in``.
         """
+        subject = cut.subject(self.fold)
         size = len(subject)
         for length, needles in self.short.items():
             count = size - length + 1
             if count <= 0:
                 continue
             if len(needles) > count:
-                found: Iterable[str] = needles.keys() & _windows(subject, length, windows)
+                found: Iterable[str] = needles.keys() & cut.windows(self.fold, length)
             else:
                 found = [needle for needle in needles if needle in subject]
             for needle in found:
@@ -655,20 +719,13 @@ class _Group:
             grams = self.grams
             candidates = [
                 pos
-                for gram in grams.keys() & _windows(subject, Q, windows)
+                for gram in grams.keys() & cut.grams()
                 for pos in ((grams[gram],) if isinstance(grams[gram], int) else grams[gram])
             ]
         if self.fold:
             hits += [pos for pos in candidates if values[pos].casefold() in subject]
         else:
             hits += [pos for pos in candidates if values[pos] in subject]
-
-
-def _windows(subject: str, length: int, cache: dict[int, set[str]]) -> set[str]:
-    found = cache.get(length)
-    if found is None:
-        found = cache[length] = {subject[i:i + length] for i in range(len(subject) - length + 1)}
-    return found
 
 
 @dataclass(frozen=True)
@@ -680,8 +737,9 @@ class ProtectedValueIndex:
     ``allowed_to`` set, so that a scan skips every group whitelisted for
     its destination before testing it. Within a group, needles shorter than
     ``Q`` are bucketed by length and longer ones are filed under one
-    ``Q``-gram each (q-gram filtration). Text needles go by their folded
-    form, since folding can lengthen a value (``ß`` -> ``ss``).
+    64-bit gram each, a ``Q``-byte window of their casefolded UTF-8 (q-gram
+    filtration). Text needles go by their folded form, since folding can
+    lengthen a value (``ß`` -> ``ss``).
     """
 
     node_id: str
@@ -703,9 +761,6 @@ class ProtectedValueIndex:
             group.add(value.casefold() if group.fold else value, pos)
         object.__setattr__(self, "_groups", tuple(groups.values()))
 
-    def values(self) -> set[str]:
-        return set(self.entries._values)  # type: ignore[attr-defined]
-
     def find(self, body: str, to_node: str) -> list[int]:
         """Positions, ascending, of the entries not whitelisted for
         ``to_node`` whose needle occurs in ``body`` (exact needles) or in
@@ -715,23 +770,16 @@ class ProtectedValueIndex:
         index holds: for each of its short needle lengths, and for its long
         needles, a group costs at most one ``in`` test or one lookup per
         window of the body, plus an ``in`` test for each long needle filed
-        under a gram the body contains. The windows are cut once per match
-        mode.
+        under a gram the body contains. A scan cuts each window length once
+        for all its groups; the long needles of both match modes share one
+        cut of 64-bit windows over the body's casefolded UTF-8.
         """
         hits: list[int] = []
         values = self.entries._values  # type: ignore[attr-defined]
-        folded = None
-        windows: dict[int, set[str]] = {}
-        folded_windows: dict[int, set[str]] = {}
+        cut = _Cut(body)
         for group in self._groups:
-            if to_node in group.allowed_to:
-                continue
-            if not group.fold:
-                group.search(body, windows, values, hits)
-                continue
-            if folded is None:
-                folded = body.casefold()
-            group.search(folded, folded_windows, values, hits)
+            if to_node not in group.allowed_to:
+                group.search(cut, values, hits)
         hits.sort()
         return hits
 

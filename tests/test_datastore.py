@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fedmesh.datastore import (
+    Q,
     EnrollmentStatus,
     MatchMode,
     ProtectedSpec,
@@ -359,7 +360,7 @@ def test_protected_values_clinic_defaults(clinic_tables):
         ProtectedSpec(store="observations", columns=("patient_id",)),
     )
     index = protected_values("clinic", specs, clinic_tables)
-    values = index.values()
+    values = {e.value for e in index.entries}
     assert {"Marina Kovacs", "1968-08-12", "CLN-0001"} <= values
 
 
@@ -386,7 +387,7 @@ def test_protected_values_insurer_defaults(insurer_loaded):
         ),
     )
     index = protected_values("insurer", specs, insurer_loaded[1])
-    values = index.values()
+    values = {e.value for e in index.entries}
     assert "INS-441122" in values
     assert set(GOLDEN_TOKENS.values()) <= values
     token_entries = [e for e in index.entries if e.source_column == "subject_token"]
@@ -405,7 +406,7 @@ def test_protected_values_derived_tokens(clinic_tables, workspace):
         ),
     )
     index = protected_values("clinic", specs, clinic_tables, secrets)
-    assert index.values() == set(GOLDEN_TOKENS.values())
+    assert {e.value for e in index.entries} == set(GOLDEN_TOKENS.values())
 
 
 def test_protected_values_empty_store():
@@ -434,6 +435,12 @@ def test_protected_values_unknown_store(clinic_tables):
         )
 
 
+def test_gram_width_is_the_cast_item_size():
+    """Long needles are found through Q-byte grams, which a scan reads from
+    the body as the items of a memoryview cast to unsigned 64-bit ints."""
+    assert memoryview(bytes(Q)).cast("Q").itemsize == Q
+
+
 def test_protected_values_monotone(clinic_tables):
     """Adding rows never removes an index entry."""
     table = clinic_tables["patients"]
@@ -441,6 +448,7 @@ def test_protected_values_monotone(clinic_tables):
     previous: set[str] = set()
     for k in range(len(table.rows) + 1):
         prefix = Table(name="patients", header=table.header, rows=table.rows[:k], lines=table.lines[:k])
-        values = protected_values("clinic", spec, {"patients": prefix}).values()
+        index = protected_values("clinic", spec, {"patients": prefix})
+        values = {e.value for e in index.entries}
         assert previous <= values
         previous = values

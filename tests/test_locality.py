@@ -10,6 +10,8 @@ from fedmesh.config import load_node_config
 from fedmesh.datastore import Q, MatchMode, ProtectedValue, ProtectedValueIndex
 from fedmesh.errors import ConfigError, TraceFormatError
 from fedmesh.locality import (
+    PATIENT_ID_PRETEST,
+    PATIENT_ID_RE,
     Finding,
     MessageEnvelope,
     Topology,
@@ -65,6 +67,15 @@ def test_scan_ids_are_case_sensitive():
     ]
 
 
+@given(st.lists(st.sampled_from(["CLN", "cLn", "ClN", "-", "_", "0", "7", "\u0663", "x", " "])).map("".join))
+@example("cLn-\u0663\u06630\u0663")
+def test_patient_id_pretest_holds_for_every_id(text):
+    """The cheap pre-test ``scan_outbound`` runs first matches wherever the
+    raw-id rule does, whatever the case, word edges and digit script."""
+    if PATIENT_ID_RE.search(text):
+        assert PATIENT_ID_PRETEST.search(text)
+
+
 def test_scan_respects_edge_whitelist():
     body = f"Coverage inquiry for patient_token={GOLDEN_TOKENS['CLN-0001']}"
     assert scan_outbound(body, _index(TOKEN_ENTRY), ("clinic", "insurer"), OPEN) == []
@@ -112,12 +123,18 @@ _DENSE = st.integers(1, 3).flatmap(
 )
 
 
-# Values of at least Q characters over two letters, so their Q-grams
-# collide, and values of ``ß``, ``İ`` and ``a`` that may reach Q only once
-# casefolded. There are enough of them to outnumber a short body's
-# Q-windows, so that their group is searched gram by gram.
+# Values of at least Q characters over two letters, so their grams
+# collide; values of ``ß``, ``İ`` and ``a`` that may reach Q only once
+# casefolded; and values of multi-byte characters, whose grams cut
+# characters apart and whose folds differ from them in case and in length.
+# There are enough of them to outnumber a short body's Q-windows, so that
+# their group is searched gram by gram.
 _LONG = st.lists(
-    st.one_of(st.text("ab", min_size=Q, max_size=Q + 4), st.text("aßİ", min_size=4, max_size=Q)),
+    st.one_of(
+        st.text("ab", min_size=Q, max_size=Q + 4),
+        st.text("aßİ", min_size=4, max_size=Q),
+        st.text("aßé€İ", min_size=Q, max_size=Q + 4),
+    ),
     min_size=24,
     max_size=64,
 )
@@ -145,15 +162,19 @@ def _index_and_body(draw):
             entries.append(ProtectedValue(value, column, match, allowed_to))
     entries = draw(st.permutations(entries))
     # Bodies are spliced from indexed values, values less their first or
-    # last character (which keep all but one of their grams) and free text,
-    # so hits and near misses are common. Long free text is left out next to
-    # long values, to keep the body's windows fewer than they are.
+    # last character (which keep all but one of their grams), values in
+    # another case (which keep all their folded grams, but are no exact
+    # match) and free text, so hits and near misses are common. Long free
+    # text is left out next to long values, to keep the body's windows
+    # fewer than they are.
     pieces = st.text(_ALPHABET, max_size=4)
     if not long_values:
         pieces = st.one_of(pieces, st.text(max_size=50))
     if entries:
         values = st.sampled_from([e.value for e in entries])
-        near_misses = values.flatmap(lambda v: st.sampled_from([v[1:], v[:-1]]))
+        near_misses = values.flatmap(
+            lambda v: st.sampled_from([v[1:], v[:-1], v.upper(), v.swapcase()])
+        )
         pieces = st.one_of(pieces, values, near_misses)
     body = "".join(draw(st.lists(pieces, max_size=4)))
     return ProtectedValueIndex(node_id="n", entries=tuple(entries)), body
@@ -164,11 +185,36 @@ def _index_and_body(draw):
 _GRAMMED = ["aaaaaaa" + format(i, "05b").translate(str.maketrans("01", "ab")) for i in range(32)]
 
 
+# A long exact value of multi-byte characters, no two of whose grams are
+# alike. Its case-swapped form folds to the same bytes.
+_WIDE = "Aßé€İaéß€"
+
+
+def _at_each_byte_offset(test):
+    """Add examples that put ``_WIDE``, filed among the ``_GRAMMED`` values,
+    at each byte offset mod Q of the folded body's UTF-8. One ends on the
+    body's last byte, the others on a lone surrogate, as JSON can decode
+    one. The lead-ins fold to other lengths than their own (``ß`` to
+    ``ss``, ``İ`` to ``i̇``). A last example holds the case-swapped form
+    alone: every gram of the needle is the body's, yet no exact match."""
+    index = ProtectedValueIndex(
+        node_id="n",
+        entries=tuple(ProtectedValue(v, "col_a") for v in _GRAMMED) + (ProtectedValue(_WIDE, "col_b"),),
+    )
+    leads = ["", "x", "ß", "€", "€x", "İé", "ß€x", "€€x"]
+    assert [len(lead.casefold().encode()) % Q for lead in leads] == list(range(Q))
+    bodies = [_WIDE] + [lead + _WIDE + "\ud800" for lead in leads[1:]] + [_WIDE.swapcase()]
+    for body in bodies:
+        test = example(case=(index, body), edge=("clinic", "insurer"))(test)
+    return test
+
+
 @settings(deadline=None)
 @given(
     case=_index_and_body(),
     edge=st.sampled_from([("clinic", "insurer"), ("clinic", "specialist")]),
 )
+@_at_each_byte_offset
 @example(  # a dense exact bucket forces the window path
     case=(
         ProtectedValueIndex(
