@@ -582,21 +582,34 @@ def _utf8(text: str) -> bytes:
     return text.encode("utf-8", "surrogatepass")
 
 
+def _file(grams: dict[int, _Positions], raw: bytes, pos: int) -> None:
+    """File ``pos`` under a gram of ``raw`` by the rule ``ProtectedValueIndex`` states."""
+    best, fewest = 0, 0
+    for start in range(len(raw) - Q, -1, -1):
+        (gram,) = _GRAM.unpack_from(raw, start)
+        filed = grams.get(gram)
+        if filed is None:
+            grams[gram] = pos
+            return
+        count = 1 if isinstance(filed, int) else len(filed)
+        if not fewest or count < fewest:
+            best, fewest = gram, count
+    filed = grams[best]
+    grams[best] = ((filed,) if isinstance(filed, int) else filed) + (pos,)
+
+
 class _Cut:
     """One scanned body and what a scan cuts from it, each at most once:
-    its casefolded form, its windows of each short needle length (of the
-    body for ``exact`` groups, of the folded body for ``text`` ones), and
-    its grams, the ``Q``-byte windows of the folded body's UTF-8, each read
-    in C as one 64-bit integer, which the long needles of every group share.
+    its casefolded form, and its windows of each short needle length (of
+    the body for ``exact`` groups, of the folded body for ``text`` ones).
     """
 
-    __slots__ = ("body", "_folded", "_windows", "_grams")
+    __slots__ = ("body", "_folded", "_windows")
 
     def __init__(self, body: str) -> None:
         self.body = body
         self._folded: str | None = None
         self._windows: dict[tuple[bool, int], set[str]] = {}
-        self._grams: set[int] | None = None
 
     def subject(self, fold: bool) -> str:
         if not fold:
@@ -613,57 +626,27 @@ class _Cut:
             self._windows[fold, length] = found
         return found
 
-    def grams(self) -> set[int]:
-        """Every ``Q``-byte window of the folded body's UTF-8, as an int:
-        the union of its casts to unsigned 64-bit items from each byte
-        offset below ``Q``."""
-        if self._grams is None:
-            raw = memoryview(_utf8(self.subject(True)))
-            grams: set[int] = set()
-            for offset in range(Q):
-                end = offset + (len(raw) - offset) // Q * Q
-                grams.update(raw[offset:end].cast("Q"))
-            self._grams = grams
-        return self._grams
-
 
 class _Group:
-    """The needles of the entries that share one match mode and one
-    ``allowed_to`` set.
+    """What is kept per match mode and ``allowed_to`` set: the group's
+    short needles, and the positions of its long ones.
 
     A needle is an entry's value (``exact``) or its casefolded value
     (``text``). Needles shorter than ``Q`` are bucketed by length, each
-    mapped to the positions of the entries that share it. The position of
-    each longer needle is filed under one of its grams: a ``Q``-byte
-    substring of the UTF-8 of its casefolded value, read as a native-order
-    64-bit integer (so the table does not depend on string hashing). It is
-    the first gram, from the needle's end, under which nothing is filed
-    yet, or else the one with the fewest positions filed under it.
-
-    Folding goes character by character, so a needle that occurs in a body
-    folds to a substring of the folded body, whose UTF-8 then holds each of
-    the needle's grams: both match modes can look long needles up among one
-    cut of the folded body. ``exact`` candidates are still confirmed on the
-    body itself, case-sensitively.
+    mapped to the positions of the entries that share it. Longer needles
+    are filed in the index's one gram table; the group keeps their
+    positions, ascending, for scans that test each of them with ``in``.
     """
 
-    __slots__ = ("fold", "allowed_to", "short", "long", "grams")
+    __slots__ = ("fold", "allowed_to", "short", "long")
 
     def __init__(self, match: MatchMode, allowed_to: frozenset[str]) -> None:
         self.fold = match is MatchMode.TEXT
         self.allowed_to = allowed_to
         self.short: dict[int, dict[str, _Positions]] = {}
         self.long: list[int] = []
-        self.grams: dict[int, _Positions] = {}
 
-    def add(self, needle: str, pos: int) -> None:
-        if len(needle) >= Q:
-            self.long.append(pos)
-            raw = _utf8(needle if self.fold else needle.casefold())
-            # Most needles take their last gram, which is free.
-            if self.grams.setdefault(_GRAM.unpack_from(raw, len(raw) - Q)[0], pos) != pos:
-                self._file(raw, pos)
-            return
+    def add_short(self, needle: str, pos: int) -> None:
         needles = self.short.setdefault(len(needle), {})
         shared = needles.get(needle)
         if shared is None:
@@ -671,30 +654,14 @@ class _Group:
         else:
             needles[needle] = (shared if isinstance(shared, tuple) else (shared,)) + (pos,)
 
-    def _file(self, raw: bytes, pos: int) -> None:
-        grams = self.grams
-        best, fewest = 0, 0
-        for start in range(len(raw) - Q, -1, -1):
-            (gram,) = _GRAM.unpack_from(raw, start)
-            filed = grams.get(gram)
-            if filed is None:
-                grams[gram] = pos
-                return
-            count = 1 if isinstance(filed, int) else len(filed)
-            if not fewest or count < fewest:
-                best, fewest = gram, count
-        filed = grams[best]
-        grams[best] = ((filed,) if isinstance(filed, int) else filed) + (pos,)
-
-    def search(self, cut: _Cut, values: tuple[str, ...], hits: list[int]) -> None:
-        """Add the positions of every needle occurring in ``cut``'s body
+    def search(self, cut: _Cut, values: tuple[str, ...], hits: list[int], long: bool) -> None:
+        """Add the positions of the group's short needles, and with
+        ``long`` those of its long ones, that occur in ``cut``'s body
         (``exact``) or folded body (``text``) to ``hits``.
 
-        Needles that outnumber the subject's windows of their length (``Q``
-        for long needles) are searched through the windows ``cut`` keeps
-        for every group: a short needle by looking each window up, a long
-        one by looking each gram up and testing the needles filed under it
-        with ``in``. Other needles are each tested with ``in``.
+        Short needles that outnumber the subject's windows of their length
+        are searched by looking each window up; other needles are each
+        tested with ``in``.
         """
         subject = cut.subject(self.fold)
         size = len(subject)
@@ -712,20 +679,12 @@ class _Group:
                     hits.extend(pos)
                 else:
                     hits.append(pos)
-        candidates: Sequence[int] = self.long
-        if not candidates or size < Q:
+        if not long or size < Q:
             return
-        if len(candidates) > size - Q + 1:
-            grams = self.grams
-            candidates = [
-                pos
-                for gram in grams.keys() & cut.grams()
-                for pos in ((grams[gram],) if isinstance(grams[gram], int) else grams[gram])
-            ]
         if self.fold:
-            hits += [pos for pos in candidates if values[pos].casefold() in subject]
+            hits += [pos for pos in self.long if values[pos].casefold() in subject]
         else:
-            hits += [pos for pos in candidates if values[pos] in subject]
+            hits += [pos for pos in self.long if values[pos] in subject]
 
 
 @dataclass(frozen=True)
@@ -734,17 +693,23 @@ class ProtectedValueIndex:
 
     ``entries`` may be given as any sequence of ``ProtectedValue``; it is
     kept as ``ProtectedEntries``. The entries are grouped by match mode and
-    ``allowed_to`` set, so that a scan skips every group whitelisted for
-    its destination before testing it. Within a group, needles shorter than
-    ``Q`` are bucketed by length and longer ones are filed under one
-    64-bit gram each, a ``Q``-byte window of their casefolded UTF-8 (q-gram
-    filtration). Text needles go by their folded form, since folding can
-    lengthen a value (``ß`` -> ``ss``).
+    ``allowed_to`` set, and each group buckets its needles shorter than
+    ``Q`` by length. Text needles go by their folded form, since folding
+    can lengthen a value (``ß`` -> ``ss``). Every longer needle, of any
+    group, is filed in one gram table for the whole index (q-gram
+    filtration) under one of its grams, a ``Q``-byte substring of the
+    UTF-8 of its casefolded value read as a native-order 64-bit integer:
+    the first, from the needle's end, under which nothing is filed yet, or
+    else the one with the fewest positions filed under it. Folding goes
+    character by character, so a needle that occurs in a body has each of
+    its grams in the folded body's UTF-8, whatever its match mode.
     """
 
     node_id: str
     entries: Sequence[ProtectedValue]
     _groups: tuple[_Group, ...] = field(init=False, repr=False, compare=False)
+    _grams: dict[int, _Positions] = field(init=False, repr=False, compare=False)
+    _longs: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         entries = self.entries
@@ -756,10 +721,21 @@ class ProtectedValueIndex:
             groups.setdefault((match, allowed_to), _Group(match, allowed_to))
             for _, match, allowed_to in entries._kinds
         ]
+        grams: dict[int, _Positions] = {}
         for pos, (value, kind_id) in enumerate(zip(entries._values, entries._kind_ids)):
             group = group_of[kind_id]
-            group.add(value.casefold() if group.fold else value, pos)
+            needle = value.casefold() if group.fold else value
+            if len(needle) < Q:
+                group.add_short(needle, pos)
+                continue
+            group.long.append(pos)
+            raw = _utf8(needle if group.fold else needle.casefold())
+            # Most needles take their last gram, which is free.
+            if grams.setdefault(_GRAM.unpack_from(raw, len(raw) - Q)[0], pos) != pos:
+                _file(grams, raw, pos)
         object.__setattr__(self, "_groups", tuple(groups.values()))
+        object.__setattr__(self, "_grams", grams)
+        object.__setattr__(self, "_longs", sum(len(group.long) for group in groups.values()))
 
     def find(self, body: str, to_node: str) -> list[int]:
         """Positions, ascending, of the entries not whitelisted for
@@ -767,19 +743,41 @@ class ProtectedValueIndex:
         ``body.casefold()`` (text needles).
 
         The cost is bounded by the body's length, however many entries the
-        index holds: for each of its short needle lengths, and for its long
-        needles, a group costs at most one ``in`` test or one lookup per
-        window of the body, plus an ``in`` test for each long needle filed
-        under a gram the body contains. A scan cuts each window length once
-        for all its groups; the long needles of both match modes share one
-        cut of 64-bit windows over the body's casefolded UTF-8.
+        index holds. Each group not whitelisted for ``to_node`` searches
+        its short needles, at most one ``in`` test or one lookup per window
+        of each length. Long needles that outnumber the body's windows are
+        found through the gram table: the body is casefolded and encoded
+        once, each of its ``Q``-byte windows is read in C as an integer
+        through ``memoryview`` casts at each byte offset below ``Q`` and
+        looked up in the table once, and each needle filed under a gram
+        found there is checked against its own entry's whitelist and match
+        mode: ``in`` the body (``exact``) or the folded body (``text``).
+        Fewer long needles are each tested with ``in`` by their group.
         """
         hits: list[int] = []
-        values = self.entries._values  # type: ignore[attr-defined]
+        entries = self.entries
+        values = entries._values  # type: ignore[attr-defined]
         cut = _Cut(body)
+        by_gram = self._longs > max(len(body) - Q + 1, 0)
         for group in self._groups:
             if to_node not in group.allowed_to:
-                group.search(cut, values, hits)
+                group.search(cut, values, hits, not by_gram)
+        if by_gram:
+            folded = cut.subject(True)
+            raw = memoryview(_utf8(folded))
+            grams = self._grams
+            found: set[int] = set()
+            for offset in range(Q):
+                found |= grams.keys() & raw[offset:offset + (len(raw) - offset) // Q * Q].cast("Q")
+            kinds, kind_ids = entries._kinds, entries._kind_ids  # type: ignore[attr-defined]
+            for gram in found:
+                filed = grams[gram]
+                for pos in (filed,) if isinstance(filed, int) else filed:
+                    _, match, allowed_to = kinds[kind_ids[pos]]
+                    if to_node in allowed_to:
+                        continue
+                    if values[pos].casefold() in folded if match is MatchMode.TEXT else values[pos] in body:
+                        hits.append(pos)
         hits.sort()
         return hits
 

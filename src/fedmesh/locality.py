@@ -227,10 +227,12 @@ def scan_outbound(
     Protected values are plain substrings: case-insensitive for values
     marked as human-readable text (names), case-sensitive for identifiers,
     dates and tokens. The cost of the value rule is bounded by the body's
-    length, not by the index's size (``ProtectedValueIndex.find``): each
-    scan cuts the body once into the 64-bit windows of its casefolded
-    UTF-8, which the long values of both match modes share. The body is
-    never mutated; the caller decides whether to abort.
+    length, not by the index's size (``ProtectedValueIndex.find``): the
+    index keeps one gram table for the long values of every match mode
+    and whitelist, and a scan looks each 64-bit window of the body's
+    casefolded UTF-8 up in it once, then checks each value found there
+    against its own whitelist and match mode. The body is never mutated;
+    the caller decides whether to abort.
     """
     findings: list[Finding] = []
     if not topology.permits(*edge):

@@ -7,7 +7,6 @@ across organisations without revealing the identifier itself.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 import os
 import re
@@ -76,8 +75,7 @@ def normalize_id(raw: str) -> CanonicalId:
 
 def derive_token(key: SecretKey, cid: CanonicalId) -> CaseToken:
     """HMAC-SHA256 of the UTF-8 canonical identifier, rendered lowercase hex."""
-    digest = hmac.new(key.material, cid.value.encode("utf-8"), hashlib.sha256)
-    return CaseToken(digest.hexdigest())
+    return CaseToken(hmac.digest(key.material, cid.value.encode("utf-8"), "sha256").hex())
 
 
 @dataclass(frozen=True)

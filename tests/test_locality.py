@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -127,40 +128,55 @@ _DENSE = st.integers(1, 3).flatmap(
 # collide; values of ``ß``, ``İ`` and ``a`` that may reach Q only once
 # casefolded; and values of multi-byte characters, whose grams cut
 # characters apart and whose folds differ from them in case and in length.
-# There are enough of them to outnumber a short body's Q-windows, so that
-# their group is searched gram by gram.
-_LONG = st.lists(
-    st.one_of(
-        st.text("ab", min_size=Q, max_size=Q + 4),
-        st.text("aßİ", min_size=4, max_size=Q),
-        st.text("aßé€İ", min_size=Q, max_size=Q + 4),
-    ),
-    min_size=24,
-    max_size=64,
+_LONG = st.one_of(
+    st.text("ab", min_size=Q, max_size=Q + 4),
+    st.text("aßİ", min_size=4, max_size=Q),
+    st.text("aßé€İ", min_size=Q, max_size=Q + 4),
 )
+
+
+_WHITELISTS = st.frozensets(st.sampled_from(["insurer", "specialist"]))
+_COLUMNS = ["col_a", "col_b"]
+# Every kind an entry can take: a match mode and a whitelist.
+_KINDS = [
+    (match, frozenset(whitelist))
+    for match in MatchMode
+    for whitelist in ([], ["insurer"], ["specialist"], ["insurer", "specialist"])
+]
 
 
 @st.composite
 def _index_and_body(draw):
-    columns = st.sampled_from(["col_a", "col_b"])
+    """An index and a body, drawn so that a failure shrinks in about a
+    minute: a dense or long value's column and kind are one draw, the long
+    values have no minimum number, and the index order is one draw, taken
+    last, so that shrinking it changes no other draw."""
     entries = draw(st.lists(st.builds(
         ProtectedValue,
         value=st.one_of(st.text(_ALPHABET, max_size=5), st.text(max_size=12)),  # empty and blank too
-        source_column=columns,
+        source_column=st.sampled_from(_COLUMNS),
         match=st.sampled_from(MatchMode),
-        allowed_to=st.frozensets(st.sampled_from(["insurer", "specialist"])),
+        allowed_to=_WHITELISTS,
     ), max_size=12))
+    dense_kinds = st.sampled_from([(column, match) for column in _COLUMNS for match in MatchMode])
     for value in draw(st.one_of(st.just([]), _DENSE)):
-        entries.append(ProtectedValue(value, draw(columns), draw(st.sampled_from(MatchMode))))
-    # The long values share one match mode and one whitelist; some are
-    # indexed in both columns.
-    match = draw(st.sampled_from(MatchMode))
-    allowed_to = draw(st.sampled_from([frozenset(), frozenset({"specialist"})]))
-    long_values = draw(st.one_of(st.just([]), _LONG))
-    for value in long_values:
-        for column in draw(st.sampled_from([["col_a"], ["col_b"], ["col_a", "col_b"]])):
-            entries.append(ProtectedValue(value, column, match, allowed_to))
-    entries = draw(st.permutations(entries))
+        entries.append(ProtectedValue(value, *draw(dense_kinds)))
+    # Each long value takes one of two or more kinds, so the index's one
+    # gram table files needles of several groups; some are indexed in both
+    # columns.
+    kinds = draw(st.lists(st.sampled_from(_KINDS), min_size=2, max_size=4, unique=True))
+    long_kinds = st.sampled_from([
+        (kind, columns) for kind in kinds for columns in (["col_a"], ["col_b"], _COLUMNS)
+    ])
+    # Up to 64 long values, most often enough of them to outnumber a short
+    # body's Q-windows, so that the index is searched gram by gram. Each
+    # one goes on with a draw that is 0 one time in 64, not with a list's
+    # minimum size, so that a failure shrinks to the values it needs.
+    long_values: list[str] = []
+    while len(long_values) < 64 and draw(st.integers(0, 63)):
+        value, ((match, allowed_to), columns) = draw(st.tuples(_LONG, long_kinds))
+        entries += [ProtectedValue(value, column, match, allowed_to) for column in columns]
+        long_values.append(value)
     # Bodies are spliced from indexed values, values less their first or
     # last character (which keep all but one of their grams), values in
     # another case (which keep all their folded grams, but are no exact
@@ -177,12 +193,17 @@ def _index_and_body(draw):
         )
         pieces = st.one_of(pieces, values, near_misses)
     body = "".join(draw(st.lists(pieces, max_size=4)))
+    random.Random(draw(st.integers(0, 2**32 - 1))).shuffle(entries)
     return ProtectedValueIndex(node_id="n", entries=tuple(entries)), body
 
 
 # 32 twelve-letter values whose first Q-grams collide and whose last ones
 # do not; one of them is indexed in two columns.
 _GRAMMED = ["aaaaaaa" + format(i, "05b").translate(str.maketrans("01", "ab")) for i in range(32)]
+
+
+# 80 64-hex tokens, more than the windows of a body that carries one.
+_TOKENS = [hashlib.sha256(bytes([i])).hexdigest() for i in range(80)]
 
 
 # A long exact value of multi-byte characters, no two of whose grams are
@@ -252,6 +273,44 @@ def _at_each_byte_offset(test):
         _GRAMMED[2][-Q:] + "SSSSSSSS" + "i\u0307AAAAAA" + _GRAMMED[9].upper(),
     ),
     edge=("clinic", "specialist"),
+)
+@example(  # an exact and a text needle filed under one gram, the exact one whitelisted
+    case=(
+        ProtectedValueIndex(
+            node_id="n",
+            entries=(
+                ProtectedValue("ABABABAB", "col_a", MatchMode.EXACT, frozenset({"insurer"})),
+                ProtectedValue("abababab", "col_b", MatchMode.TEXT),
+            ),
+        ),
+        "ABABABAB",
+    ),
+    edge=("clinic", "insurer"),
+)
+@example(  # a whitelisted token, and a value filed under the token's gram
+    case=(
+        ProtectedValueIndex(
+            node_id="n",
+            entries=tuple(
+                ProtectedValue(t, "case_token", MatchMode.EXACT, frozenset({"insurer"})) for t in _TOKENS
+            ) + (ProtectedValue(_TOKENS[7][-Q:], "col_a"),),
+        ),
+        f"token {_TOKENS[7]} {_TOKENS[7][-Q:]}",
+    ),
+    edge=("clinic", "insurer"),
+)
+@example(  # a small index of several kinds: every long needle is tested with ``in``
+    case=(
+        _index(
+            NAME,
+            PATIENT_ID,
+            TOKEN_ENTRY,
+            ProtectedValue("1968-08-12", "dob"),
+            ProtectedValue("Kovacs", "full_name", MatchMode.TEXT),
+        ),
+        f"re: MARINA KOVACS, born 1968-08-12, CLN-0001 / {TOKEN_ENTRY.value}",
+    ),
+    edge=("clinic", "insurer"),
 )
 def test_scan_soundness_against_bruteforce(case, edge):
     """The compiled matcher returns exactly the linear oracle's findings, in
