@@ -598,93 +598,10 @@ def _file(grams: dict[int, _Positions], raw: bytes, pos: int) -> None:
     grams[best] = ((filed,) if isinstance(filed, int) else filed) + (pos,)
 
 
-class _Cut:
-    """One scanned body and what a scan cuts from it, each at most once:
-    its casefolded form, and its windows of each short needle length (of
-    the body for ``exact`` groups, of the folded body for ``text`` ones).
-    """
-
-    __slots__ = ("body", "_folded", "_windows")
-
-    def __init__(self, body: str) -> None:
-        self.body = body
-        self._folded: str | None = None
-        self._windows: dict[tuple[bool, int], set[str]] = {}
-
-    def subject(self, fold: bool) -> str:
-        if not fold:
-            return self.body
-        if self._folded is None:
-            self._folded = self.body.casefold()
-        return self._folded
-
-    def windows(self, fold: bool, length: int) -> set[str]:
-        found = self._windows.get((fold, length))
-        if found is None:
-            subject = self.subject(fold)
-            found = {subject[i:i + length] for i in range(len(subject) - length + 1)}
-            self._windows[fold, length] = found
-        return found
-
-
-class _Group:
-    """What is kept per match mode and ``allowed_to`` set: the group's
-    short needles, and the positions of its long ones.
-
-    A needle is an entry's value (``exact``) or its casefolded value
-    (``text``). Needles shorter than ``Q`` are bucketed by length, each
-    mapped to the positions of the entries that share it. Longer needles
-    are filed in the index's one gram table; the group keeps their
-    positions, ascending, for scans that test each of them with ``in``.
-    """
-
-    __slots__ = ("fold", "allowed_to", "short", "long")
-
-    def __init__(self, match: MatchMode, allowed_to: frozenset[str]) -> None:
-        self.fold = match is MatchMode.TEXT
-        self.allowed_to = allowed_to
-        self.short: dict[int, dict[str, _Positions]] = {}
-        self.long: list[int] = []
-
-    def add_short(self, needle: str, pos: int) -> None:
-        needles = self.short.setdefault(len(needle), {})
-        shared = needles.get(needle)
-        if shared is None:
-            needles[needle] = pos
-        else:
-            needles[needle] = (shared if isinstance(shared, tuple) else (shared,)) + (pos,)
-
-    def search(self, cut: _Cut, values: tuple[str, ...], hits: list[int], long: bool) -> None:
-        """Add the positions of the group's short needles, and with
-        ``long`` those of its long ones, that occur in ``cut``'s body
-        (``exact``) or folded body (``text``) to ``hits``.
-
-        Short needles that outnumber the subject's windows of their length
-        are searched by looking each window up; other needles are each
-        tested with ``in``.
-        """
-        subject = cut.subject(self.fold)
-        size = len(subject)
-        for length, needles in self.short.items():
-            count = size - length + 1
-            if count <= 0:
-                continue
-            if len(needles) > count:
-                found: Iterable[str] = needles.keys() & cut.windows(self.fold, length)
-            else:
-                found = [needle for needle in needles if needle in subject]
-            for needle in found:
-                pos = needles[needle]
-                if isinstance(pos, tuple):
-                    hits.extend(pos)
-                else:
-                    hits.append(pos)
-        if not long or size < Q:
-            return
-        if self.fold:
-            hits += [pos for pos in self.long if values[pos].casefold() in subject]
-        else:
-            hits += [pos for pos in self.long if values[pos] in subject]
+# The table of one needle width: the width; its keys (short needles
+# themselves, or grams), each mapped to the positions filed under it; the
+# positions of each kind, ascending; and how many positions it holds.
+_Table = tuple[int, dict[str | int, _Positions], dict[int, list[int]], int]
 
 
 @dataclass(frozen=True)
@@ -692,92 +609,96 @@ class ProtectedValueIndex:
     """A node's protected values, compiled for matching when constructed.
 
     ``entries`` may be given as any sequence of ``ProtectedValue``; it is
-    kept as ``ProtectedEntries``. The entries are grouped by match mode and
-    ``allowed_to`` set, and each group buckets its needles shorter than
-    ``Q`` by length. Text needles go by their folded form, since folding
-    can lengthen a value (``ß`` -> ``ss``). Every longer needle, of any
-    group, is filed in one gram table for the whole index (q-gram
-    filtration) under one of its grams, a ``Q``-byte substring of the
-    UTF-8 of its casefolded value read as a native-order 64-bit integer:
-    the first, from the needle's end, under which nothing is filed yet, or
-    else the one with the fewest positions filed under it. Folding goes
-    character by character, so a needle that occurs in a body has each of
-    its grams in the folded body's UTF-8, whatever its match mode.
+    kept as ``ProtectedEntries``. Each entry is filed by its casefolded
+    value, whatever its match mode, in the table of that value's width: a
+    value shorter than ``Q`` under itself, a longer one in the gram table
+    (q-gram filtration) under one of its grams, a ``Q``-byte substring of
+    its UTF-8 read as a native-order 64-bit integer: the first, from the
+    value's end, under which nothing is filed yet, or else the one with
+    the fewest positions filed under it. Each table also keeps its
+    positions by kind. Folding goes character by character, so a value
+    that occurs in a body has its folded form, and so each of its grams,
+    in the folded body.
     """
 
     node_id: str
     entries: Sequence[ProtectedValue]
-    _groups: tuple[_Group, ...] = field(init=False, repr=False, compare=False)
-    _grams: dict[int, _Positions] = field(init=False, repr=False, compare=False)
-    _longs: int = field(init=False, repr=False, compare=False)
+    _tables: tuple[_Table, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         entries = self.entries
         if not isinstance(entries, ProtectedEntries):
             entries = ProtectedEntries.of(entries)
             object.__setattr__(self, "entries", entries)
-        groups: dict[tuple[MatchMode, frozenset[str]], _Group] = {}
-        group_of = [
-            groups.setdefault((match, allowed_to), _Group(match, allowed_to))
-            for _, match, allowed_to in entries._kinds
-        ]
-        grams: dict[int, _Positions] = {}
+        tables: dict[int, tuple[dict[str | int, _Positions], dict[int, list[int]]]] = {}
         for pos, (value, kind_id) in enumerate(zip(entries._values, entries._kind_ids)):
-            group = group_of[kind_id]
-            needle = value.casefold() if group.fold else value
-            if len(needle) < Q:
-                group.add_short(needle, pos)
+            folded = value.casefold()
+            width = len(folded) if len(folded) < Q else Q
+            # get() first: a setdefault() default per entry is garbage that
+            # sets the cyclic collector going over the whole heap.
+            filed, by_kind = tables.get(width) or tables.setdefault(width, ({}, {}))
+            (by_kind.get(kind_id) or by_kind.setdefault(kind_id, [])).append(pos)
+            if width < Q:
+                shared = filed.get(folded)
+                filed[folded] = pos if shared is None else (
+                    (shared if isinstance(shared, tuple) else (shared,)) + (pos,)
+                )
                 continue
-            group.long.append(pos)
-            raw = _utf8(needle if group.fold else needle.casefold())
-            # Most needles take their last gram, which is free.
-            if grams.setdefault(_GRAM.unpack_from(raw, len(raw) - Q)[0], pos) != pos:
-                _file(grams, raw, pos)
-        object.__setattr__(self, "_groups", tuple(groups.values()))
-        object.__setattr__(self, "_grams", grams)
-        object.__setattr__(self, "_longs", sum(len(group.long) for group in groups.values()))
+            raw = _utf8(folded)
+            # Most values take their last gram, which is free.
+            if filed.setdefault(_GRAM.unpack_from(raw, len(raw) - Q)[0], pos) != pos:
+                _file(filed, raw, pos)
+        object.__setattr__(self, "_tables", tuple(
+            (width, filed, by_kind, sum(map(len, by_kind.values())))
+            for width, (filed, by_kind) in tables.items()
+        ))
 
     def find(self, body: str, to_node: str) -> list[int]:
         """Positions, ascending, of the entries not whitelisted for
-        ``to_node`` whose needle occurs in ``body`` (exact needles) or in
-        ``body.casefold()`` (text needles).
+        ``to_node`` whose value occurs in ``body`` (``exact``) or whose
+        casefolded value occurs in ``body.casefold()`` (``text``).
 
         The cost is bounded by the body's length, however many entries the
-        index holds. Each group not whitelisted for ``to_node`` searches
-        its short needles, at most one ``in`` test or one lookup per window
-        of each length. Long needles that outnumber the body's windows are
-        found through the gram table: the body is casefolded and encoded
-        once, each of its ``Q``-byte windows is read in C as an integer
-        through ``memoryview`` casts at each byte offset below ``Q`` and
-        looked up in the table once, and each needle filed under a gram
-        found there is checked against its own entry's whitelist and match
-        mode: ``in`` the body (``exact``) or the folded body (``text``).
-        Fewer long needles are each tested with ``in`` by their group.
+        index holds. A table whose positions outnumber the folded body's
+        windows of its width looks each window up once: string slices for
+        short widths, and for the gram table the folded body's UTF-8 read
+        in C as 64-bit integers through ``memoryview`` casts at each byte
+        offset below ``Q``. Each entry filed under a key found there is
+        checked against its own whitelist and match mode. Any other table
+        tests each position of each kind not whitelisted for ``to_node``.
         """
         hits: list[int] = []
         entries = self.entries
-        values = entries._values  # type: ignore[attr-defined]
-        cut = _Cut(body)
-        by_gram = self._longs > max(len(body) - Q + 1, 0)
-        for group in self._groups:
-            if to_node not in group.allowed_to:
-                group.search(cut, values, hits, not by_gram)
-        if by_gram:
-            folded = cut.subject(True)
-            raw = memoryview(_utf8(folded))
-            grams = self._grams
-            found: set[int] = set()
-            for offset in range(Q):
-                found |= grams.keys() & raw[offset:offset + (len(raw) - offset) // Q * Q].cast("Q")
-            kinds, kind_ids = entries._kinds, entries._kind_ids  # type: ignore[attr-defined]
-            for gram in found:
-                filed = grams[gram]
-                for pos in (filed,) if isinstance(filed, int) else filed:
-                    _, match, allowed_to = kinds[kind_ids[pos]]
-                    if to_node in allowed_to:
-                        continue
-                    if values[pos].casefold() in folded if match is MatchMode.TEXT else values[pos] in body:
-                        hits.append(pos)
+        values, kind_ids, kinds = entries._values, entries._kind_ids, entries._kinds  # type: ignore[attr-defined]
+        folded = body.casefold()
+        for width, filed, by_kind, size in self._tables:
+            windows = len(folded) - width + 1
+            if windows <= 0:
+                continue
+            if size > windows:
+                if width < Q:
+                    found: set[str | int] = filed.keys() & {folded[i:i + width] for i in range(windows)}
+                else:
+                    raw = memoryview(_utf8(folded))
+                    found = set()
+                    for offset in range(Q):
+                        found |= filed.keys() & raw[offset:offset + (len(raw) - offset) // Q * Q].cast("Q")
+                for key in found:
+                    shared = filed[key]
+                    for pos in (shared,) if isinstance(shared, int) else shared:
+                        _, match, allowed_to = kinds[kind_ids[pos]]
+                        if to_node not in allowed_to and (
+                            values[pos].casefold() in folded if match is MatchMode.TEXT else values[pos] in body
+                        ):
+                            hits.append(pos)
+                continue
+            for kind_id, positions in by_kind.items():
+                _, match, allowed_to = kinds[kind_id]
+                if to_node not in allowed_to:
+                    fold = match is MatchMode.TEXT
+                    for pos in positions:
+                        if values[pos].casefold() in folded if fold else values[pos] in body:
+                            hits.append(pos)
         hits.sort()
         return hits
 

@@ -121,7 +121,7 @@ def read_trace(path: Path | str) -> TraceLog:
     Records are split on newlines only: a body may hold U+2028, U+2029 or
     U+0085 raw, which ``str.splitlines`` would also break at.
     """
-    run_id = ""
+    run_id: str | None = None
     envelopes: list[MessageEnvelope] = []
     last_seq = 0
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
@@ -136,8 +136,10 @@ def read_trace(path: Path | str) -> TraceLog:
         missing = [key for key in _TRACE_FIELDS if key not in record]
         if missing:
             raise TraceFormatError(line_no, f"missing fields: {', '.join(missing)}")
-        if not run_id:
-            run_id = str(record["run_id"])
+        if not isinstance(record["run_id"], str):
+            raise TraceFormatError(line_no, "run_id must be a string")
+        if run_id is None:
+            run_id = record["run_id"]
         elif record["run_id"] != run_id:
             raise TraceFormatError(line_no, "trace mixes run ids")
         try:
@@ -155,7 +157,7 @@ def read_trace(path: Path | str) -> TraceLog:
             raise TraceFormatError(line_no, "sequence numbers must be strictly increasing")
         last_seq = env.sent_at
         envelopes.append(env)
-    return TraceLog(run_id=run_id, envelopes=envelopes)
+    return TraceLog(run_id=run_id or "", envelopes=envelopes)
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +230,12 @@ def scan_outbound(
     marked as human-readable text (names), case-sensitive for identifiers,
     dates and tokens. The cost of the value rule is bounded by the body's
     length, not by the index's size (``ProtectedValueIndex.find``): the
-    index keeps one gram table for the long values of every match mode
-    and whitelist, and a scan looks each 64-bit window of the body's
-    casefolded UTF-8 up in it once, then checks each value found there
-    against its own whitelist and match mode. The body is never mutated;
-    the caller decides whether to abort.
+    index keeps one table per value width. A scan looks each window of the
+    casefolded body up once in a table that holds more values than the
+    body has windows of its width, and checks each value found against
+    its own whitelist and match mode; it tests the values of any other
+    table with ``in``. The body is never mutated; the caller decides
+    whether to abort.
     """
     findings: list[Finding] = []
     if not topology.permits(*edge):

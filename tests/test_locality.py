@@ -5,7 +5,7 @@ import json
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from fedmesh.config import load_node_config
 from fedmesh.datastore import Q, MatchMode, ProtectedValue, ProtectedValueIndex
@@ -118,7 +118,7 @@ _ALPHABET = "asSßſİiKk\u212a\u0307 \n-1"
 
 
 # Same-length values, enough of them to outnumber the windows of a short
-# body so that bucket is searched window by window.
+# body so that their width's table is searched window by window.
 _DENSE = st.integers(1, 3).flatmap(
     lambda n: st.lists(st.text(_ALPHABET, min_size=n, max_size=n), min_size=12, max_size=40)
 )
@@ -161,17 +161,17 @@ def _index_and_body(draw):
     dense_kinds = st.sampled_from([(column, match) for column in _COLUMNS for match in MatchMode])
     for value in draw(st.one_of(st.just([]), _DENSE)):
         entries.append(ProtectedValue(value, *draw(dense_kinds)))
-    # Each long value takes one of two or more kinds, so the index's one
-    # gram table files needles of several groups; some are indexed in both
+    # Each long value takes one of two to four kinds, the first of them
+    # always the strictest (``exact``, no whitelist), so the index's one
+    # gram table files needles of several kinds; some are indexed in both
     # columns.
-    kinds = draw(st.lists(st.sampled_from(_KINDS), min_size=2, max_size=4, unique=True))
+    kinds = [_KINDS[0]] + draw(st.lists(st.sampled_from(_KINDS[1:]), min_size=1, max_size=3, unique=True))
     long_kinds = st.sampled_from([
         (kind, columns) for kind in kinds for columns in (["col_a"], ["col_b"], _COLUMNS)
     ])
-    # Up to 64 long values, most often enough of them to outnumber a short
-    # body's Q-windows, so that the index is searched gram by gram. Each
-    # one goes on with a draw that is 0 one time in 64, not with a list's
-    # minimum size, so that a failure shrinks to the values it needs.
+    # Up to 64 long values. Each one goes on with a draw that is 0 one time
+    # in 64, not with a list's minimum size, so that a failure shrinks to
+    # the values it needs.
     long_values: list[str] = []
     while len(long_values) < 64 and draw(st.integers(0, 63)):
         value, ((match, allowed_to), columns) = draw(st.tuples(_LONG, long_kinds))
@@ -180,19 +180,36 @@ def _index_and_body(draw):
     # Bodies are spliced from indexed values, values less their first or
     # last character (which keep all but one of their grams), values in
     # another case (which keep all their folded grams, but are no exact
-    # match) and free text, so hits and near misses are common. Long free
-    # text is left out next to long values, to keep the body's windows
-    # fewer than they are.
+    # match) and free text, so hits and near misses are common. A body
+    # leads with a long value or one of its near misses, when there are
+    # any, and then takes no long free text.
+    def near_misses(v: str) -> st.SearchStrategy[str]:
+        return st.sampled_from([v[1:], v[:-1], v.upper(), v.swapcase()])
+
     pieces = st.text(_ALPHABET, max_size=4)
     if not long_values:
         pieces = st.one_of(pieces, st.text(max_size=50))
     if entries:
         values = st.sampled_from([e.value for e in entries])
-        near_misses = values.flatmap(
-            lambda v: st.sampled_from([v[1:], v[:-1], v.upper(), v.swapcase()])
-        )
-        pieces = st.one_of(pieces, values, near_misses)
+        pieces = st.one_of(pieces, values, values.flatmap(near_misses))
     body = "".join(draw(st.lists(pieces, max_size=4)))
+    if long_values:
+        lead = st.sampled_from(long_values)
+        body = draw(st.one_of(lead, lead.flatmap(near_misses))) + body
+    # The gram table looks the folded body's windows up when its positions
+    # outnumber them, else tests each position with ``in``. The body is
+    # padded up to that count or cut below it, in about equal shares, so
+    # that each side is taken about as often.
+    grams = sum(len(e.value.casefold()) >= Q for e in entries)
+    if draw(st.booleans()):
+        body += " " * (grams + Q - 1 - len(body.casefold()))
+    elif grams > 1:
+        body += " " * (Q - len(body.casefold()))
+        while len(body.casefold()) - Q + 1 >= grams:
+            body = body[:-1]
+    windows = len(body.casefold()) - Q + 1
+    side = "lookup" if 0 < windows < grams else "in" if 0 < grams <= windows else "unsearched"
+    event(f"gram table: {side}")
     random.Random(draw(st.integers(0, 2**32 - 1))).shuffle(entries)
     return ProtectedValueIndex(node_id="n", entries=tuple(entries)), body
 
@@ -236,7 +253,7 @@ def _at_each_byte_offset(test):
     edge=st.sampled_from([("clinic", "insurer"), ("clinic", "specialist")]),
 )
 @_at_each_byte_offset
-@example(  # a dense exact bucket forces the window path
+@example(  # a dense width-2 table, exact values and a text one, forces window lookups
     case=(
         ProtectedValueIndex(
             node_id="n",
@@ -315,7 +332,8 @@ def _at_each_byte_offset(test):
 def test_scan_soundness_against_bruteforce(case, edge):
     """The compiled matcher returns exactly the linear oracle's findings, in
     index order, for both match modes, shared needles and whitelists, on
-    the window, gram and ``in`` paths alike, whatever the other rules find."""
+    both sides of each width table's selection, whatever the other rules
+    find."""
     index, body = case
     findings = scan_outbound(body, index, edge, TOPOLOGY)
     values = [f for f in findings if f.kind is ViolationKind.PROTECTED_VALUE]
@@ -411,6 +429,31 @@ def test_read_trace_missing_field(tmp_path):
     path.write_text('{"run_id": "r", "seq": 1}\n')
     with pytest.raises(TraceFormatError):
         read_trace(path)
+
+
+def _records(*run_ids) -> str:
+    fields = {"from": "a", "to": "b", "operation_id": "op", "conversation_id": "c", "body": "x"}
+    return "".join(
+        json.dumps({"run_id": run_id, "seq": seq, **fields}) + "\n"
+        for seq, run_id in enumerate(run_ids, start=1)
+    )
+
+
+def test_read_trace_compares_each_run_id_with_the_first(tmp_path):
+    """An empty first run id is a run id like any other."""
+    path = tmp_path / "trace.jsonl"
+    path.write_text(_records("", "run-2"))
+    with pytest.raises(TraceFormatError, match="mixes run ids") as err:
+        read_trace(path)
+    assert err.value.line == 2
+
+
+def test_read_trace_rejects_a_run_id_that_is_not_a_string(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    path.write_text(_records(7, 7))
+    with pytest.raises(TraceFormatError, match="run_id must be a string") as err:
+        read_trace(path)
+    assert err.value.line == 1
 
 
 def test_read_trace_empty_file(tmp_path):
