@@ -54,10 +54,7 @@ def cmd_gen_fixtures(args: argparse.Namespace) -> int:
         template_table = read_table(
             args.template, "template", ("insurance_number", "plan_id", "status")
         )
-        template = tuple(
-            (row["insurance_number"], row["plan_id"], row["status"])
-            for row in template_table.rows
-        )
+        template = tuple(template_table.select(("insurance_number", "plan_id", "status")))
     else:
         template = ENROLLMENT_TEMPLATE
     key = load_secret(args.secret, _secret_source(args.secret, args.key_file))

@@ -16,11 +16,13 @@ import struct
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress, filterfalse, groupby
+from operator import itemgetter, ne
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import ConfigError, RowError, SchemaError
-from .pseudonym import CanonicalId, CaseToken, SecretSource, derive_token, load_secret, normalize_id
+from .errors import ConfigError, InvalidIdentifier, RowError, SchemaError
+from .pseudonym import CanonicalId, CaseToken, SecretSource, canonical_id, load_secret, token_hexes
 
 # Appendix-style null marker for empty prerequisite lists.
 EMPTY_LIST_MARKER = "—"
@@ -48,6 +50,11 @@ class EnrollmentStatus(str, Enum):
     INACTIVE = "inactive"
 
 
+# Cell text to member: a dict lookup per cell costs a tenth of Enum.__call__.
+_SYMPTOM_CLASSES = {member.value: member for member in SymptomClass}
+_STATUSES = {member.value: member for member in EnrollmentStatus}
+
+
 # ---------------------------------------------------------------------------
 # Raw tables
 # ---------------------------------------------------------------------------
@@ -56,32 +63,40 @@ class EnrollmentStatus(str, Enum):
 @dataclass(frozen=True)
 class Table:
     """One CSV file as loaded: header order and raw cell text preserved,
-    with the source line each row starts on."""
+    each row as the tuple of its cells in header order, with the source
+    line each row starts on."""
 
     name: str
     header: tuple[str, ...]
-    rows: tuple[Mapping[str, str], ...]
+    rows: tuple[tuple[str, ...], ...]
     lines: tuple[int, ...]
 
     def column(self, name: str) -> tuple[str, ...]:
         if name not in self.header:
             raise ConfigError(f"table {self.name!r} has no column {name!r}")
-        return tuple(row[name] for row in self.rows)
+        return tuple(map(itemgetter(self.header.index(name)), self.rows))
+
+    def select(self, columns: Sequence[str]) -> Iterator[tuple[str, ...]]:
+        """Each row's cells of two or more present ``columns``, in that order."""
+        return map(itemgetter(*map(self.header.index, columns)), self.rows)
 
     def to_csv(self) -> str:
-        """Serialise back to CSV; reproduces the source modulo line endings."""
+        """Serialise back to CSV; reproduces the source modulo line endings
+        and a leading byte-order mark."""
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.header)
-        for row in self.rows:
-            writer.writerow([row[col] for col in self.header])
+        writer.writerows(self.rows)
         return buf.getvalue()
 
 
 def read_table(path: Path | str, name: str, required: Sequence[str]) -> Table:
-    """Load a header-prefixed CSV file, checking the required columns."""
+    """Load a header-prefixed CSV file whose header names the required
+    columns, and no column twice.
+
+    A UTF-8 byte-order mark, which spreadsheet tools write, is skipped."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -90,7 +105,10 @@ def read_table(path: Path | str, name: str, required: Sequence[str]) -> Table:
         for col in required:
             if col not in header:
                 raise SchemaError(col, f"{path.name}: missing column {col!r}")
-        rows: list[dict[str, str]] = []
+        for col in header:
+            if header.count(col) > 1:
+                raise SchemaError(col, f"{path.name}: column {col!r} appears more than once")
+        rows: list[tuple[str, ...]] = []
         lines: list[int] = []
         # A row starts on the line after the previous row ends; blank lines
         # come back as empty rows, so they are counted too.
@@ -101,7 +119,7 @@ def read_table(path: Path | str, name: str, required: Sequence[str]) -> Table:
                 continue
             if len(cells) != len(header):
                 raise RowError(line, f"{path.name}: expected {len(header)} cells, got {len(cells)}")
-            rows.append(dict(zip(header, cells)))
+            rows.append(tuple(cells))
             lines.append(line)
     return Table(name=name, header=tuple(header), rows=tuple(rows), lines=tuple(lines))
 
@@ -110,7 +128,7 @@ def _split_codes(cell: str) -> tuple[str, ...]:
     cell = cell.strip()
     if not cell or cell == EMPTY_LIST_MARKER:
         return ()
-    return tuple(part.strip() for part in cell.split(";") if part.strip())
+    return tuple(filter(None, map(str.strip, cell.split(";"))))
 
 
 # ---------------------------------------------------------------------------
@@ -151,61 +169,72 @@ class GuidanceDoc:
     red_flags: tuple[str, ...]
 
 
-def _parse_observation(row: Mapping[str, str], line: int) -> ClinicalObservation:
+def _patient_id(cell: str, line: int) -> str:
+    """The canonical form of a ``patient_id`` cell."""
     try:
-        symptom = SymptomClass(row["symptom_class"].strip())
-    except ValueError:
-        raise RowError(line, "invalid symptom_class") from None
-    try:
-        weeks = int(row["duration_weeks"])
-    except ValueError:
-        raise RowError(line, "invalid duration_weeks") from None
-    if weeks < 0:
-        raise RowError(line, "duration_weeks must be non-negative")
+        return canonical_id(cell)
+    except InvalidIdentifier:
+        raise RowError(line, "blank patient_id") from None
+
+
+# Each parser takes a row's cells of its table's required columns, in the
+# order of that table's *_COLUMNS.
+
+
+def _parse_observation(cells: tuple[str, ...], line: int) -> ClinicalObservation:
+    patient_id, symptom_class, duration_weeks, functional_limitation, prior_tx = cells
+    symptom = _SYMPTOM_CLASSES.get(symptom_class.strip())
+    if symptom is None:
+        raise RowError(line, "invalid symptom_class")
+    weeks = duration_weeks.strip()
+    if not (weeks.isascii() and weeks.isdigit()):
+        raise RowError(line, "invalid duration_weeks: expected ASCII digits")
     return ClinicalObservation(
-        patient_id=normalize_id(row["patient_id"]),
+        patient_id=CanonicalId(_patient_id(patient_id, line)),
         symptom_class=symptom,
-        duration_weeks=weeks,
-        functional_limitation=row["functional_limitation"].strip(),
-        prior_conservative_tx=_split_codes(row["prior_conservative_tx"]),
+        duration_weeks=int(weeks),
+        functional_limitation=functional_limitation.strip(),
+        prior_conservative_tx=_split_codes(prior_tx),
     )
 
 
-def _patient_id(row: Mapping[str, str], line: int) -> str:
+def _parse_patient(cells: tuple[str, ...], line: int) -> str:
     """Check a patient row's dob and return its canonical patient id."""
+    patient_id, _, dob, _ = cells
     try:
-        dt.date.fromisoformat(row["dob"].strip())
+        dt.date.fromisoformat(dob.strip())
     except ValueError:
         raise RowError(line, "invalid dob") from None
-    return normalize_id(row["patient_id"]).value
+    return _patient_id(patient_id, line)
 
 
-def _parse_enrollment(row: Mapping[str, str], line: int) -> EnrollmentRow:
+def _parse_enrollment(cells: tuple[str, ...], line: int) -> EnrollmentRow:
+    subject_token, insurance_number, plan_id, status_cell = cells
     try:
-        token = CaseToken(row["subject_token"].strip())
+        token = CaseToken(subject_token.strip())
     except ValueError as exc:
         raise RowError(line, f"invalid subject_token: {exc}") from None
-    try:
-        status = EnrollmentStatus(row["status"].strip())
-    except ValueError:
-        raise RowError(line, "invalid status") from None
+    status = _STATUSES.get(status_cell.strip())
+    if status is None:
+        raise RowError(line, "invalid status")
     return EnrollmentRow(
         subject_token=token,
-        insurance_number=row["insurance_number"].strip(),
-        plan_id=row["plan_id"].strip(),
+        insurance_number=insurance_number.strip(),
+        plan_id=plan_id.strip(),
         status=status,
     )
 
 
-def _parse_coverage_rule(row: Mapping[str, str], line: int) -> CoverageRule:
-    covered_cell = row["covered"].strip().lower()
+def _parse_coverage_rule(cells: tuple[str, ...], line: int) -> CoverageRule:
+    plan_id, treatment_code, covered, prerequisites = cells
+    covered_cell = covered.strip().lower()
     if covered_cell not in ("yes", "no"):
         raise RowError(line, "covered must be yes or no")
     return CoverageRule(
-        plan_id=row["plan_id"].strip(),
-        treatment_code=row["treatment_code"].strip(),
+        plan_id=plan_id.strip(),
+        treatment_code=treatment_code.strip(),
         covered=covered_cell == "yes",
-        prerequisites=_split_codes(row["prerequisites"]),
+        prerequisites=_split_codes(prerequisites),
     )
 
 
@@ -239,20 +268,21 @@ def load_clinic_store(
     obs_table = read_table(observations_path, "observations", OBSERVATION_COLUMNS)
 
     seen_ids: set[str] = set()
-    for row, line in zip(patients_table.rows, patients_table.lines):
-        patient_id = _patient_id(row, line)
+    for cells, line in zip(patients_table.select(PATIENT_COLUMNS), patients_table.lines):
+        patient_id = _parse_patient(cells, line)
         if patient_id in seen_ids:
             raise RowError(line, "duplicate patient_id")
         seen_ids.add(patient_id)
 
     observations: dict[str, ClinicalObservation] = {}
-    for row, line in zip(obs_table.rows, obs_table.lines):
-        obs = _parse_observation(row, line)
-        if obs.patient_id.value in observations:
+    for cells, line in zip(obs_table.select(OBSERVATION_COLUMNS), obs_table.lines):
+        obs = _parse_observation(cells, line)
+        patient_id = obs.patient_id.value
+        if patient_id in observations:
             raise RowError(line, "duplicate patient_id")
-        if obs.patient_id.value not in seen_ids:
+        if patient_id not in seen_ids:
             raise RowError(line, "observation patient_id has no patient record")
-        observations[obs.patient_id.value] = obs
+        observations[patient_id] = obs
 
     return ClinicStore(observations=observations), {
         "observations": obs_table,
@@ -268,15 +298,15 @@ def load_insurer_store(
     rules_table = read_table(rules_path, "coverage_rules", COVERAGE_RULE_COLUMNS)
 
     enrollment: dict[str, EnrollmentRow] = {}
-    for row, line in zip(enrollment_table.rows, enrollment_table.lines):
-        rec = _parse_enrollment(row, line)
+    for cells, line in zip(enrollment_table.select(ENROLLMENT_COLUMNS), enrollment_table.lines):
+        rec = _parse_enrollment(cells, line)
         if rec.subject_token.hex in enrollment:
             raise RowError(line, "duplicate subject_token")
         enrollment[rec.subject_token.hex] = rec
 
     rules: dict[tuple[str, str], CoverageRule] = {}
-    for row, line in zip(rules_table.rows, rules_table.lines):
-        rule = _parse_coverage_rule(row, line)
+    for cells, line in zip(rules_table.select(COVERAGE_RULE_COLUMNS), rules_table.lines):
+        rule = _parse_coverage_rule(cells, line)
         key = (rule.plan_id, rule.treatment_code)
         if key in rules:
             raise RowError(line, "duplicate rule for (plan_id, treatment_code)")
@@ -515,6 +545,10 @@ class ProtectedSpec:
 Q = 8
 _GRAM = struct.Struct("Q")
 
+# An index is built this many entries at a time: each step over a slice
+# runs in C, and the slice bounds the memory its lists take.
+_BUILD_SLICE = 1024
+
 # What entries share: (source column, match mode, allowed_to).
 _Kind = tuple[str, MatchMode, frozenset[str]]
 
@@ -630,24 +664,39 @@ class ProtectedValueIndex:
         if not isinstance(entries, ProtectedEntries):
             entries = ProtectedEntries.of(entries)
             object.__setattr__(self, "entries", entries)
+        values, kind_ids = entries._values, entries._kind_ids
         tables: dict[int, tuple[dict[str | int, _Positions], dict[int, list[int]]]] = {}
-        for pos, (value, kind_id) in enumerate(zip(entries._values, entries._kind_ids)):
-            folded = value.casefold()
-            width = len(folded) if len(folded) < Q else Q
-            # get() first: a setdefault() default per entry is garbage that
-            # sets the cyclic collector going over the whole heap.
-            filed, by_kind = tables.get(width) or tables.setdefault(width, ({}, {}))
-            (by_kind.get(kind_id) or by_kind.setdefault(kind_id, [])).append(pos)
-            if width < Q:
-                shared = filed.get(folded)
-                filed[folded] = pos if shared is None else (
+        for start in range(0, len(values), _BUILD_SLICE):
+            stop = min(start + _BUILD_SLICE, len(values))
+            folded = list(map(str.casefold, values[start:stop]))
+            lengths = list(map(len, folded))
+            for pos, value in compress(zip(range(start, stop), folded), map(Q.__gt__, lengths)):
+                kind_id = kind_ids[pos]
+                # get() first: a setdefault() default per entry is garbage that
+                # sets the cyclic collector going over the whole heap.
+                filed, by_kind = tables.get(len(value)) or tables.setdefault(len(value), ({}, {}))
+                (by_kind.get(kind_id) or by_kind.setdefault(kind_id, [])).append(pos)
+                shared = filed.get(value)
+                filed[value] = pos if shared is None else (
                     (shared if isinstance(shared, tuple) else (shared,)) + (pos,)
                 )
+            longs = list(compress(range(start, stop), map(Q.__le__, lengths)))
+            if not longs:
                 continue
-            raw = _utf8(folded)
-            # Most values take their last gram, which is free.
-            if filed.setdefault(_GRAM.unpack_from(raw, len(raw) - Q)[0], pos) != pos:
-                _file(filed, raw, pos)
+            # A value's last gram is the end of its last Q characters' UTF-8,
+            # which is all of it when they are ASCII, as they mostly are.
+            tails = list(map(itemgetter(slice(-Q, None)), compress(folded, map(Q.__le__, lengths))))
+            raw = _utf8("".join(tails))
+            if len(raw) != Q * len(tails):
+                raw = b"".join([_utf8(tail)[-Q:] for tail in tails])
+            grams, by_kind = tables.get(Q) or tables.setdefault(Q, ({}, {}))
+            # Most values take their last gram, in C; one that finds it taken
+            # is filed in turn, before the next value is offered its own.
+            taken = map(ne, map(grams.setdefault, memoryview(raw).cast("Q"), longs), longs)
+            for pos in compress(longs, taken):
+                _file(grams, _utf8(values[pos].casefold()), pos)
+            for kind_id, run in groupby(longs, kind_ids.__getitem__):
+                (by_kind.get(kind_id) or by_kind.setdefault(kind_id, [])).extend(run)
         object.__setattr__(self, "_tables", tuple(
             (width, filed, by_kind, sum(map(len, by_kind.values())))
             for width, (filed, by_kind) in tables.items()
@@ -725,12 +774,12 @@ def protected_values(
     def add(cells: Iterable[str], column: str, match: MatchMode, allowed_to: frozenset[str]) -> None:
         kind_id = kinds.setdefault((column, match, allowed_to), len(kinds))
         indexed = seen.setdefault(kind_id, set())
-        for value in cells:
-            value = value.strip()
-            if value and value not in indexed:
-                indexed.add(value)
-                values.append(value)
-                kind_ids.append(kind_id)
+        fresh = dict.fromkeys(map(str.strip, cells))
+        fresh.pop("", None)
+        new = list(filterfalse(indexed.__contains__, fresh))
+        indexed.update(new)
+        values.extend(new)
+        kind_ids.extend([kind_id] * len(new))
 
     for spec in specs:
         if spec.derived is None:
@@ -757,12 +806,9 @@ def protected_values(
                     f"node {node_id!r}: derived column {spec.column!r} not in store {store_name!r}"
                 )
             key = load_secret(spec.secret, secrets)
-            tokens = (
-                derive_token(key, normalize_id(cell)).hex
-                for cell in table.column(spec.column)
-                if cell.strip()
-            )
-            add(tokens, "case_token", MatchMode.EXACT, spec.allowed_to)
+            # Equal ids have equal tokens, so each distinct id is hashed once.
+            ids = dict.fromkeys(map(canonical_id, filter(str.strip, table.column(spec.column))))
+            add(token_hexes(key, ids), "case_token", MatchMode.EXACT, spec.allowed_to)
         else:
             raise ConfigError(f"unknown derived protected kind {spec.derived!r}")
 

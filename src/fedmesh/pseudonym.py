@@ -3,6 +3,11 @@
 A case token is the lowercase-hex HMAC-SHA256 of the canonical (trimmed,
 uppercased) identifier under a node-held secret key. The token links a case
 across organisations without revealing the identifier itself.
+
+HMAC's keyed inner and outer hash states depend on the key alone, so they
+can be computed once per key and reused for every message (RFC 2104 §4).
+A ``SecretKey`` keys one HMAC-SHA256 state when it is made, and every token
+under it, one or ten thousand, is a copy of that state fed one identifier.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import InvalidIdentifier, SecretNotFound, WeakSecret
 
@@ -38,10 +43,12 @@ class CanonicalId:
 
 @dataclass(frozen=True)
 class SecretKey:
-    """Named key material. The material never appears in repr or logs."""
+    """Named key material. Neither the material nor the HMAC state keyed
+    by it appears in repr or logs."""
 
     name: str
     material: bytes = field(repr=False)
+    _keyed: hmac.HMAC = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.material) < MIN_KEY_BYTES:
@@ -49,6 +56,7 @@ class SecretKey:
                 f"secret {self.name!r} is {len(self.material)} bytes; "
                 f"minimum is {MIN_KEY_BYTES}"
             )
+        object.__setattr__(self, "_keyed", hmac.new(self.material, digestmod="sha256"))
 
 
 @dataclass(frozen=True)
@@ -65,17 +73,34 @@ class CaseToken:
         return self.hex
 
 
+def canonical_id(raw: str) -> str:
+    """The canonical form of an identifier: trimmed, then uppercased."""
+    value = raw.strip().upper()
+    if not value:
+        raise InvalidIdentifier("identifier is empty after trimming")
+    return value
+
+
 def normalize_id(raw: str) -> CanonicalId:
     """Trim and uppercase an identifier; idempotent on canonical input."""
-    trimmed = raw.strip()
-    if not trimmed:
-        raise InvalidIdentifier("identifier is empty after trimming")
-    return CanonicalId(trimmed.upper())
+    return CanonicalId(canonical_id(raw))
+
+
+def token_hexes(key: SecretKey, canonical_ids: Iterable[str]) -> list[str]:
+    """The lowercase-hex HMAC-SHA256 of each canonical identifier's UTF-8,
+    in order, each from a copy of the key's keyed state."""
+    copy = key._keyed.copy
+    hexes: list[str] = []
+    for value in canonical_ids:
+        mac = copy()
+        mac.update(value.encode("utf-8"))
+        hexes.append(mac.hexdigest())
+    return hexes
 
 
 def derive_token(key: SecretKey, cid: CanonicalId) -> CaseToken:
     """HMAC-SHA256 of the UTF-8 canonical identifier, rendered lowercase hex."""
-    return CaseToken(hmac.digest(key.material, cid.value.encode("utf-8"), "sha256").hex())
+    return CaseToken(token_hexes(key, (cid.value,))[0])
 
 
 @dataclass(frozen=True)

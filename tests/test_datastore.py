@@ -1,16 +1,22 @@
 from __future__ import annotations
 
+import string
+import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from fedmesh import datastore
 from fedmesh.datastore import (
     Q,
     EnrollmentStatus,
     MatchMode,
     ProtectedSpec,
+    ProtectedValue,
+    ProtectedValueIndex,
     SymptomClass,
     Table,
     coverage_rule,
@@ -25,9 +31,9 @@ from fedmesh.datastore import (
 )
 from fedmesh.errors import ConfigError, RowError, SchemaError
 from fedmesh.locality import Topology, scan_outbound
-from fedmesh.pseudonym import CaseToken, SecretSource, normalize_id
+from fedmesh.pseudonym import CaseToken, SecretSource, derive_token, load_secret, normalize_id
 
-from conftest import GOLDEN_TOKENS, oracle_scan
+from conftest import GOLDEN_TOKENS, hmac_sha256_reference, oracle_scan
 
 # The published enrolment table's first token, usable only as an opaque
 # replay value since its source key was never published.
@@ -108,6 +114,18 @@ def test_missing_column_names_it(tmp_path, workspace):
     assert err.value.name == "symptom_class"
 
 
+def test_repeated_column_is_a_schema_error(tmp_path, workspace):
+    """A header that names a column twice is refused: either copy could be
+    the one meant, and keeping one would leave the other's cells unchecked
+    and, for a protected column, unindexed."""
+    patients = tmp_path / "patients.csv"
+    patients.write_text("patient_id,full_name,dob,notes,full_name\nCLN-0001,Ann Lee,1968-02-03,n,x\n")
+    with pytest.raises(SchemaError) as err:
+        load_clinic_store(workspace.root / "clinic" / "clinical_observations.csv", patients)
+    assert err.value.name == "full_name"
+    assert "Ann Lee" not in str(err.value)
+
+
 def test_row_error_carries_line_number(tmp_path, workspace):
     broken = tmp_path / "obs.csv"
     broken.write_text(
@@ -152,6 +170,7 @@ _TOKEN = "ab" * 32
 _LOAD_ERROR_SITES = {
     # site: (table, rows after its header, column the error names, cell it must not quote, line)
     "invalid-dob": ("patients", "CLN-0001,Ann Lee,1968-02-30,n\n", "dob", "1968-02-30", 2),
+    "blank-patient-id": ("patients", "CLN-0001,Ann Lee,1968-02-03,n\n \t ,Bo Lee,1970-01-01,n\n", "patient_id", " \t ", 3),
     "duplicate-patient": (
         "patients", "CLN-0042,Ann Lee,1968-02-03,n\nCLN-0042,Bo Lee,1970-01-01,n\n",
         "patient_id", "CLN-0042", 3,
@@ -165,6 +184,9 @@ _LOAD_ERROR_SITES = {
     ),
     "invalid-duration": ("observations", "CLN-0001,mild,twelve,walks,x\n", "duration_weeks", "twelve", 2),
     "negative-duration": ("observations", "CLN-0001,mild,-7,walks,x\n", "duration_weeks", "-7", 2),
+    "underscored-duration": ("observations", "CLN-0001,mild,1_0,walks,x\n", "duration_weeks", "1_0", 2),
+    "non-ascii-duration": ("observations", "CLN-0001,mild, \u0663 ,walks,x\n", "duration_weeks", "\u0663", 2),
+    "blank-observation-patient-id": ("observations", " \t ,mild,4,walks,x\n", "patient_id", " \t ", 2),
     "invalid-token": ("enrollment", "zz-not-a-token,INS-1,PLAN-A,active\n", "subject_token", "zz-not-a-token", 2),
     "invalid-status": ("enrollment", f"{_TOKEN},INS-1,PLAN-A,suspended\n", "status", "suspended", 2),
     "invalid-covered": ("coverage_rules", "PLAN-A,physio,maybe,—\n", "covered", "maybe", 2),
@@ -199,6 +221,29 @@ def test_row_errors_name_the_column_never_the_cell(tmp_path, workspace, site):
     assert column in str(err.value)
     assert cell not in str(err.value)
     assert err.value.line == line
+
+
+_WORKSPACE_TABLES = (
+    "clinic/clinical_observations.csv",
+    "clinic/patients.csv",
+    "insurer/enrollment.csv",
+    "insurer/coverage_rules.csv",
+)
+
+
+def test_byte_order_mark_is_skipped(tmp_path, workspace):
+    """Spreadsheet tools save "CSV UTF-8" with a leading byte-order mark;
+    each file then loads as it does without one."""
+    for relpath in _WORKSPACE_TABLES:
+        copy = tmp_path / relpath
+        copy.parent.mkdir(exist_ok=True)
+        copy.write_text("\ufeff" + (workspace.root / relpath).read_text(encoding="utf-8"), encoding="utf-8")
+
+    def load(root):
+        observations, patients, enrollment, rules = (root / relpath for relpath in _WORKSPACE_TABLES)
+        return load_clinic_store(observations, patients), load_insurer_store(enrollment, rules)
+
+    assert load(tmp_path) == load(workspace.root)
 
 
 def test_match_enrollment_by_fixture_token(insurer):
@@ -452,3 +497,120 @@ def test_protected_values_monotone(clinic_tables):
         values = {e.value for e in index.entries}
         assert previous <= values
         previous = values
+
+
+# --- the load path against per-cell reference code ---
+
+_ID_CELLS = st.one_of(
+    st.sampled_from(["CLN-0001", "cln-0001", " CLN-0001\t", "", " \t ", "straße", "STRASSE", "Ωmega-7", "ǆ-2"]),
+    st.text(max_size=10),
+)
+# HMAC pads a key shorter than SHA-256's 64-byte block and hashes a longer one first.
+_KEY_MATERIAL = st.sampled_from([16, 64, 100]).flatmap(
+    lambda size: st.text(string.ascii_letters + string.digits, min_size=size, max_size=size)
+)
+_SPECS = (
+    ProtectedSpec(store="patients", columns=("patient_id", "full_name")),
+    ProtectedSpec(store="patients", columns=("full_name",), match=MatchMode.TEXT),
+    ProtectedSpec(store="patients", columns=("patient_id",), allowed_to=frozenset({"insurer"})),
+    ProtectedSpec(derived="case_tokens", store="patients", column="patient_id", secret="k",
+                  allowed_to=frozenset({"insurer"})),
+    ProtectedSpec(derived="case_tokens", store="patients", column="full_name", secret="k"),
+)
+
+
+def _entries_cell_by_cell(specs, table, key):
+    """Reference: each spec's cells in order, one at a time, each derived
+    token on its own, each entry kept the first time its value and kind come."""
+    entries: list[ProtectedValue] = []
+    for spec in specs:
+        if spec.derived is None:
+            cells = [(column, cell.strip()) for column in spec.columns for cell in table.column(column)]
+            match = spec.match
+        else:
+            cells = [("case_token", derive_token(key, normalize_id(cell)).hex)
+                     for cell in table.column(spec.column) if cell.strip()]
+            match = MatchMode.EXACT
+        for column, value in cells:
+            entry = ProtectedValue(value, column, match, spec.allowed_to)
+            if value and entry not in entries:
+                entries.append(entry)
+    return tuple(entries)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    ids=st.lists(_ID_CELLS, max_size=16),
+    names=st.lists(_ID_CELLS, max_size=16),
+    specs=st.lists(st.sampled_from(_SPECS), min_size=1, max_size=6),
+    material=_KEY_MATERIAL,
+)
+def test_protected_entries_agree_with_cell_by_cell_reference(ids, names, specs, material):
+    """Padded, lower-case, non-ASCII, repeated and blank id cells, under keys
+    below, at and above the HMAC block size: the index holds the entries
+    the per-cell reference builds, in its order, and every derived token is
+    ``derive_token`` of the cell and the independent RFC 2104 oracle's."""
+    rows = tuple(zip(ids, names))
+    table = Table("patients", ("patient_id", "full_name"), rows, tuple(range(2, 2 + len(rows))))
+    secrets = SecretSource(env={"FEDMESH_SECRET_K": material})
+    key = load_secret("k", secrets)
+
+    index = protected_values("clinic", specs, {"patients": table}, secrets)
+
+    assert index.entries == _entries_cell_by_cell(specs, table, key)
+    oracle = {
+        hmac_sha256_reference(material.encode(), normalize_id(cell).value.encode("utf-8"))
+        for spec in specs if spec.derived
+        for cell in table.column(spec.column) if cell.strip()
+    }
+    assert {entry.value for entry in index.entries if entry.source_column == "case_token"} == oracle
+
+
+def _tables_entry_by_entry(index):
+    """Reference: the filing rule ``ProtectedValueIndex`` states, applied one
+    entry at a time: a short value under itself; a long one under the first
+    of its grams, from its UTF-8's end, under which nothing is filed yet,
+    else the first with the fewest positions."""
+    kind_ids = index.entries._kind_ids
+    tables: dict[int, tuple[dict, dict]] = {}
+    for pos, entry in enumerate(index.entries):
+        folded = entry.value.casefold()
+        filed, by_kind = tables.setdefault(min(len(folded), Q), ({}, {}))
+        by_kind.setdefault(kind_ids[pos], []).append(pos)
+        key = folded
+        if len(folded) >= Q:
+            raw = folded.encode("utf-8", "surrogatepass")
+            grams = [int.from_bytes(raw[i:i + Q], sys.byteorder) for i in range(len(raw) - Q, -1, -1)]
+            key = next((gram for gram in grams if gram not in filed), None)
+            if key is None:
+                key = min(grams, key=lambda gram: len(filed[gram]))
+        filed[key] = filed.get(key, ()) + (pos,)
+    return {
+        width: ({key: shared[0] if len(shared) == 1 else shared for key, shared in filed.items()},
+                by_kind, sum(map(len, by_kind.values())))
+        for width, (filed, by_kind) in tables.items()
+    }
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    cells=st.lists(
+        st.tuples(st.text("aAbß€Σς", min_size=1, max_size=14), st.sampled_from(list(MatchMode)), st.booleans()),
+        max_size=40,
+    ),
+    build_slice=st.sampled_from([1, 3, 1024]),
+)
+# The second value's last gram is the first's, so it is filed under its own
+# next gram, which is the third value's last: the third must find it taken.
+@example([(value, MatchMode.EXACT, False) for value in ("aaaaaaaa", "baaaaaaaa", "abaaaaaaa")], 1024)
+def test_index_files_entries_by_its_stated_rule(cells, build_slice):
+    """Values over a few letters, some multi-byte and some folding to two,
+    so last grams are often shared and often not ASCII, built a slice of
+    entries at a time: every table holds what the rule, applied one entry
+    at a time, files."""
+    entries = [ProtectedValue(value, "c", match, frozenset({"insurer"}) if allowed else frozenset())
+               for value, match, allowed in cells]
+    with mock.patch.object(datastore, "_BUILD_SLICE", build_slice):
+        built = ProtectedValueIndex("clinic", entries)
+    assert {width: (filed, by_kind, size) for width, filed, by_kind, size in built._tables} == \
+        _tables_entry_by_entry(built)

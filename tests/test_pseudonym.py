@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, strategies as st
@@ -92,6 +93,27 @@ def test_raw_and_canonical_agree(raw):
 def test_secret_key_repr_redacts_material():
     assert "demo-secret-key-000" not in repr(KEY)
     assert "demo-secret-key-000" not in str(KEY)
+
+
+def test_keyed_state_and_material_stay_out_of_repr_and_errors():
+    """The HMAC state a key caches is as hidden as its material: only the
+    name shows in repr, and no error met while resolving a key or deriving
+    a token quotes the material, raw or in hex."""
+    assert [f.name for f in fields(SecretKey) if f.repr] == ["name"]
+    material = "demo-secret-key-000"
+    weak_material = material[:12]  # also a part of the full material
+    key = load_secret("k", SecretSource(env={"FEDMESH_SECRET_K": material}))
+    texts = [repr(key), str(key)]
+    with pytest.raises(WeakSecret) as weak:
+        load_secret("k", SecretSource(env={"FEDMESH_SECRET_K": weak_material}))
+    with pytest.raises(InvalidIdentifier) as blank:
+        derive_token(key, normalize_id(" "))
+    with pytest.raises(UnicodeEncodeError) as unencodable:
+        derive_token(key, normalize_id("\ud800"))
+    texts += [str(weak.value), str(blank.value), str(unencodable.value)]
+    for text in texts:
+        assert weak_material not in text
+        assert weak_material.encode().hex() not in text
 
 
 def test_weak_secret_rejected():
