@@ -2,8 +2,11 @@
 
 CSV ingestion for the clinic and insurer tables, heading-anchored parsing of
 the specialist guidance extracts, typed lookups, and the protected-value
-index that feeds the outbound leak guard. Stores are immutable after load;
-concurrent reads need no coordination.
+index that feeds the outbound leak guard. Every row is validated when its
+table loads, and the clinic and insurer stores keep each row as a tuple of
+its validated, normalised cells; a lookup builds the typed record of the
+one row it finds. Stores are immutable after load; concurrent reads need no
+coordination.
 """
 
 from __future__ import annotations
@@ -22,7 +25,15 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConfigError, InvalidIdentifier, RowError, SchemaError
-from .pseudonym import CanonicalId, CaseToken, SecretSource, canonical_id, load_secret, token_hexes
+from .pseudonym import (
+    CanonicalId,
+    CaseToken,
+    SecretSource,
+    canonical_id,
+    check_token_hex,
+    load_secret,
+    token_hexes,
+)
 
 # Appendix-style null marker for empty prerequisite lists.
 EMPTY_LIST_MARKER = "—"
@@ -178,10 +189,17 @@ def _patient_id(cell: str, line: int) -> str:
 
 
 # Each parser takes a row's cells of its table's required columns, in the
-# order of that table's *_COLUMNS.
+# order of that table's *_COLUMNS. The clinic and enrolment parsers return
+# the row's key and the rest of its cells as the store keeps them.
+
+# An observation row after its patient id: symptom_class, duration_weeks,
+# functional_limitation, prior_conservative_tx.
+_ObservationCells = tuple[SymptomClass, int, str, tuple[str, ...]]
+# An enrolment row after its subject token: insurance_number, plan_id, status.
+_EnrollmentCells = tuple[str, str, EnrollmentStatus]
 
 
-def _parse_observation(cells: tuple[str, ...], line: int) -> ClinicalObservation:
+def _parse_observation(cells: tuple[str, ...], line: int) -> tuple[str, _ObservationCells]:
     patient_id, symptom_class, duration_weeks, functional_limitation, prior_tx = cells
     symptom = _SYMPTOM_CLASSES.get(symptom_class.strip())
     if symptom is None:
@@ -189,12 +207,8 @@ def _parse_observation(cells: tuple[str, ...], line: int) -> ClinicalObservation
     weeks = duration_weeks.strip()
     if not (weeks.isascii() and weeks.isdigit()):
         raise RowError(line, "invalid duration_weeks: expected ASCII digits")
-    return ClinicalObservation(
-        patient_id=CanonicalId(_patient_id(patient_id, line)),
-        symptom_class=symptom,
-        duration_weeks=int(weeks),
-        functional_limitation=functional_limitation.strip(),
-        prior_conservative_tx=_split_codes(prior_tx),
+    return _patient_id(patient_id, line), (
+        symptom, int(weeks), functional_limitation.strip(), _split_codes(prior_tx),
     )
 
 
@@ -208,21 +222,16 @@ def _parse_patient(cells: tuple[str, ...], line: int) -> str:
     return _patient_id(patient_id, line)
 
 
-def _parse_enrollment(cells: tuple[str, ...], line: int) -> EnrollmentRow:
+def _parse_enrollment(cells: tuple[str, ...], line: int) -> tuple[str, _EnrollmentCells]:
     subject_token, insurance_number, plan_id, status_cell = cells
     try:
-        token = CaseToken(subject_token.strip())
+        token = check_token_hex(subject_token.strip())
     except ValueError as exc:
         raise RowError(line, f"invalid subject_token: {exc}") from None
     status = _STATUSES.get(status_cell.strip())
     if status is None:
         raise RowError(line, "invalid status")
-    return EnrollmentRow(
-        subject_token=token,
-        insurance_number=insurance_number.strip(),
-        plan_id=plan_id.strip(),
-        status=status,
-    )
+    return token, (insurance_number.strip(), plan_id.strip(), status)
 
 
 def _parse_coverage_rule(cells: tuple[str, ...], line: int) -> CoverageRule:
@@ -245,14 +254,17 @@ def _parse_coverage_rule(cells: tuple[str, ...], line: int) -> CoverageRule:
 
 @dataclass(frozen=True)
 class ClinicStore:
-    # Keyed by canonical patient id.
-    observations: Mapping[str, ClinicalObservation]
+    # Each observation row's validated cells after its patient id, keyed by
+    # canonical patient id; lookup_observation builds the record.
+    observations: Mapping[str, _ObservationCells]
 
 
 @dataclass(frozen=True)
 class InsurerStore:
-    # Keyed by token hex, and by (plan_id, treatment_code).
-    enrollment: Mapping[str, EnrollmentRow]
+    # Each enrolment row's validated cells after its token, keyed by token
+    # hex; match_enrollment builds the record. Coverage rules, a handful
+    # per plan, are kept as records keyed by (plan_id, treatment_code).
+    enrollment: Mapping[str, _EnrollmentCells]
     rules: Mapping[tuple[str, str], CoverageRule]
 
 
@@ -274,15 +286,14 @@ def load_clinic_store(
             raise RowError(line, "duplicate patient_id")
         seen_ids.add(patient_id)
 
-    observations: dict[str, ClinicalObservation] = {}
+    observations: dict[str, _ObservationCells] = {}
     for cells, line in zip(obs_table.select(OBSERVATION_COLUMNS), obs_table.lines):
-        obs = _parse_observation(cells, line)
-        patient_id = obs.patient_id.value
+        patient_id, row = _parse_observation(cells, line)
         if patient_id in observations:
             raise RowError(line, "duplicate patient_id")
         if patient_id not in seen_ids:
             raise RowError(line, "observation patient_id has no patient record")
-        observations[patient_id] = obs
+        observations[patient_id] = row
 
     return ClinicStore(observations=observations), {
         "observations": obs_table,
@@ -297,12 +308,12 @@ def load_insurer_store(
     enrollment_table = read_table(enrollment_path, "enrollment", ENROLLMENT_COLUMNS)
     rules_table = read_table(rules_path, "coverage_rules", COVERAGE_RULE_COLUMNS)
 
-    enrollment: dict[str, EnrollmentRow] = {}
+    enrollment: dict[str, _EnrollmentCells] = {}
     for cells, line in zip(enrollment_table.select(ENROLLMENT_COLUMNS), enrollment_table.lines):
-        rec = _parse_enrollment(cells, line)
-        if rec.subject_token.hex in enrollment:
+        token, row = _parse_enrollment(cells, line)
+        if token in enrollment:
             raise RowError(line, "duplicate subject_token")
-        enrollment[rec.subject_token.hex] = rec
+        enrollment[token] = row
 
     rules: dict[tuple[str, str], CoverageRule] = {}
     for cells, line in zip(rules_table.select(COVERAGE_RULE_COLUMNS), rules_table.lines):
@@ -319,12 +330,15 @@ def load_insurer_store(
 
 
 def lookup_observation(store: ClinicStore, cid: CanonicalId) -> ClinicalObservation | None:
-    return store.observations.get(cid.value)
+    row = store.observations.get(cid.value)
+    return None if row is None else ClinicalObservation(cid, *row)
 
 
 def match_enrollment(store: InsurerStore, token: CaseToken | str) -> EnrollmentRow | None:
     """Exact, case-sensitive match on the stored lowercase-hex token."""
-    return store.enrollment.get(token.hex if isinstance(token, CaseToken) else token)
+    key = token.hex if isinstance(token, CaseToken) else token
+    row = store.enrollment.get(key)
+    return None if row is None else EnrollmentRow(CaseToken(key), *row)
 
 
 def coverage_rule(store: InsurerStore, plan_id: str, treatment_code: str) -> CoverageRule | None:

@@ -19,6 +19,7 @@ Trace files are JSON lines with fields exactly
 from __future__ import annotations
 
 import json
+import json.scanner
 import re
 import threading
 from dataclasses import dataclass, field
@@ -39,6 +40,13 @@ PATIENT_ID_RE = re.compile(r"\bCLN-\d{4}\b", re.IGNORECASE)
 PATIENT_ID_PRETEST = re.compile(r"-\d{4}")
 
 _TRACE_FIELDS = ("run_id", "seq", "from", "to", "operation_id", "conversation_id", "body")
+_TRACE_KEYS = frozenset(_TRACE_FIELDS)
+
+# json.dumps(obj, ensure_ascii=False) would build an encoder per call.
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+# The C scanner json.loads runs inside its Python layers: called at index
+# 0, it reads one JSON value and returns it with the index after it.
+_scan = json.scanner.make_scanner(json.JSONDecoder())
 
 
 @dataclass(frozen=True)
@@ -95,7 +103,7 @@ class TraceLog:
 
     def to_jsonl(self) -> str:
         lines = [
-            json.dumps(
+            _encode(
                 {
                     "run_id": self.run_id,
                     "seq": env.sent_at,
@@ -104,8 +112,7 @@ class TraceLog:
                     "operation_id": env.operation_id,
                     "conversation_id": env.conversation_id,
                     "body": env.body,
-                },
-                ensure_ascii=False,
+                }
             )
             for env in self.envelopes
         ]
@@ -120,21 +127,30 @@ def read_trace(path: Path | str) -> TraceLog:
 
     Records are split on newlines only: a body may hold U+2028, U+2029 or
     U+0085 raw, which ``str.splitlines`` would also break at.
+
+    A line the JSON scanner reads whole, from its first character to its
+    last, is taken as scanned; any other goes through ``json.loads``, which
+    accepts it or raises, so every line reads as ``json.loads`` reads it.
     """
     run_id: str | None = None
     envelopes: list[MessageEnvelope] = []
     last_seq = 0
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
-        if not line.strip():
+        if not line or line.isspace():
             continue
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(line_no, f"invalid JSON: {exc}") from None
+            record, end = _scan(line, 0)
+        except (StopIteration, ValueError):
+            end = -1
+        if end != len(line):
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise TraceFormatError(line_no, f"invalid JSON: {exc}") from None
         if not isinstance(record, dict):
             raise TraceFormatError(line_no, "envelope record must be a JSON object")
-        missing = [key for key in _TRACE_FIELDS if key not in record]
-        if missing:
+        if not record.keys() >= _TRACE_KEYS:
+            missing = [key for key in _TRACE_FIELDS if key not in record]
             raise TraceFormatError(line_no, f"missing fields: {', '.join(missing)}")
         if not isinstance(record["run_id"], str):
             raise TraceFormatError(line_no, "run_id must be a string")
@@ -294,7 +310,7 @@ class Violation:
         }
         if self.offending_value is not None:
             record["offending_value"] = self.offending_value
-        return json.dumps(record, ensure_ascii=False)
+        return _encode(record)
 
 
 def check_trace(

@@ -66,11 +66,17 @@ class CaseToken:
     hex: str
 
     def __post_init__(self) -> None:
-        if not TOKEN_RE.fullmatch(self.hex):
-            raise ValueError("token must be 64 lowercase hex characters")
+        check_token_hex(self.hex)
 
     def __str__(self) -> str:
         return self.hex
+
+
+def check_token_hex(value: str) -> str:
+    """``value``, if it is 64 lowercase hex characters; else ``ValueError``."""
+    if not TOKEN_RE.fullmatch(value):
+        raise ValueError("token must be 64 lowercase hex characters")
+    return value
 
 
 def canonical_id(raw: str) -> str:

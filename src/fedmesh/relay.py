@@ -69,6 +69,9 @@ MAX_REQUEST_BYTES = 1 << 20
 
 _REQUEST_FIELDS = ("operation_id", "access_key", "conversation_id", "body")
 
+# json.dumps(obj, ensure_ascii=False) would build an encoder per call.
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
 
 @dataclass(frozen=True)
 class RelayTarget:
@@ -97,14 +100,13 @@ class RelayRequest:
             raise ValueError("request body must be non-empty")
 
     def to_json(self) -> str:
-        return json.dumps(
+        return _encode(
             {
                 "operation_id": self.operation_id,
                 "access_key": self.access_key,
                 "conversation_id": self.conversation_id,
                 "body": self.body,
-            },
-            ensure_ascii=False,
+            }
         )
 
     @classmethod
@@ -142,11 +144,8 @@ class RelayResponse:
 
     def to_json(self) -> str:
         if self.status == "ok":
-            return json.dumps({"status": "ok", "body": self.body}, ensure_ascii=False)
-        return json.dumps(
-            {"status": "error", "error": {"code": self.error_code, "message": self.error_message}},
-            ensure_ascii=False,
-        )
+            return _encode({"status": "ok", "body": self.body})
+        return _encode({"status": "error", "error": {"code": self.error_code, "message": self.error_message}})
 
     def trace_body(self) -> str:
         """The reply as its caller records it in the trace."""
@@ -223,7 +222,9 @@ class HttpTransport:
     closed is dropped before use, and one is never pooled after
     ``Connection: close`` or an HTTP/1.0 response. A request is never sent
     twice: any failure closes its connection and raises
-    ``RelayTransportError``. Proxy environment variables are not consulted.
+    ``RelayTransportError``. ``sends`` and ``bytes_sent`` count a request
+    once a connected socket has taken all of it. Proxy environment
+    variables are not consulted.
     """
 
     def __init__(self, timeout: float = DEFAULT_TIMEOUT_SECONDS) -> None:
@@ -239,13 +240,13 @@ class HttpTransport:
         route = self._routes.get(target) or self._routes.setdefault(target, _route(target))
         payload = request.to_json().encode("utf-8")
         connection = self._checkout(route.key)
-        with self._lock:
-            self.sends += 1
-            self.bytes_sent += len(payload)
         try:
             if connection is None:
                 connection = self._open(route.key)
             connection.sock.sendall(route.head + b"%d\r\n\r\n" % len(payload) + payload)
+            with self._lock:
+                self.sends += 1
+                self.bytes_sent += len(payload)
             raw, reusable = _read_response(connection)
         except (OSError, ValueError) as exc:
             if connection is not None:

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import csv
+import importlib.util
 import string
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -12,6 +15,9 @@ from hypothesis import example, given, settings, strategies as st
 from fedmesh import datastore
 from fedmesh.datastore import (
     Q,
+    ClinicalObservation,
+    CoverageRule,
+    EnrollmentRow,
     EnrollmentStatus,
     MatchMode,
     ProtectedSpec,
@@ -31,7 +37,8 @@ from fedmesh.datastore import (
 )
 from fedmesh.errors import ConfigError, RowError, SchemaError
 from fedmesh.locality import Topology, scan_outbound
-from fedmesh.pseudonym import CaseToken, SecretSource, derive_token, load_secret, normalize_id
+from fedmesh.pseudonym import CanonicalId, CaseToken, SecretSource, derive_token, load_secret, normalize_id
+from fedmesh.scenario import boot_scenario, load_audit_context
 
 from conftest import GOLDEN_TOKENS, hmac_sha256_reference, oracle_scan
 
@@ -312,7 +319,8 @@ _HEX = "0123456789abcdef"
     probe_tokens=st.lists(st.text(_HEX, min_size=64, max_size=64), max_size=3),
 )
 def test_dict_lookups_agree_with_linear_scan(ids, lower_ids, tokens, rules, probe_ids, probe_tokens):
-    """Each keyed lookup returns what a scan over the store's rows finds."""
+    """Each keyed lookup returns the record a scan over records built from
+    the CSV files by plain reference code finds."""
     raw_ids = [f"cln-{i:04d}" if lower_ids else f"CLN-{i:04d}" for i in sorted(ids)]
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -320,28 +328,108 @@ def test_dict_lookups_agree_with_linear_scan(ids, lower_ids, tokens, rules, prob
             f"{pid},Name {n},1970-01-01,\n" for n, pid in enumerate(raw_ids)))
         (root / "obs.csv").write_text(
             "patient_id,symptom_class,duration_weeks,functional_limitation,prior_conservative_tx\n"
-            + "".join(f"{pid},mild,{n},walks,—\n" for n, pid in enumerate(raw_ids[::2])))
+            + "".join(f"{pid}, {('mild', 'severe')[n % 2]} ,{n}, walks ,{('—', ' a; b ;')[n % 2]}\n"
+                      for n, pid in enumerate(raw_ids[::2])))
         (root / "enrollment.csv").write_text("subject_token,insurance_number,plan_id,status\n" + "".join(
-            f"{token},INS-{n},PLAN-A,active\n" for n, token in enumerate(sorted(tokens))))
+            f"{token},INS-{n},PLAN-A,{('active', 'inactive')[n % 2]}\n"
+            for n, token in enumerate(sorted(tokens))))
         (root / "rules.csv").write_text("plan_id,treatment_code,covered,prerequisites\n" + "".join(
             f"{plan},{code},{'yes' if n % 2 else 'no'},—\n" for n, (plan, code) in enumerate(sorted(rules))))
         clinic, _ = load_clinic_store(root / "obs.csv", root / "patients.csv")
         insurer, _ = load_insurer_store(root / "enrollment.csv", root / "rules.csv")
+        observations, enrollment, coverage = _reference_records(root)
 
     for i in sorted(ids) + probe_ids:
         cid = normalize_id(f"CLN-{i:04d}")
-        linear = next((obs for obs in clinic.observations.values() if obs.patient_id == cid), None)
+        linear = next((obs for obs in observations if obs.patient_id == cid), None)
         assert lookup_observation(clinic, cid) == linear
     for token in sorted(tokens) + probe_tokens:
-        linear = next((row for row in insurer.enrollment.values() if row.subject_token.hex == token), None)
+        linear = next((row for row in enrollment if row.subject_token.hex == token), None)
         assert match_enrollment(insurer, token) == linear
         assert match_enrollment(insurer, CaseToken(token)) == linear
         assert match_enrollment(insurer, token.upper()) == (linear if token == token.upper() else None)
     for plan in ("PLAN-A", "PLAN-B", "plan-a", "PLAN-C"):
         for code in ("physio", "injection", "surgery"):
-            linear = next((rule for rule in insurer.rules.values()
-                           if (rule.plan_id, rule.treatment_code) == (plan, code)), None)
+            linear = next(
+                (rule for rule in coverage if (rule.plan_id, rule.treatment_code) == (plan, code)), None
+            )
             assert coverage_rule(insurer, plan, code) == linear
+
+
+def _codes(cell: str) -> tuple[str, ...]:
+    cell = cell.strip()
+    return () if cell in ("", "—") else tuple(code.strip() for code in cell.split(";") if code.strip())
+
+
+def _reference_records(root: Path):
+    """Every row of ``obs.csv``, ``enrollment.csv`` and ``rules.csv`` under
+    ``root`` as its typed record, in file order."""
+
+    def rows(name):
+        with (root / name).open(newline="", encoding="utf-8") as fh:
+            return list(csv.DictReader(fh))
+
+    observations = [
+        ClinicalObservation(
+            patient_id=CanonicalId(row["patient_id"].strip().upper()),
+            symptom_class=SymptomClass(row["symptom_class"].strip()),
+            duration_weeks=int(row["duration_weeks"]),
+            functional_limitation=row["functional_limitation"].strip(),
+            prior_conservative_tx=_codes(row["prior_conservative_tx"]),
+        )
+        for row in rows("obs.csv")
+    ]
+    enrollment = [
+        EnrollmentRow(
+            subject_token=CaseToken(row["subject_token"].strip()),
+            insurance_number=row["insurance_number"].strip(),
+            plan_id=row["plan_id"].strip(),
+            status=EnrollmentStatus(row["status"].strip()),
+        )
+        for row in rows("enrollment.csv")
+    ]
+    coverage = [
+        CoverageRule(
+            plan_id=row["plan_id"].strip(),
+            treatment_code=row["treatment_code"].strip(),
+            covered=row["covered"].strip().lower() == "yes",
+            prerequisites=_codes(row["prerequisites"]),
+        )
+        for row in rows("rules.csv")
+    ]
+    return observations, enrollment, coverage
+
+
+_GENERATOR_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workspace.py"
+
+
+def test_loading_builds_no_per_row_record(tmp_path, monkeypatch):
+    """Boot and audit set-up validate every row of a 200-patient workspace
+    without building a typed record or identifier per row; a lookup builds
+    the one record it returns."""
+    spec = importlib.util.spec_from_file_location("perfbench_workspace", _GENERATOR_PATH)
+    generator = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, generator)  # its dataclasses look it up
+    spec.loader.exec_module(generator)
+    demo = generator.generate_workspace(tmp_path, 200, seed=3).demo
+
+    built: Counter[str] = Counter()
+    for cls in (ClinicalObservation, CanonicalId, EnrollmentRow, CaseToken):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    scenario = boot_scenario(demo.node_configs, run_id="run-no-records")
+    scenario.close()
+    load_audit_context(demo.topology_config)
+    assert built == Counter()
+
+    clinic, insurer = scenario.nodes["clinic"].datasets["clinic"], scenario.nodes["insurer"].datasets["insurer"]
+    assert lookup_observation(clinic, normalize_id("CLN-0200")) is not None
+    assert match_enrollment(insurer, GOLDEN_TOKENS["CLN-0001"]) is not None
+    assert built == Counter(CanonicalId=1, ClinicalObservation=1, EnrollmentRow=1, CaseToken=1)
 
 
 # --- guidance ---

@@ -145,21 +145,42 @@ _KINDS = [
 ]
 
 
+# What a value adds to the body: most often nothing, else the value itself
+# or a near miss of it. A near miss is the value less its first or last
+# character, which keeps all but one of its grams, or the value in another
+# case, which keeps all its folded grams but is no exact match.
+_PIECES = (
+    lambda v: "", lambda v: "", lambda v: "",
+    lambda v: v, lambda v: v[1:], lambda v: v[:-1], str.upper, str.swapcase,
+)
+
+
 @st.composite
 def _index_and_body(draw):
     """An index and a body, drawn so that a failure shrinks in about a
     minute: a dense or long value's column and kind are one draw, the long
     values have no minimum number, and the index order is one draw, taken
-    last, so that shrinking it changes no other draw."""
-    entries = draw(st.lists(st.builds(
-        ProtectedValue,
-        value=st.one_of(st.text(_ALPHABET, max_size=5), st.text(max_size=12)),  # empty and blank too
-        source_column=st.sampled_from(_COLUMNS),
-        match=st.sampled_from(MatchMode),
-        allowed_to=_WHITELISTS,
+    last, so that shrinking it changes no other draw.
+
+    Each listed or long value's kind draw also picks the piece it adds to
+    the body (``_PIECES``), so hits and near misses are common. Hypothesis
+    makes most examples by copying one part of an earlier example over
+    another part drawn by the same strategy; a copied value or kind then
+    changes the body too."""
+    listed_kinds = st.sampled_from([
+        (column, match, piece) for column in _COLUMNS for match in MatchMode for piece in _PIECES
+    ])
+    listed = draw(st.lists(st.tuples(
+        st.one_of(st.text(_ALPHABET, max_size=5), st.text(max_size=12)),  # empty and blank too
+        listed_kinds,
+        _WHITELISTS,
     ), max_size=12))
+    entries = [
+        ProtectedValue(value, column, match, allowed_to) for value, (column, match, _), allowed_to in listed
+    ]
     dense_kinds = st.sampled_from([(column, match) for column in _COLUMNS for match in MatchMode])
-    for value in draw(st.one_of(st.just([]), _DENSE)):
+    dense = draw(st.one_of(st.just([]), _DENSE))
+    for value in dense:
         entries.append(ProtectedValue(value, *draw(dense_kinds)))
     # Each long value takes one of two to four kinds, the first of them
     # always the strictest (``exact``, no whitelist), so the index's one
@@ -167,35 +188,30 @@ def _index_and_body(draw):
     # columns.
     kinds = [_KINDS[0]] + draw(st.lists(st.sampled_from(_KINDS[1:]), min_size=1, max_size=3, unique=True))
     long_kinds = st.sampled_from([
-        (kind, columns) for kind in kinds for columns in (["col_a"], ["col_b"], _COLUMNS)
+        (kind, columns, piece)
+        for kind in kinds for columns in (["col_a"], ["col_b"], _COLUMNS) for piece in _PIECES
     ])
     # Up to 64 long values. Each one goes on with a draw that is 0 one time
     # in 64, not with a list's minimum size, so that a failure shrinks to
     # the values it needs.
-    long_values: list[str] = []
-    while len(long_values) < 64 and draw(st.integers(0, 63)):
-        value, ((match, allowed_to), columns) = draw(st.tuples(_LONG, long_kinds))
+    long_pieces: list[str] = []
+    while len(long_pieces) < 64 and draw(st.integers(0, 63)):
+        value, ((match, allowed_to), columns, piece) = draw(st.tuples(_LONG, long_kinds))
         entries += [ProtectedValue(value, column, match, allowed_to) for column in columns]
-        long_values.append(value)
-    # Bodies are spliced from indexed values, values less their first or
-    # last character (which keep all but one of their grams), values in
-    # another case (which keep all their folded grams, but are no exact
-    # match) and free text, so hits and near misses are common. A body
-    # leads with a long value or one of its near misses, when there are
-    # any, and then takes no long free text.
-    def near_misses(v: str) -> st.SearchStrategy[str]:
-        return st.sampled_from([v[1:], v[:-1], v.upper(), v.swapcase()])
-
+        long_pieces.append(piece(value))
+    # A body leads with the long values' pieces, which a cut below keeps
+    # longest, then the listed values' pieces, then free text or a dense
+    # value or a near miss of one. It takes no long free text when there
+    # are long values.
     pieces = st.text(_ALPHABET, max_size=4)
-    if not long_values:
+    if not long_pieces:
         pieces = st.one_of(pieces, st.text(max_size=50))
-    if entries:
-        values = st.sampled_from([e.value for e in entries])
-        pieces = st.one_of(pieces, values, values.flatmap(near_misses))
-    body = "".join(draw(st.lists(pieces, max_size=4)))
-    if long_values:
-        lead = st.sampled_from(long_values)
-        body = draw(st.one_of(lead, lead.flatmap(near_misses))) + body
+    if dense:
+        pieces = st.one_of(pieces, st.tuples(st.sampled_from(dense), st.sampled_from(_PIECES[3:])).map(
+            lambda drawn: drawn[1](drawn[0])
+        ))
+    body = "".join(long_pieces + [piece(value) for value, (_, _, piece), _ in listed])
+    body += "".join(draw(st.lists(pieces, max_size=2)))
     # The gram table looks the folded body's windows up when its positions
     # outnumber them, else tests each position with ``in``. The body is
     # padded up to that count or cut below it, in about equal shares, so
@@ -455,6 +471,57 @@ def test_read_trace_rejects_a_run_id_that_is_not_a_string(tmp_path):
         read_trace(path)
     assert err.value.line == 1
 
+
+_GOOD_RECORD = _records("r").strip()
+
+# Each line's error text, as json.loads and the field checks word it.
+_MALFORMED_LINES = {
+    "byte-order-mark": (
+        "\ufeff" + _GOOD_RECORD,
+        "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)",
+    ),
+    "ideographic-space": ("\u3000" + _GOOD_RECORD, "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    "leading-space-truncated": ('  {"run_id": ', "invalid JSON: Expecting value: line 1 column 14 (char 13)"),
+    "extra-data": (_GOOD_RECORD + " x", "invalid JSON: Extra data: line 1 column 110 (char 109)"),
+    "two-records": (_GOOD_RECORD * 2, "invalid JSON: Extra data: line 1 column 109 (char 108)"),
+    "array": ("[1, 2]", "envelope record must be a JSON object"),
+    "bare-string": ('"hello"', "envelope record must be a JSON object"),
+    "truncated-object": (
+        _GOOD_RECORD[:40], "invalid JSON: Unterminated string starting at: line 1 column 40 (char 39)",
+    ),
+    "unquoted-key": (
+        "{not json", "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+    ),
+    "control-character": (
+        _GOOD_RECORD.replace('"x"', '"a\x01b"'),
+        "invalid JSON: Invalid control character at: line 1 column 107 (char 106)",
+    ),
+    "missing-fields": (
+        '{"run_id": "r", "seq": 1, "body": "x"}', "missing fields: from, to, operation_id, conversation_id",
+    ),
+    "nan-seq": (_GOOD_RECORD.replace('"seq": 1', '"seq": NaN'), "cannot convert float NaN to integer"),
+    "string-seq": (
+        _GOOD_RECORD.replace('"seq": 1', '"seq": "one"'), "invalid literal for int() with base 10: 'one'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_LINES))
+def test_read_trace_words_each_malformed_line_as_json_loads_does(tmp_path, case):
+    line, message = _MALFORMED_LINES[case]
+    path = tmp_path / "trace.jsonl"
+    path.write_text(_GOOD_RECORD + "\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(TraceFormatError) as err:
+        read_trace(path)
+    assert str(err.value) == f"line 2: {message}"
+
+
+@pytest.mark.parametrize("line", [" " + _GOOD_RECORD, _GOOD_RECORD + "\t", " \t" + _GOOD_RECORD + "  "])
+def test_read_trace_accepts_whitespace_around_a_record(tmp_path, line):
+    path = tmp_path / "trace.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    (envelope,) = read_trace(path).envelopes
+    assert (envelope.sent_at, envelope.body) == (1, "x")
 
 def test_read_trace_empty_file(tmp_path):
     path = tmp_path / "trace.jsonl"

@@ -381,6 +381,17 @@ def test_http_transport_rejects_unusable_url_before_sending(url):
     assert (transport.sends, transport.bytes_sent) == (0, 0)
 
 
+def test_http_transport_counts_no_send_the_peer_refused():
+    with socket.socket() as bound:  # bound, never listening: a connect is refused
+        bound.bind(("127.0.0.1", 0))
+        target = _specialist_target(f"http://127.0.0.1:{bound.getsockname()[1]}/")
+        transport = HttpTransport()
+        with pytest.raises(RelayTransportError) as err:
+            transport.send(target, _consult_request())
+    assert isinstance(err.value.__cause__, ConnectionRefusedError)
+    assert (transport.sends, transport.bytes_sent) == (0, 0)
+
+
 def test_closing_a_network_scenario_ends_its_threads(workspace):
     before = threading.active_count()
     scenario = boot_scenario(workspace.node_configs, transport="network", run_id="run-relay-threads")
