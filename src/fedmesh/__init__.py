@@ -32,16 +32,15 @@ from .locality import (
     read_trace,
     scan_outbound,
 )
-from .policies import (
+from .messages import (
     CoverageInquiry,
     CoverageVerdict,
     Recommendation,
     SpecialistConsult,
-    infer_treatment,
     parse_inquiry,
-    prerequisites_satisfied,
     render_inquiry,
 )
+from .policies import infer_treatment, prerequisites_satisfied
 from .pseudonym import CanonicalId, CaseToken, SecretKey, derive_token, load_secret, normalize_id
 from .relay import RelayRequest, RelayResponse, RelayTarget, relay_call, serve
 from .runtime import Node, OperationConfig, OperationResponse, handle_operation

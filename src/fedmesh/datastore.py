@@ -5,15 +5,16 @@ the specialist guidance extracts, typed lookups, and the protected-value
 index that feeds the outbound leak guard. Every row is validated when its
 table loads, and the clinic and insurer stores keep each row as a tuple of
 its validated, normalised cells; a lookup builds the typed record of the
-one row it finds. Stores are immutable after load; concurrent reads need no
-coordination.
+one row it finds. An observation row must also obey the rules of the
+messages that carry its cells, so that a row that loads can always be sent.
+Stores are immutable after load; concurrent reads need no coordination.
+How a record is written as a tool result is ``messages``' concern.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
-import io
 import re
 import struct
 from array import array
@@ -91,15 +92,6 @@ class Table:
         """Each row's cells of two or more present ``columns``, in that order."""
         return map(itemgetter(*map(self.header.index, columns)), self.rows)
 
-    def to_csv(self) -> str:
-        """Serialise back to CSV; reproduces the source modulo line endings
-        and a leading byte-order mark."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.header)
-        writer.writerows(self.rows)
-        return buf.getvalue()
-
 
 def read_table(path: Path | str, name: str, required: Sequence[str]) -> Table:
     """Load a header-prefixed CSV file whose header names the required
@@ -133,6 +125,20 @@ def read_table(path: Path | str, name: str, required: Sequence[str]) -> Table:
             rows.append(tuple(cells))
             lines.append(line)
     return Table(name=name, header=tuple(header), rows=tuple(rows), lines=tuple(lines))
+
+
+# A treatment code, as the messages carry it: a letter, then letters, digits
+# or underscores.
+TREATMENT_CODE_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
+
+def check_treatment_code(code: str, what: str) -> None:
+    """Raise ``ValueError`` unless ``code`` is a treatment code; ``none``
+    is not one, since the messages write it for an empty list."""
+    if not TREATMENT_CODE_RE.fullmatch(code):
+        raise ValueError(f"{what} {code!r} is not a valid code")
+    if code == "none":
+        raise ValueError(f"{what} must not be the literal 'none'")
 
 
 def _split_codes(cell: str) -> tuple[str, ...]:
@@ -207,9 +213,16 @@ def _parse_observation(cells: tuple[str, ...], line: int) -> tuple[str, _Observa
     weeks = duration_weeks.strip()
     if not (weeks.isascii() and weeks.isdigit()):
         raise RowError(line, "invalid duration_weeks: expected ASCII digits")
-    return _patient_id(patient_id, line), (
-        symptom, int(weeks), functional_limitation.strip(), _split_codes(prior_tx),
-    )
+    limitation = functional_limitation.strip()
+    if not limitation or "\n" in limitation or "\r" in limitation:
+        raise RowError(line, "invalid functional_limitation: expected one non-empty line")
+    steps = _split_codes(prior_tx)
+    try:
+        for step in steps:
+            check_treatment_code(step, "step")
+    except ValueError:
+        raise RowError(line, "invalid prior_conservative_tx: expected treatment codes") from None
+    return _patient_id(patient_id, line), (symptom, int(weeks), limitation, steps)
 
 
 def _parse_patient(cells: tuple[str, ...], line: int) -> str:
@@ -415,108 +428,6 @@ def load_guidance(dir_path: Path | str) -> list[GuidanceDoc]:
     docs: list[GuidanceDoc] = []
     for path in sorted(Path(dir_path).glob("*.md")):
         docs.append(parse_guidance_text(path.name, path.read_text(encoding="utf-8")))
-    return docs
-
-
-# ---------------------------------------------------------------------------
-# Tool-facing text rendering
-#
-# Tool results are plain text by contract. These renderers and their parsing
-# counterparts define the stable key-value format the deterministic policies
-# rely on; they never leave the node.
-# ---------------------------------------------------------------------------
-
-NO_OBSERVATION = "no matching observation"
-NO_ENROLLMENT = "no matching enrollment"
-NO_COVERAGE_RULE = "no coverage rule"
-NO_GUIDANCE = "no guidance found"
-
-
-def render_observation_text(obs: ClinicalObservation) -> str:
-    return "\n".join(
-        [
-            f"patient_id: {obs.patient_id.value}",
-            f"symptom_class: {obs.symptom_class.value}",
-            f"duration_weeks: {obs.duration_weeks}",
-            f"functional_limitation: {obs.functional_limitation}",
-            f"prior_conservative_tx: {';'.join(obs.prior_conservative_tx)}",
-        ]
-    )
-
-
-def render_enrollment_text(row: EnrollmentRow) -> str:
-    return "\n".join(
-        [
-            f"subject_token: {row.subject_token.hex}",
-            f"insurance_number: {row.insurance_number}",
-            f"plan_id: {row.plan_id}",
-            f"status: {row.status.value}",
-        ]
-    )
-
-
-def render_rule_text(rule: CoverageRule) -> str:
-    return "\n".join(
-        [
-            f"plan_id: {rule.plan_id}",
-            f"treatment_code: {rule.treatment_code}",
-            f"covered: {'yes' if rule.covered else 'no'}",
-            f"prerequisites: {';'.join(rule.prerequisites)}",
-        ]
-    )
-
-
-def render_guidance_text(docs: Sequence[GuidanceDoc]) -> str:
-    lines: list[str] = []
-    for doc in docs:
-        lines.append(f"doc: {doc.doc_id}")
-        for band, description in doc.severity_bands.items():
-            lines.append(f"band {band}: {description}")
-        for step_no, step in enumerate(doc.ladder, start=1):
-            lines.append(f"ladder {step_no}: {step}")
-        for flag in doc.red_flags:
-            lines.append(f"red_flag: {flag}")
-    return "\n".join(lines)
-
-
-def parse_kv_lines(text: str) -> dict[str, str]:
-    """Parse ``key: value`` lines as produced by the row renderers."""
-    values: dict[str, str] = {}
-    for line in text.split("\n"):
-        key, sep, value = line.partition(": ")
-        if sep and key not in values:
-            values[key] = value
-    return values
-
-
-def parse_guidance_result(text: str) -> list[GuidanceDoc]:
-    """Reconstruct guidance documents from a guidance_search tool result."""
-    docs: list[GuidanceDoc] = []
-    doc_id: str | None = None
-    bands: dict[str, str] = {}
-    ladder: list[str] = []
-    flags: list[str] = []
-
-    def flush() -> None:
-        nonlocal bands, ladder, flags
-        if doc_id is not None:
-            docs.append(GuidanceDoc(doc_id, dict(bands), tuple(ladder), tuple(flags)))
-        bands, ladder, flags = {}, [], []
-
-    for line in text.split("\n"):
-        key, sep, value = line.partition(": ")
-        if not sep:
-            continue
-        if key == "doc":
-            flush()
-            doc_id = value
-        elif key.startswith("band "):
-            bands[key[len("band "):]] = value
-        elif key.startswith("ladder "):
-            ladder.append(value)
-        elif key == "red_flag":
-            flags.append(value)
-    flush()
     return docs
 
 

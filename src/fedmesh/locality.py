@@ -167,7 +167,7 @@ def read_trace(path: Path | str) -> TraceLog:
                 body=str(record["body"]),
                 sent_at=int(record["seq"]),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: a seq of ±Infinity
             raise TraceFormatError(line_no, str(exc)) from None
         if env.sent_at <= last_seq:
             raise TraceFormatError(line_no, "sequence numbers must be strictly increasing")

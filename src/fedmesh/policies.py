@@ -1,42 +1,53 @@
-"""Deterministic agent policies and the message vocabulary they speak.
+"""Deterministic agent policies.
 
-Cross-node bodies are natural-language paragraphs built from labelled-line
-templates: human-readable, but parseable without a model in the loop. Two
-templates cross node boundaries (the coverage inquiry and the specialist
-consultation), one response format comes back from the specialist, and the
-insurer's final verdict carries four labelled fields. The exact formats are
-documented in the README; render/parse pairs round-trip by construction.
+Each policy reads the message it was sent and the tool results of its turns
+so far, and writes the next message; every text format they read or write
+is defined in ``messages``.
 
 The three policies are pure functions of (request body, tool history):
 given identical inputs they produce identical turns across runs and
 processes, which is what makes the end-to-end transcript testable. Each
-instance keeps its last parse, so the turns of one operation, which all
-carry the same text, parse it once; a different text only misses.
+decide reads the last result of each tool from the history. Each instance
+keeps its last parse by each parser, so the turns of one operation, which
+all carry the same texts, parse each once; a different text only misses.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, fields
-from enum import Enum
 from typing import Any, Callable, Mapping, Sequence
 
 from .datastore import (
+    TREATMENT_CODE_RE,
     ClinicalObservation,
     CoverageRule,
     EnrollmentStatus,
     GuidanceDoc,
-    NO_COVERAGE_RULE,
-    NO_ENROLLMENT,
-    NO_GUIDANCE,
-    NO_OBSERVATION,
     SymptomClass,
-    parse_guidance_result,
-    parse_kv_lines,
 )
 from .errors import ConfigError, ParseError
 from .locality import PATIENT_ID_RE
-from .pseudonym import CaseToken, normalize_id
+from .messages import (
+    Appropriateness,
+    CoverageInquiry,
+    CoverageStatus,
+    CoverageVerdict,
+    Recommendation,
+    SpecialistConsult,
+    parse_consult,
+    parse_enrollment_text,
+    parse_guidance_result,
+    parse_inquiry,
+    parse_observation_text,
+    parse_recommendation,
+    parse_rule_text,
+    render_consult,
+    render_inquiry,
+    render_recommendation,
+    render_verdict,
+)
+from .pseudonym import CaseToken
 from .runtime import AgentPolicy, PolicyDecision, ToolCall, ToolExchange
 
 TREATMENT_CONSERVATIVE = "conservative_management"
@@ -46,285 +57,12 @@ TREATMENT_PHYSIO_COURSE = "physiotherapy_course"
 PREREQ_PHYSIO = "physiotherapy_6_weeks"
 PREREQ_ANALGESIA = "failed_simple_analgesia"
 
-_CODE_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_EXPLICIT_TREATMENT_RE = re.compile(r"\bfor\s+([A-Za-z][A-Za-z0-9_]*)(?![\w-])")
-
-
-class Appropriateness(str, Enum):
-    APPROPRIATE_NOW = "appropriate_now"
-    APPROPRIATE_AFTER_STEPS = "appropriate_after_steps"
-    NOT_CURRENTLY_APPROPRIATE = "not_currently_appropriate"
-
-
-class CoverageStatus(str, Enum):
-    COVERED = "covered"
-    COVERED_WITH_PREREQUISITES = "covered_with_prerequisites"
-    NOT_COVERED = "not_covered"
-
-
-_APPROPRIATENESS_LABELS = {
-    Appropriateness.APPROPRIATE_NOW: "Appropriate now",
-    Appropriateness.APPROPRIATE_AFTER_STEPS: "Appropriate after steps",
-    Appropriateness.NOT_CURRENTLY_APPROPRIATE: "Not currently appropriate",
-}
-_APPROPRIATENESS_BY_LABEL = {label: value for value, label in _APPROPRIATENESS_LABELS.items()}
-
-_COVERAGE_LABELS = {
-    CoverageStatus.COVERED: "Covered",
-    CoverageStatus.COVERED_WITH_PREREQUISITES: "Covered with prerequisites",
-    CoverageStatus.NOT_COVERED: "Not covered",
-}
-_COVERAGE_BY_LABEL = {label: value for value, label in _COVERAGE_LABELS.items()}
-
-
-def _validate_code(code: str, what: str) -> None:
-    if not _CODE_RE.fullmatch(code):
-        raise ValueError(f"{what} {code!r} is not a valid code")
-    if code == "none":
-        raise ValueError(f"{what} must not be the literal 'none'")
-
-
-def _validate_clinical(facts: CoverageInquiry | SpecialistConsult) -> None:
-    """Check the clinical facts both message types carry."""
-    limitation = facts.functional_limitation
-    if facts.duration_weeks < 0:
-        raise ValueError("duration must be non-negative")
-    if not limitation:
-        raise ValueError("functional limitation must be non-empty")
-    if "\n" in limitation or "\r" in limitation:
-        raise ValueError("functional limitation must be a single line")
-    for code in facts.prior_tx:
-        _validate_code(code, "treatment step")
-    _validate_code(facts.proposed_treatment, "proposed treatment")
-
-
-@dataclass(frozen=True)
-class CoverageInquiry:
-    """What the clinic sends the insurer: a token and clinical facts only.
-
-    There are no identity fields on this type; the token is the only link.
-    """
-
-    patient_token: CaseToken
-    symptom_class: SymptomClass
-    duration_weeks: int
-    functional_limitation: str
-    prior_tx: tuple[str, ...]
-    proposed_treatment: str
-
-    def __post_init__(self) -> None:
-        _validate_clinical(self)
-
-
-@dataclass(frozen=True)
-class SpecialistConsult:
-    """What the insurer sends the specialist: the clinical narrative only.
-
-    No token field exists on this type, so token stripping is structural.
-    """
-
-    symptom_class: SymptomClass
-    duration_weeks: int
-    functional_limitation: str
-    prior_tx: tuple[str, ...]
-    proposed_treatment: str
-
-    def __post_init__(self) -> None:
-        _validate_clinical(self)
+_EXPLICIT_TREATMENT_RE = re.compile(rf"\bfor\s+({TREATMENT_CODE_RE.pattern})(?![\w-])")
 
 
 def consult_from_inquiry(inquiry: CoverageInquiry) -> SpecialistConsult:
     """Copy the consult's fields from the inquiry; the consult has no token field."""
     return SpecialistConsult(**{f.name: getattr(inquiry, f.name) for f in fields(SpecialistConsult)})
-
-
-@dataclass(frozen=True)
-class Recommendation:
-    verdict: Appropriateness
-    reasoning: str
-    next_steps: str | None
-    source_doc: str
-
-
-@dataclass(frozen=True)
-class CoverageVerdict:
-    coverage: CoverageStatus
-    prerequisites_outstanding: tuple[str, ...]
-    appropriateness: Recommendation
-    summary: str
-    next_steps: str
-
-    def __post_init__(self) -> None:
-        if self.coverage is CoverageStatus.COVERED_WITH_PREREQUISITES and not self.prerequisites_outstanding:
-            raise ValueError("covered_with_prerequisites requires outstanding prerequisites")
-
-
-# ---------------------------------------------------------------------------
-# Message templates
-# ---------------------------------------------------------------------------
-
-_INQUIRY_HEADER = "Coverage inquiry for patient_token="
-_CONSULT_HEADER = "Specialist consultation request."
-_INQUIRY_FOOTER = "Please advise coverage and any prerequisites."
-_CONSULT_FOOTER = "Please advise clinical appropriateness."
-
-_PRESENTATION_RE = re.compile(
-    r"^Presentation: (mild|moderate|severe) symptoms, (\d+) weeks; limitation: (.*)\.$"
-)
-_PRIOR_RE = re.compile(r"^Prior management: (.*)\.$")
-_PROPOSED_RE = re.compile(r"^Proposed treatment: ([A-Za-z][A-Za-z0-9_]*)\.$")
-
-_REC_VERDICT_RE = re.compile(
-    r"^Recommendation: (Appropriate now|Appropriate after steps|Not currently appropriate)\.$"
-)
-_REC_REASONING_RE = re.compile(r"^Reasoning: (.*)$")
-_REC_NEXT_RE = re.compile(r"^Next steps: (.*)$")
-_REC_REF_RE = re.compile(r"^\(ref: (.+)\)$")
-
-_VERDICT_COVERAGE_RE = re.compile(r"^Coverage: (Covered with prerequisites|Covered|Not covered)$")
-_VERDICT_OUTSTANDING_RE = re.compile(r"^Outstanding prerequisites: (.*)$")
-_VERDICT_APPROPRIATENESS_RE = re.compile(
-    r"^Clinical Appropriateness: (Appropriate now|Appropriate after steps|Not currently appropriate)$"
-)
-_VERDICT_SUMMARY_RE = re.compile(r"^Summary: (.*)$")
-_VERDICT_NEXT_RE = re.compile(r"^Next Steps: (.*)$")
-
-
-def _clinical_lines(facts: CoverageInquiry | SpecialistConsult) -> list[str]:
-    prior = "; ".join(facts.prior_tx) if facts.prior_tx else "none"
-    return [
-        f"Presentation: {facts.symptom_class.value} symptoms, {facts.duration_weeks} weeks; "
-        f"limitation: {facts.functional_limitation}.",
-        f"Prior management: {prior}.",
-        f"Proposed treatment: {facts.proposed_treatment}.",
-    ]
-
-
-def render_inquiry(inquiry: CoverageInquiry) -> str:
-    return "\n".join(
-        [_INQUIRY_HEADER + inquiry.patient_token.hex, *_clinical_lines(inquiry), _INQUIRY_FOOTER]
-    )
-
-
-def render_consult(consult: SpecialistConsult) -> str:
-    return "\n".join([_CONSULT_HEADER, *_clinical_lines(consult), _CONSULT_FOOTER])
-
-
-def _first_match(lines: Sequence[str], pattern: re.Pattern[str], field: str) -> re.Match[str]:
-    for line in lines:
-        match = pattern.fullmatch(line)
-        if match:
-            return match
-    raise ParseError(field)
-
-
-def _parse_clinical_lines(lines: Sequence[str]) -> dict[str, Any]:
-    """The five clinical fields, by name, as ``_clinical_lines`` wrote them."""
-    presentation = _first_match(lines, _PRESENTATION_RE, "presentation")
-    prior_text = _first_match(lines, _PRIOR_RE, "prior_management").group(1)
-    if prior_text == "none":
-        prior: tuple[str, ...] = ()
-    else:
-        prior = tuple(prior_text.split("; "))
-        if not all(_CODE_RE.fullmatch(part) for part in prior):
-            raise ParseError("prior_management", f"invalid treatment codes: {prior_text!r}")
-    return {
-        "symptom_class": SymptomClass(presentation.group(1)),
-        "duration_weeks": int(presentation.group(2)),
-        "functional_limitation": presentation.group(3),
-        "prior_tx": prior,
-        "proposed_treatment": _first_match(lines, _PROPOSED_RE, "proposed_treatment").group(1),
-    }
-
-
-def parse_inquiry(text: str) -> CoverageInquiry:
-    """Inverse of render_inquiry; raises ParseError naming the first missing
-    or malformed field."""
-    lines = text.split("\n")
-    token_line = next((line for line in lines if line.startswith(_INQUIRY_HEADER)), None)
-    if token_line is None:
-        raise ParseError("patient_token")
-    try:
-        token = CaseToken(token_line[len(_INQUIRY_HEADER):])
-    except ValueError as exc:
-        raise ParseError("patient_token", f"patient_token: {exc}") from None
-    facts = _parse_clinical_lines(lines)
-    try:
-        return CoverageInquiry(patient_token=token, **facts)
-    except ValueError as exc:
-        raise ParseError("inquiry", str(exc)) from None
-
-
-def parse_consult(text: str) -> SpecialistConsult:
-    lines = text.split("\n")
-    if _CONSULT_HEADER not in lines:
-        raise ParseError("consultation_header")
-    facts = _parse_clinical_lines(lines)
-    try:
-        return SpecialistConsult(**facts)
-    except ValueError as exc:
-        raise ParseError("consult", str(exc)) from None
-
-
-def render_recommendation(rec: Recommendation) -> str:
-    lines = [
-        f"Recommendation: {_APPROPRIATENESS_LABELS[rec.verdict]}.",
-        f"Reasoning: {rec.reasoning}",
-    ]
-    if rec.next_steps:
-        lines.append(f"Next steps: {rec.next_steps}")
-    lines.append(f"(ref: {rec.source_doc})")
-    return "\n".join(lines)
-
-
-def parse_recommendation(text: str) -> Recommendation:
-    lines = text.split("\n")
-    verdict = _APPROPRIATENESS_BY_LABEL[_first_match(lines, _REC_VERDICT_RE, "recommendation").group(1)]
-    reasoning = _first_match(lines, _REC_REASONING_RE, "reasoning").group(1)
-    next_match = next((m for line in lines if (m := _REC_NEXT_RE.fullmatch(line))), None)
-    source = _first_match(lines, _REC_REF_RE, "source_doc").group(1)
-    return Recommendation(
-        verdict=verdict,
-        reasoning=reasoning,
-        next_steps=next_match.group(1) if next_match else None,
-        source_doc=source,
-    )
-
-
-def render_verdict(verdict: CoverageVerdict) -> str:
-    lines = [f"Coverage: {_COVERAGE_LABELS[verdict.coverage]}"]
-    if verdict.prerequisites_outstanding:
-        lines.append("Outstanding prerequisites: " + "; ".join(verdict.prerequisites_outstanding))
-    lines.append(
-        f"Clinical Appropriateness: {_APPROPRIATENESS_LABELS[verdict.appropriateness.verdict]}"
-    )
-    lines.append(f"Summary: {verdict.summary}")
-    lines.append(f"Next Steps: {verdict.next_steps}")
-    return "\n".join(lines)
-
-
-def parse_verdict_fields(text: str) -> dict[str, object]:
-    """Extract the structured fields from a rendered verdict."""
-    lines = text.split("\n")
-    coverage = _COVERAGE_BY_LABEL[_first_match(lines, _VERDICT_COVERAGE_RE, "coverage").group(1)]
-    outstanding_match = next(
-        (m for line in lines if (m := _VERDICT_OUTSTANDING_RE.fullmatch(line))), None
-    )
-    outstanding: tuple[str, ...] = (
-        tuple(outstanding_match.group(1).split("; ")) if outstanding_match else ()
-    )
-    appropriateness = _APPROPRIATENESS_BY_LABEL[
-        _first_match(lines, _VERDICT_APPROPRIATENESS_RE, "appropriateness").group(1)
-    ]
-    summary = _first_match(lines, _VERDICT_SUMMARY_RE, "summary").group(1)
-    next_steps = _first_match(lines, _VERDICT_NEXT_RE, "next_steps").group(1)
-    return {
-        "coverage": coverage,
-        "outstanding": outstanding,
-        "appropriateness": appropriateness,
-        "summary": summary,
-        "next_steps": next_steps,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -511,13 +249,6 @@ def recommend(consult: SpecialistConsult, docs: Sequence[GuidanceDoc]) -> Recomm
 # ---------------------------------------------------------------------------
 
 
-def _last_result(history: Sequence[ToolExchange], tool: str) -> str | None:
-    for exchange in reversed(history):
-        if exchange.call.tool == tool:
-            return exchange.result.text
-    return None
-
-
 def _explicit_treatment(body: str) -> str | None:
     """Last ``for <code>`` mention that is not part of a patient id."""
     candidates = [
@@ -528,31 +259,22 @@ def _explicit_treatment(body: str) -> str | None:
     return candidates[-1] if candidates else None
 
 
-def _recall(policy: Any, parse: Callable[..., Any], *args: str) -> Any:
-    """``parse(*args)``, reusing the policy's last result for equal ``args``.
+def _call(tool: str, **args: str) -> PolicyDecision:
+    """A turn that requests one tool call."""
+    return PolicyDecision(tool_calls=(ToolCall(tool, args),))
 
-    The memo is one ``(args, result)`` pair, replaced by a single attribute
-    store, so concurrent turns need no lock: a race costs only a re-parse.
-    A parse that raises is not kept.
-    """
-    last = policy._last_parse
-    if last is not None and last[0] == args:
+
+def _recall(policy: Any, parse: Callable[[str], Any], text: str) -> Any:
+    """``parse(text)``, reusing the policy's last result of ``parse`` for an
+    equal ``text``. The memo keeps one ``(text, result)`` pair per parser,
+    each replaced by one dict store, so concurrent turns need no lock: a
+    race costs only a re-parse. A parse that raises is not kept."""
+    last = policy._last_parses.get(parse)
+    if last is not None and last[0] == text:
         return last[1]
-    result = parse(*args)
-    object.__setattr__(policy, "_last_parse", (args, result))
+    result = parse(text)
+    policy._last_parses[parse] = (text, result)
     return result
-
-
-def _observation_from_result(text: str, patient_id: str) -> ClinicalObservation:
-    values = parse_kv_lines(text)
-    prior = tuple(part for part in values.get("prior_conservative_tx", "").split(";") if part)
-    return ClinicalObservation(
-        patient_id=normalize_id(patient_id),
-        symptom_class=SymptomClass(values["symptom_class"]),
-        duration_weeks=int(values["duration_weeks"]),
-        functional_limitation=values["functional_limitation"],
-        prior_conservative_tx=prior,
-    )
 
 
 @dataclass(frozen=True)
@@ -566,7 +288,7 @@ class ClinicPolicy:
     """
 
     insurer_target: str = "insurer"
-    _last_parse: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    _last_parses: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def decide(self, request_body: str, history: Sequence[ToolExchange]) -> PolicyDecision:
         id_match = PATIENT_ID_RE.search(request_body)
@@ -574,18 +296,19 @@ class ClinicPolicy:
             return PolicyDecision(message="Patient not found: the request names no patient identifier.")
         patient_id = id_match.group(0).upper()
 
-        lookup = _last_result(history, "csv_lookup")
+        results = {exchange.call.tool: exchange.result.text for exchange in history}
+        lookup = results.get("csv_lookup")
         if lookup is None:
-            return PolicyDecision(tool_calls=(ToolCall("csv_lookup", {"patient_id": patient_id}),))
-        if lookup == NO_OBSERVATION:
+            return _call("csv_lookup", patient_id=patient_id)
+        obs = _recall(self, parse_observation_text, lookup)
+        if obs is None:
             return PolicyDecision(message="Patient not found: no local case record matches the request.")
-        obs = _recall(self, _observation_from_result, lookup, patient_id)
 
-        token_text = _last_result(history, "hmac_token")
+        token_text = results.get("hmac_token")
         if token_text is None:
-            return PolicyDecision(tool_calls=(ToolCall("hmac_token", {"patient_id": patient_id}),))
+            return _call("hmac_token", patient_id=patient_id)
 
-        relay_result = _last_result(history, "relay_call")
+        relay_result = results.get("relay_call")
         if relay_result is None:
             inquiry = CoverageInquiry(
                 patient_token=CaseToken(token_text.strip()),
@@ -595,14 +318,7 @@ class ClinicPolicy:
                 prior_tx=obs.prior_conservative_tx,
                 proposed_treatment=_explicit_treatment(request_body) or infer_treatment(obs),
             )
-            return PolicyDecision(
-                tool_calls=(
-                    ToolCall(
-                        "relay_call",
-                        {"target": self.insurer_target, "body": render_inquiry(inquiry)},
-                    ),
-                )
-            )
+            return _call("relay_call", target=self.insurer_target, body=render_inquiry(inquiry))
 
         return PolicyDecision(message=relay_result)
 
@@ -661,10 +377,11 @@ class InsurerPolicy:
 
     The consult body is built from the structurally token-free consultation
     type. The token is never persisted: it lives in this request's turn
-    context and, as part of the last parsed inquiry, stays referenced by
-    this policy instance in the insurer's memory until the next inquiry
-    arrives. The specialist is always consulted, since every inquiry
-    carries a proposed treatment whose appropriateness feeds the verdict.
+    context and, as part of the last parsed inquiry and enrolment, stays
+    referenced by this policy instance in the insurer's memory until the
+    next inquiry and enrolment arrive. The specialist is always consulted,
+    since every inquiry carries a proposed treatment whose appropriateness
+    feeds the verdict.
 
     ``forward_token`` is a fault-injection hook for exercising the guard
     and the trace checker; it deliberately violates the consult contract.
@@ -672,7 +389,7 @@ class InsurerPolicy:
 
     specialist_target: str = "specialist"
     forward_token: bool = False
-    _last_parse: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    _last_parses: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def decide(self, request_body: str, history: Sequence[ToolExchange]) -> PolicyDecision:
         try:
@@ -682,39 +399,26 @@ class InsurerPolicy:
                 message=f"Unable to process the coverage inquiry: missing or malformed field '{exc.field}'."
             )
 
-        enrollment_text = _last_result(history, "enrollment_match")
+        results = {exchange.call.tool: exchange.result.text for exchange in history}
+        enrollment_text = results.get("enrollment_match")
         if enrollment_text is None:
-            return PolicyDecision(
-                tool_calls=(ToolCall("enrollment_match", {"token": inquiry.patient_token.hex}),)
-            )
-        enrollment = None if enrollment_text == NO_ENROLLMENT else parse_kv_lines(enrollment_text)
-        active = enrollment is not None and enrollment.get("status") == EnrollmentStatus.ACTIVE.value
+            return _call("enrollment_match", token=inquiry.patient_token.hex)
+        enrollment = _recall(self, parse_enrollment_text, enrollment_text)
+        active = enrollment is not None and enrollment.status is EnrollmentStatus.ACTIVE
 
-        rule_text = _last_result(history, "coverage_lookup")
+        rule_text = results.get("coverage_lookup")
         if active and rule_text is None:
-            return PolicyDecision(
-                tool_calls=(
-                    ToolCall(
-                        "coverage_lookup",
-                        {
-                            "plan_id": enrollment["plan_id"],
-                            "treatment_code": inquiry.proposed_treatment,
-                        },
-                    ),
-                )
-            )
+            return _call("coverage_lookup", plan_id=enrollment.plan_id, treatment_code=inquiry.proposed_treatment)
 
-        consult_text = _last_result(history, "relay_call")
+        consult_text = results.get("relay_call")
         if consult_text is None:
             body = render_consult(consult_from_inquiry(inquiry))
             if self.forward_token:
                 body += "\npatient_token=" + inquiry.patient_token.hex
-            return PolicyDecision(
-                tool_calls=(ToolCall("relay_call", {"target": self.specialist_target, "body": body}),)
-            )
+            return _call("relay_call", target=self.specialist_target, body=body)
 
         try:
-            rec = parse_recommendation(consult_text)
+            rec = _recall(self, parse_recommendation, consult_text)
         except ParseError as exc:
             return PolicyDecision(
                 message=f"Specialist response could not be interpreted (field '{exc.field}')."
@@ -725,16 +429,7 @@ class InsurerPolicy:
             outstanding: tuple[str, ...] = ()
             summary = "No active enrolment found for the presented token."
         else:
-            if rule_text is None or rule_text == NO_COVERAGE_RULE:
-                rule = None
-            else:
-                values = parse_kv_lines(rule_text)
-                rule = CoverageRule(
-                    plan_id=values["plan_id"],
-                    treatment_code=values["treatment_code"],
-                    covered=values["covered"] == "yes",
-                    prerequisites=tuple(p for p in values["prerequisites"].split(";") if p),
-                )
+            rule = None if rule_text is None else _recall(self, parse_rule_text, rule_text)
             if rule is None or not rule.covered:
                 coverage = CoverageStatus.NOT_COVERED
                 outstanding = ()
@@ -764,7 +459,7 @@ class SpecialistPolicy:
     """
 
     guidance_query: str = "osteoarthritis"
-    _last_parse: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    _last_parses: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def decide(self, request_body: str, history: Sequence[ToolExchange]) -> PolicyDecision:
         try:
@@ -774,12 +469,11 @@ class SpecialistPolicy:
                 message=f"Unable to process the consultation request: missing or malformed field '{exc.field}'."
             )
 
-        guidance_text = _last_result(history, "guidance_search")
+        results = {exchange.call.tool: exchange.result.text for exchange in history}
+        guidance_text = results.get("guidance_search")
         if guidance_text is None:
-            return PolicyDecision(
-                tool_calls=(ToolCall("guidance_search", {"query": self.guidance_query}),)
-            )
-        docs = [] if guidance_text == NO_GUIDANCE else parse_guidance_result(guidance_text)
+            return _call("guidance_search", query=self.guidance_query)
+        docs = _recall(self, parse_guidance_result, guidance_text)
         return PolicyDecision(message=render_recommendation(recommend(consult, docs)))
 
 

@@ -26,7 +26,8 @@ sides and bounds it by ``MAX_LINE_BYTES`` and ``MAX_HEADERS``. A node keeps
 its connections to each target alive and reuses them across calls; a
 request is still sent at most once. The listener bounds what it reads: a
 request must declare a ``Content-Length`` of at most ``MAX_REQUEST_BYTES``,
-and an idle connection closes after ``DEFAULT_TIMEOUT_SECONDS``.
+and an idle connection closes after ``DEFAULT_TIMEOUT_SECONDS``. A client
+refuses a reply over the same size before reading its body.
 
 An in-process loopback transport serves hermetic runs and tests; requests
 still round-trip through their JSON wire form.
@@ -379,6 +380,8 @@ def _read_response(connection: _Connection) -> tuple[bytes, bool]:
     if status.partition(" ")[0] != "200":
         raise _FramingError(f"HTTP Error {status}")
     length = _content_length(headers)
+    if length > MAX_REQUEST_BYTES:
+        raise _FramingError(f"response of {length} bytes exceeds the limit of {MAX_REQUEST_BYTES}")
     body = connection.read(length)
     if len(body) < length:
         raise _FramingError("connection closed inside the response body")

@@ -19,18 +19,10 @@ from .datastore import (
     ClinicStore,
     GuidanceDoc,
     InsurerStore,
-    NO_COVERAGE_RULE,
-    NO_ENROLLMENT,
-    NO_GUIDANCE,
-    NO_OBSERVATION,
     ProtectedValueIndex,
     coverage_rule,
     lookup_observation,
     match_enrollment,
-    render_enrollment_text,
-    render_guidance_text,
-    render_observation_text,
-    render_rule_text,
 )
 from .errors import (
     AuthError,
@@ -42,6 +34,7 @@ from .errors import (
     ToolNotPermitted,
 )
 from .locality import Topology, TraceLog
+from .messages import render_enrollment_text, render_guidance_text, render_observation_text, render_rule_text
 from .pseudonym import SecretKey, SecretSource, derive_token, load_secret, normalize_id
 from .relay import RelayRequest, RelayTarget, Transport, relay_call
 
@@ -295,24 +288,21 @@ def tool_csv_lookup(ctx: ToolContext, args: Mapping[str, str]) -> str:
     """Fetch the clinical observation row for a patient id."""
     store = _clinic_store(ctx, "csv_lookup")
     raw = _require_arg(args, "patient_id", "csv_lookup")
-    obs = lookup_observation(store, normalize_id(raw))
-    return NO_OBSERVATION if obs is None else render_observation_text(obs)
+    return render_observation_text(lookup_observation(store, normalize_id(raw)))
 
 
 def tool_enrollment_match(ctx: ToolContext, args: Mapping[str, str]) -> str:
     """Exact-match a case token against the local enrolment table."""
     store = _insurer_store(ctx, "enrollment_match")
     token = _require_arg(args, "token", "enrollment_match")
-    row = match_enrollment(store, token)
-    return NO_ENROLLMENT if row is None else render_enrollment_text(row)
+    return render_enrollment_text(match_enrollment(store, token))
 
 
 def tool_coverage_lookup(ctx: ToolContext, args: Mapping[str, str]) -> str:
     store = _insurer_store(ctx, "coverage_lookup")
     plan_id = _require_arg(args, "plan_id", "coverage_lookup")
     treatment = _require_arg(args, "treatment_code", "coverage_lookup")
-    rule = coverage_rule(store, plan_id, treatment)
-    return NO_COVERAGE_RULE if rule is None else render_rule_text(rule)
+    return render_rule_text(coverage_rule(store, plan_id, treatment))
 
 
 def tool_guidance_search(ctx: ToolContext, args: Mapping[str, str]) -> str:
@@ -330,8 +320,7 @@ def tool_guidance_search(ctx: ToolContext, args: Mapping[str, str]) -> str:
         texts = list(doc.severity_bands.values()) + list(doc.ladder) + list(doc.red_flags)
         return any(query in text.casefold() for text in texts)
 
-    matched = [doc for doc in docs if matches(doc)]
-    return NO_GUIDANCE if not matched else render_guidance_text(matched)
+    return render_guidance_text([doc for doc in docs if matches(doc)])
 
 
 def tool_hmac_token(ctx: ToolContext, args: Mapping[str, str]) -> str:

@@ -19,7 +19,7 @@ import pytest
 from fedmesh.cli import main
 from fedmesh.errors import FedmeshError, LoopLimitExceeded
 from fedmesh.locality import ViolationKind, check_trace
-from fedmesh.policies import (
+from fedmesh.messages import (
     Appropriateness,
     CoverageInquiry,
     CoverageStatus,

@@ -194,6 +194,19 @@ _LOAD_ERROR_SITES = {
     "underscored-duration": ("observations", "CLN-0001,mild,1_0,walks,x\n", "duration_weeks", "1_0", 2),
     "non-ascii-duration": ("observations", "CLN-0001,mild, \u0663 ,walks,x\n", "duration_weeks", "\u0663", 2),
     "blank-observation-patient-id": ("observations", " \t ,mild,4,walks,x\n", "patient_id", " \t ", 2),
+    "limitation-with-line-feed": (
+        "observations", 'CLN-0001,mild,4,"difficulty stairs\nstatus: x",x\n', "functional_limitation",
+        "status: x", 2,
+    ),
+    "limitation-with-carriage-return": (
+        "observations", 'CLN-0001,mild,4,"difficulty\rstairs",x\n', "functional_limitation", "difficulty", 2,
+    ),
+    "blank-limitation": ("observations", "CLN-0001,mild,4, \t ,x\n", "functional_limitation", " \t ", 2),
+    "invalid-treatment-code": (
+        "observations", "CLN-0001,mild,4,walks,NSAID 2 weeks;physio_6_weeks\n", "prior_conservative_tx",
+        "NSAID 2 weeks", 2,
+    ),
+    "none-treatment-code": ("observations", "CLN-0001,mild,4,walks,none\n", "prior_conservative_tx", "none", 2),
     "invalid-token": ("enrollment", "zz-not-a-token,INS-1,PLAN-A,active\n", "subject_token", "zz-not-a-token", 2),
     "invalid-status": ("enrollment", f"{_TOKEN},INS-1,PLAN-A,suspended\n", "status", "suspended", 2),
     "invalid-covered": ("coverage_rules", "PLAN-A,physio,maybe,—\n", "covered", "maybe", 2),
@@ -480,7 +493,9 @@ def test_guidance_ladder_preserves_order():
 def test_csv_round_trip_byte_for_byte(workspace, relpath, table, required):
     path = workspace.root / relpath
     loaded = read_table(path, table, [])
-    assert loaded.to_csv() == path.read_text(encoding="utf-8")
+    with path.open(newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert (loaded.header, loaded.rows) == (tuple(header), tuple(map(tuple, rows)))
 
 
 # --- protected values ---

@@ -500,6 +500,12 @@ _MALFORMED_LINES = {
         '{"run_id": "r", "seq": 1, "body": "x"}', "missing fields: from, to, operation_id, conversation_id",
     ),
     "nan-seq": (_GOOD_RECORD.replace('"seq": 1', '"seq": NaN'), "cannot convert float NaN to integer"),
+    "infinite-seq": (
+        _GOOD_RECORD.replace('"seq": 1', '"seq": Infinity'), "cannot convert float infinity to integer",
+    ),
+    "negative-infinite-seq": (
+        _GOOD_RECORD.replace('"seq": 1', '"seq": -Infinity'), "cannot convert float infinity to integer",
+    ),
     "string-seq": (
         _GOOD_RECORD.replace('"seq": 1', '"seq": "one"'), "invalid literal for int() with base 10: 'one'",
     ),

@@ -11,40 +11,45 @@ from fedmesh.datastore import (
     EnrollmentRow,
     EnrollmentStatus,
     GuidanceDoc,
-    NO_ENROLLMENT,
-    NO_OBSERVATION,
     SymptomClass,
     load_guidance,
-    render_enrollment_text,
-    render_guidance_text,
-    render_observation_text,
-    render_rule_text,
 )
 from fedmesh.errors import ParseError
-from fedmesh.policies import (
+from fedmesh.messages import (
+    NO_ENROLLMENT,
+    NO_OBSERVATION,
     Appropriateness,
-    ClinicPolicy,
     CoverageInquiry,
     CoverageStatus,
-    InsurerPolicy,
+    CoverageVerdict,
     Recommendation,
     SpecialistConsult,
+    parse_consult,
+    parse_enrollment_text,
+    parse_inquiry,
+    parse_observation_text,
+    parse_recommendation,
+    parse_rule_text,
+    parse_verdict_fields,
+    render_consult,
+    render_enrollment_text,
+    render_guidance_text,
+    render_inquiry,
+    render_observation_text,
+    render_recommendation,
+    render_rule_text,
+    render_verdict,
+)
+from fedmesh.policies import (
+    ClinicPolicy,
+    InsurerPolicy,
     SpecialistPolicy,
     TREATMENT_CONSERVATIVE,
     TREATMENT_HA_INJECTION,
     consult_from_inquiry,
     infer_treatment,
-    parse_consult,
-    parse_inquiry,
-    parse_recommendation,
     parse_treatment_step,
-    parse_verdict_fields,
     prerequisites_satisfied,
-    render_consult,
-    render_inquiry,
-    render_recommendation,
-    render_verdict,
-    CoverageVerdict,
 )
 from fedmesh.pseudonym import CaseToken, normalize_id
 from fedmesh.runtime import ToolCall, ToolExchange, ToolResult
@@ -177,6 +182,7 @@ limitations = st.text(
     max_size=80,
 )
 tokens = st.binary(min_size=32, max_size=32).map(lambda raw: CaseToken(raw.hex()))
+patient_ids = st.integers(0, 9999).map(lambda n: f"CLN-{n:04d}")
 
 
 @st.composite
@@ -212,9 +218,265 @@ def test_consult_round_trip_property(consult):
     assert parse_consult(render_consult(consult)) == consult
 
 
+recommendations = st.builds(
+    Recommendation,
+    verdict=st.sampled_from(list(Appropriateness)),
+    reasoning=limitations,
+    next_steps=st.none() | limitations,
+    source_doc=limitations,
+)
+
+
+@st.composite
+def verdicts(draw):
+    coverage = draw(st.sampled_from(list(CoverageStatus)))
+    conditional = coverage is CoverageStatus.COVERED_WITH_PREREQUISITES
+    return CoverageVerdict(
+        coverage=coverage,
+        prerequisites_outstanding=tuple(draw(st.lists(codes, min_size=int(conditional), max_size=3))),
+        appropriateness=draw(recommendations),
+        summary=draw(limitations),
+        next_steps=draw(limitations),
+    )
+
+
+@given(recommendations)
+def test_recommendation_round_trip_property(rec):
+    assert parse_recommendation(render_recommendation(rec)) == rec
+
+
+@given(verdicts())
+def test_verdict_round_trip_property(verdict):
+    assert parse_verdict_fields(render_verdict(verdict)) == {
+        "coverage": verdict.coverage,
+        "outstanding": verdict.prerequisites_outstanding,
+        "appropriateness": verdict.appropriateness.verdict,
+        "summary": verdict.summary,
+        "next_steps": verdict.next_steps,
+    }
+
+
+@given(patient_ids, inquiries())
+def test_observation_result_round_trip_property(patient_id, facts):
+    obs = _obs(patient_id, facts.symptom_class, facts.duration_weeks, facts.functional_limitation, facts.prior_tx)
+    assert parse_observation_text(render_observation_text(obs)) == obs
+
+
+@given(tokens, limitations, limitations, st.sampled_from(list(EnrollmentStatus)))
+def test_enrollment_result_round_trip_property(token, insurance_number, plan_id, status):
+    row = EnrollmentRow(token, insurance_number, plan_id, status)
+    assert parse_enrollment_text(render_enrollment_text(row)) == row
+
+
+@given(limitations, limitations, st.booleans(), st.lists(codes, max_size=5))
+def test_rule_result_round_trip_property(plan_id, treatment_code, covered, prerequisites):
+    rule = CoverageRule(plan_id, treatment_code, covered, tuple(prerequisites))
+    assert parse_rule_text(render_rule_text(rule)) == rule
+
+
 @given(inquiries())
 def test_consult_from_any_inquiry_has_no_hex64(inquiry):
     assert not HEX64.search(render_consult(consult_from_inquiry(inquiry)))
+
+
+# ---------------------------------------------------------------------------
+# Malformed bodies: one table per message. A row gives the body's lines and
+# either the ParseError expected (field, and text when it is not the default)
+# or the value the body still parses to: extra lines are ignored, lines may
+# come in any order, the first line that fits a spec line is the one read,
+# and footers are not required.
+# ---------------------------------------------------------------------------
+
+_TOKEN_LINE = "Coverage inquiry for patient_token=" + TOKEN.hex
+_PRESENTATION = "Presentation: moderate symptoms, 12 weeks; limitation: difficulty stairs."
+_PRIOR = "Prior management: NSAID_2_weeks; home_exercises."
+_PROPOSED = "Proposed treatment: conservative_management."
+_INQUIRY_FOOTER = "Please advise coverage and any prerequisites."
+_CONSULT_HEADER = "Specialist consultation request."
+_CONSULT_FOOTER = "Please advise clinical appropriateness."
+_INQUIRY = _inquiry(limitation="difficulty stairs")
+_CONSULT = consult_from_inquiry(_INQUIRY)
+_BAD_TOKEN = "patient_token: token must be 64 lowercase hex characters"
+
+
+_MALFORMED_INQUIRIES = {
+    "missing-token-line": ([_PRESENTATION, _PRIOR, _PROPOSED, _INQUIRY_FOOTER], ParseError("patient_token")),
+    "missing-presentation": ([_TOKEN_LINE, _PRIOR, _PROPOSED], ParseError("presentation")),
+    "missing-prior": ([_TOKEN_LINE, _PRESENTATION, _PROPOSED], ParseError("prior_management")),
+    "missing-proposed": ([_TOKEN_LINE, _PRESENTATION, _PRIOR], ParseError("proposed_treatment")),
+    "missing-footer": ([_TOKEN_LINE, _PRESENTATION, _PRIOR, _PROPOSED], _INQUIRY),
+    "reordered": ([_INQUIRY_FOOTER, _PROPOSED, _PRIOR, _PRESENTATION, _TOKEN_LINE], _INQUIRY),
+    "extra-lines": (["Dear insurer,", _TOKEN_LINE, "", _PRESENTATION, _PRIOR, _PROPOSED, "Thanks."], _INQUIRY),
+    "duplicated-presentation-first-wins": (
+        [_TOKEN_LINE, _PRESENTATION, _PRESENTATION.replace("moderate", "severe"), _PRIOR, _PROPOSED],
+        _INQUIRY,
+    ),
+    "garbled-then-good-presentation": (
+        [_TOKEN_LINE, _PRESENTATION.replace("12 weeks", "twelve weeks"), _PRESENTATION, _PRIOR, _PROPOSED],
+        _INQUIRY,
+    ),
+    "garbled-presentation": (
+        [_TOKEN_LINE, _PRESENTATION.replace("12 weeks", "twelve weeks"), _PRIOR, _PROPOSED],
+        ParseError("presentation"),
+    ),
+    "presentation-without-period": ([_TOKEN_LINE, _PRESENTATION[:-1], _PRIOR, _PROPOSED], ParseError("presentation")),
+    "bad-enum-label": (
+        [_TOKEN_LINE, _PRESENTATION.replace("moderate", "extreme"), _PRIOR, _PROPOSED], ParseError("presentation"),
+    ),
+    "bad-token": ([_TOKEN_LINE.replace(TOKEN.hex, "zz" * 32), _PRESENTATION, _PRIOR, _PROPOSED],
+                  ParseError("patient_token", _BAD_TOKEN)),
+    "uppercase-token": ([_TOKEN_LINE.replace(TOKEN.hex, TOKEN.hex.upper()), _PRESENTATION, _PRIOR, _PROPOSED],
+                        ParseError("patient_token", _BAD_TOKEN)),
+    "duplicated-token-first-bad": (
+        [_TOKEN_LINE[:-1], _TOKEN_LINE, _PRESENTATION, _PRIOR, _PROPOSED], ParseError("patient_token", _BAD_TOKEN),
+    ),
+    "crlf-line-ends": (
+        [line + "\r" for line in (_TOKEN_LINE, _PRESENTATION, _PRIOR, _PROPOSED)],
+        ParseError("patient_token", _BAD_TOKEN),
+    ),
+    "bad-code-list": (
+        [_TOKEN_LINE, _PRESENTATION, "Prior management: NSAID 2 weeks.", _PROPOSED],
+        ParseError("prior_management", "invalid treatment codes: 'NSAID 2 weeks'"),
+    ),
+    "code-list-with-empty-step": (
+        [_TOKEN_LINE, _PRESENTATION, "Prior management: NSAID_2_weeks; .", _PROPOSED],
+        ParseError("prior_management", "invalid treatment codes: 'NSAID_2_weeks; '"),
+    ),
+    "duplicated-prior-first-bad": (
+        [_TOKEN_LINE, _PRESENTATION, "Prior management: NSAID 2 weeks.", _PRIOR, _PROPOSED],
+        ParseError("prior_management", "invalid treatment codes: 'NSAID 2 weeks'"),
+    ),
+    "none-inside-code-list": (
+        [_TOKEN_LINE, _PRESENTATION, "Prior management: NSAID_2_weeks; none.", _PROPOSED],
+        ParseError("inquiry", "treatment step must not be the literal 'none'"),
+    ),
+    "bad-proposed-code": ([_TOKEN_LINE, _PRESENTATION, _PRIOR, "Proposed treatment: 9lives."],
+                          ParseError("proposed_treatment")),
+    "proposed-none": ([_TOKEN_LINE, _PRESENTATION, _PRIOR, "Proposed treatment: none."],
+                      ParseError("inquiry", "proposed treatment must not be the literal 'none'")),
+    "proposed-trailing-space": ([_TOKEN_LINE, _PRESENTATION, _PRIOR, _PROPOSED + " "],
+                                ParseError("proposed_treatment")),
+    "empty-limitation": ([_TOKEN_LINE, _PRESENTATION.replace("difficulty stairs", ""), _PRIOR, _PROPOSED],
+                         ParseError("inquiry", "functional limitation must be non-empty")),
+    "missing-token-checked-first": ([_PROPOSED], ParseError("patient_token")),
+}
+
+_MALFORMED_CONSULTS = {
+    "missing-header": ([_PRESENTATION, _PRIOR, _PROPOSED, _CONSULT_FOOTER], ParseError("consultation_header")),
+    "header-without-period": ([_CONSULT_HEADER[:-1], _PRESENTATION, _PRIOR, _PROPOSED],
+                              ParseError("consultation_header")),
+    "missing-presentation": ([_CONSULT_HEADER, _PRIOR, _PROPOSED], ParseError("presentation")),
+    "missing-prior": ([_CONSULT_HEADER, _PRESENTATION, _PROPOSED], ParseError("prior_management")),
+    "missing-proposed": ([_CONSULT_HEADER, _PRESENTATION, _PRIOR], ParseError("proposed_treatment")),
+    "missing-footer": ([_CONSULT_HEADER, _PRESENTATION, _PRIOR, _PROPOSED], _CONSULT),
+    "reordered": ([_PROPOSED, _PRIOR, _CONSULT_FOOTER, _PRESENTATION, _CONSULT_HEADER], _CONSULT),
+    "duplicated-header": ([_CONSULT_HEADER, _CONSULT_HEADER, _PRESENTATION, _PRIOR, _PROPOSED], _CONSULT),
+    "unicode-digits": (
+        [_CONSULT_HEADER, _PRESENTATION.replace("12", "١٢"), _PRIOR, _PROPOSED], _CONSULT,
+    ),
+    "bad-enum-label": ([_CONSULT_HEADER, _PRESENTATION.replace("moderate", "Moderate"), _PRIOR, _PROPOSED],
+                       ParseError("presentation")),
+    "bad-code-list": (
+        [_CONSULT_HEADER, _PRESENTATION, "Prior management: NSAID_2_weeks;home_exercises.", _PROPOSED],
+        ParseError("prior_management", "invalid treatment codes: 'NSAID_2_weeks;home_exercises'"),
+    ),
+    "proposed-none": ([_CONSULT_HEADER, _PRESENTATION, _PRIOR, "Proposed treatment: none."],
+                      ParseError("consult", "proposed treatment must not be the literal 'none'")),
+    "token-line-is-ignored": ([_TOKEN_LINE, _CONSULT_HEADER, _PRESENTATION, _PRIOR, _PROPOSED], _CONSULT),
+}
+
+_REC_VERDICT = "Recommendation: Appropriate after steps."
+_REC_REASONING = "Reasoning: Ladder incomplete."
+_REC_NEXT = "Next steps: Complete: Physiotherapy 6 weeks."
+_REC_REF = "(ref: osteoarthritis_knee_guidance.md)"
+_REC = Recommendation(
+    Appropriateness.APPROPRIATE_AFTER_STEPS, "Ladder incomplete.", "Complete: Physiotherapy 6 weeks.",
+    "osteoarthritis_knee_guidance.md",
+)
+
+_MALFORMED_RECOMMENDATIONS = {
+    "missing-verdict": ([_REC_REASONING, _REC_NEXT, _REC_REF], ParseError("recommendation")),
+    "bad-enum-label": (["Recommendation: Maybe.", _REC_REASONING, _REC_REF], ParseError("recommendation")),
+    "verdict-without-period": ([_REC_VERDICT[:-1], _REC_REASONING, _REC_REF], ParseError("recommendation")),
+    "missing-reasoning": ([_REC_VERDICT, _REC_NEXT, _REC_REF], ParseError("reasoning")),
+    "missing-ref": ([_REC_VERDICT, _REC_REASONING, _REC_NEXT], ParseError("source_doc")),
+    "empty-ref": ([_REC_VERDICT, _REC_REASONING, "(ref: )"], ParseError("source_doc")),
+    "missing-next-steps": ([_REC_VERDICT, _REC_REASONING, _REC_REF],
+                           Recommendation(_REC.verdict, _REC.reasoning, None, _REC.source_doc)),
+    "empty-next-steps": ([_REC_VERDICT, _REC_REASONING, "Next steps: ", _REC_REF],
+                         Recommendation(_REC.verdict, _REC.reasoning, "", _REC.source_doc)),
+    "reordered": ([_REC_REF, _REC_NEXT, _REC_REASONING, _REC_VERDICT], _REC),
+    "duplicated-next-steps-first-wins": ([_REC_VERDICT, _REC_REASONING, _REC_NEXT, "Next steps: later.", _REC_REF],
+                                         _REC),
+    "ref-holding-parentheses": ([_REC_VERDICT, _REC_REASONING, _REC_NEXT, "(ref: a (b))"],
+                                Recommendation(_REC.verdict, _REC.reasoning, _REC.next_steps, "a (b)")),
+}
+
+_VERDICT_COVERAGE = "Coverage: Covered with prerequisites"
+_VERDICT_OUTSTANDING = "Outstanding prerequisites: physiotherapy_6_weeks; failed_simple_analgesia"
+_VERDICT_APPROPRIATENESS = "Clinical Appropriateness: Appropriate now"
+_VERDICT_SUMMARY = "Summary: Covered once the outstanding prerequisites are met."
+_VERDICT_NEXT = "Next Steps: Complete outstanding prerequisites."
+_VERDICT_FIELDS = {
+    "coverage": CoverageStatus.COVERED_WITH_PREREQUISITES,
+    "outstanding": ("physiotherapy_6_weeks", "failed_simple_analgesia"),
+    "appropriateness": Appropriateness.APPROPRIATE_NOW,
+    "summary": "Covered once the outstanding prerequisites are met.",
+    "next_steps": "Complete outstanding prerequisites.",
+}
+
+_MALFORMED_VERDICTS = {
+    "missing-coverage": ([_VERDICT_OUTSTANDING, _VERDICT_APPROPRIATENESS, _VERDICT_SUMMARY, _VERDICT_NEXT],
+                         ParseError("coverage")),
+    "bad-enum-label": (["Coverage: Partly", _VERDICT_APPROPRIATENESS, _VERDICT_SUMMARY, _VERDICT_NEXT],
+                       ParseError("coverage")),
+    "missing-appropriateness": ([_VERDICT_COVERAGE, _VERDICT_SUMMARY, _VERDICT_NEXT], ParseError("appropriateness")),
+    "recommendation-label-for-appropriateness": (
+        [_VERDICT_COVERAGE, "Clinical Appropriateness: Appropriate now.", _VERDICT_SUMMARY, _VERDICT_NEXT],
+        ParseError("appropriateness"),
+    ),
+    "missing-summary": ([_VERDICT_COVERAGE, _VERDICT_APPROPRIATENESS, _VERDICT_NEXT], ParseError("summary")),
+    "missing-next-steps": ([_VERDICT_COVERAGE, _VERDICT_APPROPRIATENESS, _VERDICT_SUMMARY],
+                           ParseError("next_steps")),
+    "lowercase-next-steps": ([_VERDICT_COVERAGE, _VERDICT_APPROPRIATENESS, _VERDICT_SUMMARY,
+                              "Next steps: Complete outstanding prerequisites."], ParseError("next_steps")),
+    "missing-outstanding": ([_VERDICT_COVERAGE, _VERDICT_APPROPRIATENESS, _VERDICT_SUMMARY, _VERDICT_NEXT],
+                            {**_VERDICT_FIELDS, "outstanding": ()}),
+    "empty-outstanding": (
+        [_VERDICT_COVERAGE, "Outstanding prerequisites: ", _VERDICT_APPROPRIATENESS, _VERDICT_SUMMARY,
+         _VERDICT_NEXT],
+        {**_VERDICT_FIELDS, "outstanding": ("",)},
+    ),
+    "reordered": ([_VERDICT_NEXT, _VERDICT_SUMMARY, _VERDICT_APPROPRIATENESS, _VERDICT_OUTSTANDING,
+                   _VERDICT_COVERAGE], _VERDICT_FIELDS),
+    "duplicated-coverage-first-wins": (
+        [_VERDICT_COVERAGE, "Coverage: Not covered", _VERDICT_OUTSTANDING, _VERDICT_APPROPRIATENESS,
+         _VERDICT_SUMMARY, _VERDICT_NEXT],
+        _VERDICT_FIELDS,
+    ),
+}
+
+_MALFORMED = [
+    pytest.param(parse, lines, expected, id=f"{message}-{case}")
+    for message, parse, table in [
+        ("inquiry", parse_inquiry, _MALFORMED_INQUIRIES),
+        ("consult", parse_consult, _MALFORMED_CONSULTS),
+        ("recommendation", parse_recommendation, _MALFORMED_RECOMMENDATIONS),
+        ("verdict", parse_verdict_fields, _MALFORMED_VERDICTS),
+    ]
+    for case, (lines, expected) in table.items()
+]
+
+
+@pytest.mark.parametrize("parse, lines, expected", _MALFORMED)
+def test_parse_refuses_or_reads_each_body(parse, lines, expected):
+    body = "\n".join(lines)
+    if isinstance(expected, ParseError):
+        with pytest.raises(ParseError) as err:
+            parse(body)
+        assert (err.value.field, str(err.value)) == (expected.field, str(expected))
+    else:
+        assert parse(body) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +827,6 @@ def test_specialist_parse_failure_response():
 # Last-parse memo
 # ---------------------------------------------------------------------------
 
-patient_ids = st.integers(0, 9999).map(lambda n: f"CLN-{n:04d}")
 MALFORMED_BODY = "A request in free text, with no labelled fields and no patient."
 
 

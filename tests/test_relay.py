@@ -20,7 +20,7 @@ from fedmesh.errors import (
 )
 from fedmesh import relay
 from fedmesh.fixtures import CANONICAL_REQUEST, write_demo_workspace
-from fedmesh.policies import (
+from fedmesh.messages import (
     Appropriateness,
     CoverageStatus,
     SpecialistConsult,
@@ -643,6 +643,17 @@ def test_http_transport_refuses_a_bad_response_without_resending(reply):
     assert transport.sends == len(requests) == 1
     assert transport._idle == {}
     assert requests[0].startswith(b"POST /operations/specialist_consult HTTP/1.1\r\n")
+
+
+def test_http_transport_refuses_an_oversized_reply_before_reading_it():
+    transport = HttpTransport(timeout=2)
+    reply = b"HTTP/1.1 200 OK\r\nContent-Length: 5000000\r\n\r\n" + OK_BODY
+    with _one_shot_server(reply) as (url, requests):
+        with pytest.raises(RelayTransportError) as err:
+            transport.send(_specialist_target(url), _consult_request())
+    assert f"response of 5000000 bytes exceeds the limit of {relay.MAX_REQUEST_BYTES}" in str(err.value)
+    assert transport.sends == len(requests) == 1
+    assert transport._idle == {}
 
 
 @pytest.mark.parametrize(
