@@ -5,10 +5,11 @@ the specialist guidance extracts, typed lookups, and the protected-value
 index that feeds the outbound leak guard. Every row is validated when its
 table loads, and the clinic and insurer stores keep each row as a tuple of
 its validated, normalised cells; a lookup builds the typed record of the
-one row it finds. An observation row must also obey the rules of the
-messages that carry its cells, so that a row that loads can always be sent.
-Stores are immutable after load; concurrent reads need no coordination.
-How a record is written as a tool result is ``messages``' concern.
+one row it finds. A row must also obey the rules of the messages that carry
+its cells (an observation's in the inquiry, a rule's codes in the verdict),
+so that a row that loads can always be sent. Tools hand these records and
+the guidance documents to the node's policies as they are, so stores and
+records are immutable after load; concurrent reads need no coordination.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from enum import Enum
 from itertools import compress, filterfalse, groupby
 from operator import itemgetter, ne
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConfigError, InvalidIdentifier, RowError, SchemaError
@@ -148,6 +150,25 @@ def _split_codes(cell: str) -> tuple[str, ...]:
     return tuple(filter(None, map(str.strip, cell.split(";"))))
 
 
+def _codes(cell: str, column: str, line: int) -> tuple[str, ...]:
+    """A cell's treatment codes; ``RowError`` names ``column`` if one is not a code."""
+    codes = _split_codes(cell)
+    try:
+        for code in codes:
+            check_treatment_code(code, column)
+    except ValueError:
+        raise RowError(line, f"invalid {column}: expected treatment codes") from None
+    return codes
+
+
+def _one_line(cell: str, column: str, line: int) -> str:
+    """A cell stripped; ``RowError`` names ``column`` if it spans two lines."""
+    cell = cell.strip()
+    if "\n" in cell or "\r" in cell:
+        raise RowError(line, f"invalid {column}: expected one line")
+    return cell
+
+
 # ---------------------------------------------------------------------------
 # Typed records
 # ---------------------------------------------------------------------------
@@ -205,7 +226,11 @@ _ObservationCells = tuple[SymptomClass, int, str, tuple[str, ...]]
 _EnrollmentCells = tuple[str, str, EnrollmentStatus]
 
 
-def _parse_observation(cells: tuple[str, ...], line: int) -> tuple[str, _ObservationCells]:
+def _parse_observation(
+    cells: tuple[str, ...], line: int, steps_of: dict[str, tuple[str, ...]]
+) -> tuple[str, _ObservationCells]:
+    """``steps_of`` holds each ``prior_conservative_tx`` cell checked so far
+    in this load, with its codes: a cell is checked at its first row only."""
     patient_id, symptom_class, duration_weeks, functional_limitation, prior_tx = cells
     symptom = _SYMPTOM_CLASSES.get(symptom_class.strip())
     if symptom is None:
@@ -216,12 +241,9 @@ def _parse_observation(cells: tuple[str, ...], line: int) -> tuple[str, _Observa
     limitation = functional_limitation.strip()
     if not limitation or "\n" in limitation or "\r" in limitation:
         raise RowError(line, "invalid functional_limitation: expected one non-empty line")
-    steps = _split_codes(prior_tx)
-    try:
-        for step in steps:
-            check_treatment_code(step, "step")
-    except ValueError:
-        raise RowError(line, "invalid prior_conservative_tx: expected treatment codes") from None
+    steps = steps_of.get(prior_tx)
+    if steps is None:
+        steps = steps_of[prior_tx] = _codes(prior_tx, "prior_conservative_tx", line)
     return _patient_id(patient_id, line), (symptom, int(weeks), limitation, steps)
 
 
@@ -244,7 +266,11 @@ def _parse_enrollment(cells: tuple[str, ...], line: int) -> tuple[str, _Enrollme
     status = _STATUSES.get(status_cell.strip())
     if status is None:
         raise RowError(line, "invalid status")
-    return token, (insurance_number.strip(), plan_id.strip(), status)
+    return token, (
+        _one_line(insurance_number, "insurance_number", line),
+        _one_line(plan_id, "plan_id", line),
+        status,
+    )
 
 
 def _parse_coverage_rule(cells: tuple[str, ...], line: int) -> CoverageRule:
@@ -252,11 +278,16 @@ def _parse_coverage_rule(cells: tuple[str, ...], line: int) -> CoverageRule:
     covered_cell = covered.strip().lower()
     if covered_cell not in ("yes", "no"):
         raise RowError(line, "covered must be yes or no")
+    treatment = treatment_code.strip()
+    try:
+        check_treatment_code(treatment, "treatment_code")
+    except ValueError:
+        raise RowError(line, "invalid treatment_code: expected a treatment code") from None
     return CoverageRule(
-        plan_id=plan_id.strip(),
-        treatment_code=treatment_code.strip(),
+        plan_id=_one_line(plan_id, "plan_id", line),
+        treatment_code=treatment,
         covered=covered_cell == "yes",
-        prerequisites=_split_codes(prerequisites),
+        prerequisites=_codes(prerequisites, "prerequisites", line),
     )
 
 
@@ -300,8 +331,9 @@ def load_clinic_store(
         seen_ids.add(patient_id)
 
     observations: dict[str, _ObservationCells] = {}
+    steps_of: dict[str, tuple[str, ...]] = {}
     for cells, line in zip(obs_table.select(OBSERVATION_COLUMNS), obs_table.lines):
-        patient_id, row = _parse_observation(cells, line)
+        patient_id, row = _parse_observation(cells, line, steps_of)
         if patient_id in observations:
             raise RowError(line, "duplicate patient_id")
         if patient_id not in seen_ids:
@@ -417,7 +449,7 @@ def parse_guidance_text(doc_id: str, text: str) -> GuidanceDoc:
         )
     return GuidanceDoc(
         doc_id=doc_id,
-        severity_bands=bands,
+        severity_bands=MappingProxyType(bands),
         ladder=tuple(ladder),
         red_flags=tuple(red_flags),
     )

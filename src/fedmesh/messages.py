@@ -1,11 +1,11 @@
-"""The message vocabulary: every text format a node writes or reads.
+"""The message vocabulary: the four texts that cross a node boundary.
 
-Agents cooperate by natural-language messages only: short paragraphs of
-labelled lines. Each is defined once here, as an ordered line spec from
-which ``render`` and ``parse`` are both derived. Four cross nodes (inquiry,
-consultation, recommendation, verdict); three are node-local tool results
-(observation, enrolment, coverage rule). The guidance search result, a
-list of any length, keeps a hand-written pair.
+Agents in different organisations cooperate by natural-language messages
+only: short paragraphs of labelled lines. Each of the four (inquiry,
+consultation, recommendation, verdict) is defined once here, as an ordered
+line spec from which ``render`` and ``parse`` are both derived. Tool results
+never cross a node, so they are not messages: a node's tools hand its
+policy records, not text.
 
 Parsing takes, for each spec line, the first body line that it matches
 whole: lines may come in any order, extra lines are ignored and footers are
@@ -15,26 +15,17 @@ not required. A missing required line raises ``ParseError`` naming its field.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from operator import attrgetter
 from string import Formatter
 from types import SimpleNamespace
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Mapping, NamedTuple
 
-from .datastore import (
-    TREATMENT_CODE_RE,
-    ClinicalObservation,
-    CoverageRule,
-    EnrollmentRow,
-    EnrollmentStatus,
-    GuidanceDoc,
-    SymptomClass,
-    check_treatment_code,
-)
+from .datastore import TREATMENT_CODE_RE, SymptomClass, check_treatment_code
 from .errors import ParseError
-from .pseudonym import CaseToken, normalize_id
+from .pseudonym import CaseToken
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +167,6 @@ _APPROPRIATENESS = _labels({
     Appropriateness.APPROPRIATE_AFTER_STEPS: "Appropriate after steps",
     Appropriateness.NOT_CURRENTLY_APPROPRIATE: "Not currently appropriate",
 })
-_CODES = Slot(".*", ";".join, lambda text: tuple(filter(None, text.split(";"))))
 
 # Every slot that is not free text, by the name the specs give it; a name
 # means the same in every message that uses it.
@@ -195,12 +185,6 @@ _SLOTS = {
     }),
     "outstanding": Slot(".*", "; ".join, lambda text: tuple(text.split("; "))),
     "appropriateness": _APPROPRIATENESS,
-    "patient_id": Slot(r"\S.*", attrgetter("value"), normalize_id),
-    "prior_conservative_tx": _CODES,
-    "subject_token": Slot("[0-9a-f]{64}", attrgetter("hex"), CaseToken),
-    "status": _labels({member: member.value for member in EnrollmentStatus}),
-    "covered": Slot("yes|no", {True: "yes", False: "no"}.__getitem__, "yes".__eq__),
-    "prerequisites": _CODES,
 }
 
 
@@ -226,11 +210,10 @@ class Message:
     one ``%``-format string with the record's fields, read by name;
     ``parse`` matches one alternation of the looked-for lines against the
     body and builds the record from each spec line's first match with
-    ``make``, whose ``ValueError`` becomes ``ParseError(name)``. A lookup
-    result that found nothing is the text ``absent``, and reads as None."""
+    ``make``, whose ``ValueError`` becomes ``ParseError(name)``."""
 
-    def __init__(self, name: str, make: Callable[..., Any], *lines: Line, absent: str | None = None) -> None:
-        self.name, self._make, self._absent = name, make, absent
+    def __init__(self, name: str, make: Callable[..., Any], *lines: Line) -> None:
+        self.name, self._make = name, make
         names: list[str] = []
         formats: list[str] = []
         alternatives: list[str] = []
@@ -259,8 +242,6 @@ class Message:
         self._regex = re.compile("^(?:" + "|".join(alternatives) + ")$", re.MULTILINE)
 
     def render(self, record: Any) -> str:
-        if record is None:
-            return self._absent  # type: ignore[return-value]
         values = list(self._values(record))
         for index, to_text in self._to_texts:
             values[index] = to_text(values[index])
@@ -269,8 +250,6 @@ class Message:
     def parse(self, text: str) -> Any:
         """The record ``text`` holds; ``ParseError`` names the first spec
         line missing or refused."""
-        if text == self._absent:
-            return None
         found: dict[int, re.Match[str]] = {}
         for match in self._regex.finditer(text):
             found.setdefault(match.lastindex, match)  # type: ignore[arg-type]
@@ -291,12 +270,6 @@ class Message:
             return self._make(**values)
         except ValueError as exc:
             raise ParseError(self.name, str(exc)) from None
-
-
-def _record_result(name: str, record: type, absent: str) -> Message:
-    """A node-local lookup result: a ``<field>: <value>`` line per field."""
-    lines = (Line(f.name, f"{f.name}: {{{f.name}}}") for f in fields(record))
-    return Message(name, record, *lines, absent=absent)
 
 
 _CLINICAL_LINES = (
@@ -336,13 +309,6 @@ _VERDICT = Message(
     Line("summary", "Summary: {summary}"),
     Line("next_steps", "Next Steps: {next_steps}"),
 )
-NO_OBSERVATION = "no matching observation"
-NO_ENROLLMENT = "no matching enrollment"
-NO_COVERAGE_RULE = "no coverage rule"
-NO_GUIDANCE = "no guidance found"
-_OBSERVATION = _record_result("observation", ClinicalObservation, NO_OBSERVATION)
-_ENROLLMENT = _record_result("enrollment", EnrollmentRow, NO_ENROLLMENT)
-_RULE = _record_result("coverage_rule", CoverageRule, NO_COVERAGE_RULE)
 
 render_inquiry = _INQUIRY.render
 parse_inquiry = _INQUIRY.parse
@@ -351,12 +317,6 @@ parse_consult = _CONSULT.parse
 render_recommendation = _RECOMMENDATION.render
 parse_recommendation = _RECOMMENDATION.parse
 parse_verdict_fields = _VERDICT.parse
-render_observation_text = _OBSERVATION.render
-parse_observation_text = _OBSERVATION.parse
-render_enrollment_text = _ENROLLMENT.render
-parse_enrollment_text = _ENROLLMENT.parse
-render_rule_text = _RULE.render
-parse_rule_text = _RULE.parse
 
 
 def render_verdict(verdict: CoverageVerdict) -> str:
@@ -364,40 +324,3 @@ def render_verdict(verdict: CoverageVerdict) -> str:
         coverage=verdict.coverage, outstanding=verdict.prerequisites_outstanding,
         appropriateness=verdict.appropriateness.verdict, summary=verdict.summary, next_steps=verdict.next_steps,
     ))
-
-
-# ---------------------------------------------------------------------------
-# The guidance search result, a list of documents of any length
-# ---------------------------------------------------------------------------
-
-
-def render_guidance_text(docs: Sequence[GuidanceDoc]) -> str:
-    lines: list[str] = []
-    for doc in docs:
-        lines.append(f"doc: {doc.doc_id}")
-        for band, description in doc.severity_bands.items():
-            lines.append(f"band {band}: {description}")
-        for step_no, step in enumerate(doc.ladder, start=1):
-            lines.append(f"ladder {step_no}: {step}")
-        for flag in doc.red_flags:
-            lines.append(f"red_flag: {flag}")
-    return "\n".join(lines) if lines else NO_GUIDANCE
-
-
-def parse_guidance_result(text: str) -> list[GuidanceDoc]:
-    """Reconstruct guidance documents from a guidance_search tool result;
-    ``NO_GUIDANCE`` reads as none."""
-    docs: list[tuple[str, dict[str, str], list[str], list[str]]] = []
-    for line in text.split("\n"):
-        key, sep, value = line.partition(": ")
-        if sep and key == "doc":
-            docs.append((value, {}, [], []))
-        elif sep and docs:
-            _, bands, ladder, flags = docs[-1]
-            if key.startswith("band "):
-                bands[key[len("band "):]] = value
-            elif key.startswith("ladder "):
-                ladder.append(value)
-            elif key == "red_flag":
-                flags.append(value)
-    return [GuidanceDoc(doc_id, bands, tuple(ladder), tuple(flags)) for doc_id, bands, ladder, flags in docs]

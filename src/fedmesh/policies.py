@@ -1,15 +1,16 @@
 """Deterministic agent policies.
 
 Each policy reads the message it was sent and the tool results of its turns
-so far, and writes the next message; every text format they read or write
-is defined in ``messages``.
+so far, and writes the next message; every message they read or write is
+defined in ``messages``. A tool result is the record the tool returned.
 
 The three policies are pure functions of (request body, tool history):
 given identical inputs they produce identical turns across runs and
 processes, which is what makes the end-to-end transcript testable. Each
-decide reads the last result of each tool from the history. Each instance
-keeps its last parse by each parser, so the turns of one operation, which
-all carry the same texts, parse each once; a different text only misses.
+decide reads the last result of each tool from the history. The insurer
+and specialist keep their last parse of the message they were sent, so the
+turns of one operation, which all carry the same body, parse it once; a
+different body only misses.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .datastore import (
     TREATMENT_CODE_RE,
     ClinicalObservation,
     CoverageRule,
+    EnrollmentRow,
     EnrollmentStatus,
     GuidanceDoc,
     SymptomClass,
@@ -36,12 +38,8 @@ from .messages import (
     Recommendation,
     SpecialistConsult,
     parse_consult,
-    parse_enrollment_text,
-    parse_guidance_result,
     parse_inquiry,
-    parse_observation_text,
     parse_recommendation,
-    parse_rule_text,
     render_consult,
     render_inquiry,
     render_recommendation,
@@ -264,16 +262,16 @@ def _call(tool: str, **args: str) -> PolicyDecision:
     return PolicyDecision(tool_calls=(ToolCall(tool, args),))
 
 
-def _recall(policy: Any, parse: Callable[[str], Any], text: str) -> Any:
-    """``parse(text)``, reusing the policy's last result of ``parse`` for an
-    equal ``text``. The memo keeps one ``(text, result)`` pair per parser,
-    each replaced by one dict store, so concurrent turns need no lock: a
-    race costs only a re-parse. A parse that raises is not kept."""
-    last = policy._last_parses.get(parse)
-    if last is not None and last[0] == text:
+def _parse_request(policy: Any, parse: Callable[[str], Any], body: str) -> Any:
+    """``parse(body)``, reusing the policy's last parse of an equal body.
+    The memo is one ``(body, result)`` pair, replaced by one attribute
+    store, so concurrent turns need no lock: a race costs only a re-parse.
+    A parse that raises is not kept."""
+    last = policy._last_request
+    if last is not None and last[0] == body:
         return last[1]
-    result = parse(text)
-    policy._last_parses[parse] = (text, result)
+    result = parse(body)
+    object.__setattr__(policy, "_last_request", (body, result))
     return result
 
 
@@ -288,7 +286,6 @@ class ClinicPolicy:
     """
 
     insurer_target: str = "insurer"
-    _last_parses: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def decide(self, request_body: str, history: Sequence[ToolExchange]) -> PolicyDecision:
         id_match = PATIENT_ID_RE.search(request_body)
@@ -296,22 +293,20 @@ class ClinicPolicy:
             return PolicyDecision(message="Patient not found: the request names no patient identifier.")
         patient_id = id_match.group(0).upper()
 
-        results = {exchange.call.tool: exchange.result.text for exchange in history}
-        lookup = results.get("csv_lookup")
-        if lookup is None:
+        results = {exchange.call.tool: exchange.result.value for exchange in history}
+        if "csv_lookup" not in results:
             return _call("csv_lookup", patient_id=patient_id)
-        obs = _recall(self, parse_observation_text, lookup)
+        obs: ClinicalObservation | None = results["csv_lookup"]
         if obs is None:
             return PolicyDecision(message="Patient not found: no local case record matches the request.")
 
-        token_text = results.get("hmac_token")
-        if token_text is None:
+        if "hmac_token" not in results:
             return _call("hmac_token", patient_id=patient_id)
+        token: CaseToken = results["hmac_token"]
 
-        relay_result = results.get("relay_call")
-        if relay_result is None:
+        if "relay_call" not in results:
             inquiry = CoverageInquiry(
-                patient_token=CaseToken(token_text.strip()),
+                patient_token=token,
                 symptom_class=obs.symptom_class,
                 duration_weeks=obs.duration_weeks,
                 functional_limitation=obs.functional_limitation,
@@ -320,7 +315,7 @@ class ClinicPolicy:
             )
             return _call("relay_call", target=self.insurer_target, body=render_inquiry(inquiry))
 
-        return PolicyDecision(message=relay_result)
+        return PolicyDecision(message=results["relay_call"])
 
 
 def _humanize(code: str) -> str:
@@ -377,11 +372,10 @@ class InsurerPolicy:
 
     The consult body is built from the structurally token-free consultation
     type. The token is never persisted: it lives in this request's turn
-    context and, as part of the last parsed inquiry and enrolment, stays
-    referenced by this policy instance in the insurer's memory until the
-    next inquiry and enrolment arrive. The specialist is always consulted,
-    since every inquiry carries a proposed treatment whose appropriateness
-    feeds the verdict.
+    context and, as part of the last parsed inquiry, stays referenced by
+    this policy instance in the insurer's memory until the next inquiry
+    arrives. The specialist is always consulted, since every inquiry
+    carries a proposed treatment whose appropriateness feeds the verdict.
 
     ``forward_token`` is a fault-injection hook for exercising the guard
     and the trace checker; it deliberately violates the consult contract.
@@ -389,36 +383,33 @@ class InsurerPolicy:
 
     specialist_target: str = "specialist"
     forward_token: bool = False
-    _last_parses: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _last_request: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def decide(self, request_body: str, history: Sequence[ToolExchange]) -> PolicyDecision:
         try:
-            inquiry = _recall(self, parse_inquiry, request_body)
+            inquiry = _parse_request(self, parse_inquiry, request_body)
         except ParseError as exc:
             return PolicyDecision(
                 message=f"Unable to process the coverage inquiry: missing or malformed field '{exc.field}'."
             )
 
-        results = {exchange.call.tool: exchange.result.text for exchange in history}
-        enrollment_text = results.get("enrollment_match")
-        if enrollment_text is None:
+        results = {exchange.call.tool: exchange.result.value for exchange in history}
+        if "enrollment_match" not in results:
             return _call("enrollment_match", token=inquiry.patient_token.hex)
-        enrollment = _recall(self, parse_enrollment_text, enrollment_text)
+        enrollment: EnrollmentRow | None = results["enrollment_match"]
         active = enrollment is not None and enrollment.status is EnrollmentStatus.ACTIVE
 
-        rule_text = results.get("coverage_lookup")
-        if active and rule_text is None:
+        if active and "coverage_lookup" not in results:
             return _call("coverage_lookup", plan_id=enrollment.plan_id, treatment_code=inquiry.proposed_treatment)
 
-        consult_text = results.get("relay_call")
-        if consult_text is None:
+        if "relay_call" not in results:
             body = render_consult(consult_from_inquiry(inquiry))
             if self.forward_token:
                 body += "\npatient_token=" + inquiry.patient_token.hex
             return _call("relay_call", target=self.specialist_target, body=body)
 
         try:
-            rec = _recall(self, parse_recommendation, consult_text)
+            rec = parse_recommendation(results["relay_call"])
         except ParseError as exc:
             return PolicyDecision(
                 message=f"Specialist response could not be interpreted (field '{exc.field}')."
@@ -429,7 +420,7 @@ class InsurerPolicy:
             outstanding: tuple[str, ...] = ()
             summary = "No active enrolment found for the presented token."
         else:
-            rule = None if rule_text is None else _recall(self, parse_rule_text, rule_text)
+            rule: CoverageRule | None = results["coverage_lookup"]
             if rule is None or not rule.covered:
                 coverage = CoverageStatus.NOT_COVERED
                 outstanding = ()
@@ -459,21 +450,20 @@ class SpecialistPolicy:
     """
 
     guidance_query: str = "osteoarthritis"
-    _last_parses: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _last_request: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def decide(self, request_body: str, history: Sequence[ToolExchange]) -> PolicyDecision:
         try:
-            consult = _recall(self, parse_consult, request_body)
+            consult = _parse_request(self, parse_consult, request_body)
         except ParseError as exc:
             return PolicyDecision(
                 message=f"Unable to process the consultation request: missing or malformed field '{exc.field}'."
             )
 
-        results = {exchange.call.tool: exchange.result.text for exchange in history}
-        guidance_text = results.get("guidance_search")
-        if guidance_text is None:
+        results = {exchange.call.tool: exchange.result.value for exchange in history}
+        if "guidance_search" not in results:
             return _call("guidance_search", query=self.guidance_query)
-        docs = _recall(self, parse_guidance_result, guidance_text)
+        docs: list[GuidanceDoc] = results["guidance_search"]
         return PolicyDecision(message=render_recommendation(recommend(consult, docs)))
 
 

@@ -5,7 +5,9 @@ Handling a request runs the bounded tool-calling loop: the operation's
 policy produces a message and tool calls, the runtime executes the
 permitted tools, and the results feed the next turn until the policy stops
 requesting tools. Policies never touch node state directly; every data
-access goes through a recorded tool call.
+access goes through a recorded tool call. A tool over local data hands the
+policy the store's record itself, never text: only ``relay_call``, whose
+result comes from another node, returns a message.
 """
 
 from __future__ import annotations
@@ -16,7 +18,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Protocol, Sequence
 
 from .datastore import (
+    ClinicalObservation,
     ClinicStore,
+    CoverageRule,
+    EnrollmentRow,
     GuidanceDoc,
     InsurerStore,
     ProtectedValueIndex,
@@ -34,8 +39,7 @@ from .errors import (
     ToolNotPermitted,
 )
 from .locality import Topology, TraceLog
-from .messages import render_enrollment_text, render_guidance_text, render_observation_text, render_rule_text
-from .pseudonym import SecretKey, SecretSource, derive_token, load_secret, normalize_id
+from .pseudonym import CaseToken, SecretKey, SecretSource, derive_token, load_secret, normalize_id
 from .relay import RelayRequest, RelayTarget, Transport, relay_call
 
 logger = logging.getLogger(__name__)
@@ -51,8 +55,11 @@ class ToolCall:
 
 @dataclass(frozen=True)
 class ToolResult:
+    """What a tool returned: a record or records of the node's own data,
+    ``None`` for a lookup that found nothing, or the text of a reply."""
+
     tool: str
-    text: str
+    value: object
 
 
 @dataclass(frozen=True)
@@ -110,7 +117,7 @@ class ToolContext:
     conversation_id: str
 
 
-ToolFn = Callable[[ToolContext, Mapping[str, str]], str]
+ToolFn = Callable[[ToolContext, Mapping[str, str]], object]
 
 
 @dataclass
@@ -249,13 +256,13 @@ def execute_tool(
         raise ToolError(f"tool {call.tool!r} is not registered on node {node.node_id!r}")
     ctx = ToolContext(node=node, operation=op, conversation_id=conversation_id)
     try:
-        text = fn(ctx, dict(call.args))
+        value = fn(ctx, dict(call.args))
     except FedmeshError:
         raise
     except Exception as exc:
         raise ToolError(f"tool {call.tool!r} failed: {exc}") from exc
-    logger.debug("node=%s tool=%s result_chars=%d", node.node_id, call.tool, len(text))
-    return ToolResult(tool=call.tool, text=text)
+    logger.debug("node=%s tool=%s returned", node.node_id, call.tool)
+    return ToolResult(tool=call.tool, value=value)
 
 
 # ---------------------------------------------------------------------------
@@ -284,29 +291,29 @@ def _insurer_store(ctx: ToolContext, tool: str) -> InsurerStore:
     return store
 
 
-def tool_csv_lookup(ctx: ToolContext, args: Mapping[str, str]) -> str:
+def tool_csv_lookup(ctx: ToolContext, args: Mapping[str, str]) -> ClinicalObservation | None:
     """Fetch the clinical observation row for a patient id."""
     store = _clinic_store(ctx, "csv_lookup")
     raw = _require_arg(args, "patient_id", "csv_lookup")
-    return render_observation_text(lookup_observation(store, normalize_id(raw)))
+    return lookup_observation(store, normalize_id(raw))
 
 
-def tool_enrollment_match(ctx: ToolContext, args: Mapping[str, str]) -> str:
+def tool_enrollment_match(ctx: ToolContext, args: Mapping[str, str]) -> EnrollmentRow | None:
     """Exact-match a case token against the local enrolment table."""
     store = _insurer_store(ctx, "enrollment_match")
     token = _require_arg(args, "token", "enrollment_match")
-    return render_enrollment_text(match_enrollment(store, token))
+    return match_enrollment(store, token)
 
 
-def tool_coverage_lookup(ctx: ToolContext, args: Mapping[str, str]) -> str:
+def tool_coverage_lookup(ctx: ToolContext, args: Mapping[str, str]) -> CoverageRule | None:
     store = _insurer_store(ctx, "coverage_lookup")
     plan_id = _require_arg(args, "plan_id", "coverage_lookup")
     treatment = _require_arg(args, "treatment_code", "coverage_lookup")
-    return render_rule_text(coverage_rule(store, plan_id, treatment))
+    return coverage_rule(store, plan_id, treatment)
 
 
-def tool_guidance_search(ctx: ToolContext, args: Mapping[str, str]) -> str:
-    """Return guidance documents matching the query (all, when empty)."""
+def tool_guidance_search(ctx: ToolContext, args: Mapping[str, str]) -> list[GuidanceDoc]:
+    """Return the guidance documents matching the query (all, when empty)."""
     docs = ctx.node.datasets.get("guidance")
     if not isinstance(docs, list):
         raise ToolError(f"tool 'guidance_search' needs a guidance dataset on node {ctx.node.node_id!r}")
@@ -320,16 +327,16 @@ def tool_guidance_search(ctx: ToolContext, args: Mapping[str, str]) -> str:
         texts = list(doc.severity_bands.values()) + list(doc.ladder) + list(doc.red_flags)
         return any(query in text.casefold() for text in texts)
 
-    return render_guidance_text([doc for doc in docs if matches(doc)])
+    return [doc for doc in docs if matches(doc)]
 
 
-def tool_hmac_token(ctx: ToolContext, args: Mapping[str, str]) -> str:
+def tool_hmac_token(ctx: ToolContext, args: Mapping[str, str]) -> CaseToken:
     """Derive the case token for an id. The key resolves at the node's first
     call, from the node-local secret source; it never enters a message."""
     if ctx.node.hmac_secret is None:
         raise ToolError("tool 'hmac_token' needs an hmac_secret in node config")
     raw = _require_arg(args, "patient_id", "hmac_token")
-    return derive_token(ctx.node.hmac_key(), normalize_id(raw)).hex
+    return derive_token(ctx.node.hmac_key(), normalize_id(raw))
 
 
 def tool_relay_call(ctx: ToolContext, args: Mapping[str, str]) -> str:

@@ -213,6 +213,36 @@ _LOAD_ERROR_SITES = {
     "duplicate-rule": (
         "coverage_rules", "PLAN-Q,massage_q,yes,—\nPLAN-Q,massage_q,no,—\n", "plan_id", "massage_q", 3,
     ),
+    # A rule's codes reach the verdict, and its plan id and an enrolment's
+    # cells each stay one value: a line break would split a record's field.
+    "invalid-rule-treatment-code": ("coverage_rules", "PLAN-A,knee injection,yes,—\n", "treatment_code",
+                                    "knee injection", 2),
+    "none-rule-treatment-code": ("coverage_rules", "PLAN-A,none,yes,—\n", "treatment_code", "none", 2),
+    "invalid-prerequisite": (
+        "coverage_rules", "PLAN-A,physio,yes,failed_simple_analgesia;physio 6 weeks\n", "prerequisites",
+        "physio 6 weeks", 2,
+    ),
+    "prerequisite-with-line-feed": (
+        "coverage_rules", 'PLAN-A,physio,yes,"failed_simple_analgesia\nCoverage: Covered"\n', "prerequisites",
+        "Coverage: Covered", 2,
+    ),
+    "rule-plan-id-with-line-feed": (
+        "coverage_rules", '"PLAN-A\ncovered: yes",physio,no,—\n', "plan_id", "covered: yes", 2,
+    ),
+    "rule-plan-id-with-carriage-return": ("coverage_rules", '"PLAN-A\rB",physio,no,—\n', "plan_id", "PLAN-A", 2),
+    "insurance-number-with-line-feed": (
+        "enrollment", f'{_TOKEN},"INS-993377\nstatus: inactive",PLAN-A,active\n', "insurance_number",
+        "status: inactive", 2,
+    ),
+    "insurance-number-with-carriage-return": (
+        "enrollment", f'{_TOKEN},"INS-99\r3377",PLAN-A,active\n', "insurance_number", "INS-99", 2,
+    ),
+    "enrollment-plan-id-with-line-feed": (
+        "enrollment", f'{_TOKEN},INS-1,"PLAN-A\nstatus: inactive",active\n', "plan_id", "status: inactive", 2,
+    ),
+    "enrollment-plan-id-with-carriage-return": (
+        "enrollment", f'{_TOKEN},INS-1,"PLAN-A\rB",active\n', "plan_id", "PLAN-A", 2,
+    ),
 }
 _LOAD_HEADERS = {
     "patients": "patient_id,full_name,dob,notes\n",
@@ -241,6 +271,26 @@ def test_row_errors_name_the_column_never_the_cell(tmp_path, workspace, site):
     assert column in str(err.value)
     assert cell not in str(err.value)
     assert err.value.line == line
+
+
+def test_each_distinct_step_cell_is_checked_once(tmp_path, workspace, monkeypatch):
+    observations = tmp_path / "observations.csv"
+    observations.write_text(
+        _LOAD_HEADERS["observations"]
+        + "".join(f"CLN-000{k},mild,4,walks,{cell}\n" for k, cell in enumerate(("a;b", "c", "a;b", "c"), 1)),
+        encoding="utf-8",
+    )
+    checked: list[str] = []
+    check = datastore.check_treatment_code
+
+    def counted(code: str, what: str) -> None:
+        checked.append(code)
+        check(code, what)
+
+    monkeypatch.setattr(datastore, "check_treatment_code", counted)
+    store, _ = load_clinic_store(observations, workspace.root / "clinic" / "patients.csv")
+    assert checked == ["a", "b", "c"]
+    assert [store.observations[f"CLN-000{k}"][3] for k in range(1, 5)] == [("a", "b"), ("c",), ("a", "b"), ("c",)]
 
 
 _WORKSPACE_TABLES = (
@@ -457,6 +507,13 @@ def test_load_guidance_fixture_docs(workspace):
     red = by_id["osteoarthritis_knee_red_flags.md"]
     assert len(red.red_flags) == 4
     assert "Locked knee" in red.red_flags
+
+
+def test_guidance_bands_are_read_only(workspace):
+    """Tools hand policies the store's own documents, which must not change."""
+    doc = load_guidance(workspace.root / "specialist")[0]
+    with pytest.raises(TypeError):
+        doc.severity_bands["mild"] = "anything"
 
 
 def test_guidance_missing_heading(tmp_path):

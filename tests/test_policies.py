@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
+
+import fedmesh.messages as messages_mod
+import fedmesh.policies as policies_mod
 
 from fedmesh.datastore import (
     ClinicalObservation,
@@ -15,9 +19,8 @@ from fedmesh.datastore import (
     load_guidance,
 )
 from fedmesh.errors import ParseError
+from fedmesh.fixtures import CANONICAL_REQUEST
 from fedmesh.messages import (
-    NO_ENROLLMENT,
-    NO_OBSERVATION,
     Appropriateness,
     CoverageInquiry,
     CoverageStatus,
@@ -25,19 +28,12 @@ from fedmesh.messages import (
     Recommendation,
     SpecialistConsult,
     parse_consult,
-    parse_enrollment_text,
     parse_inquiry,
-    parse_observation_text,
     parse_recommendation,
-    parse_rule_text,
     parse_verdict_fields,
     render_consult,
-    render_enrollment_text,
-    render_guidance_text,
     render_inquiry,
-    render_observation_text,
     render_recommendation,
-    render_rule_text,
     render_verdict,
 )
 from fedmesh.policies import (
@@ -53,6 +49,7 @@ from fedmesh.policies import (
 )
 from fedmesh.pseudonym import CaseToken, normalize_id
 from fedmesh.runtime import ToolCall, ToolExchange, ToolResult
+from fedmesh.scenario import boot_scenario
 
 from conftest import GOLDEN_TOKENS
 
@@ -88,8 +85,8 @@ def _inquiry(treatment=TREATMENT_CONSERVATIVE, prior=("NSAID_2_weeks", "home_exe
     )
 
 
-def _exchange(tool: str, text: str, args: dict | None = None) -> ToolExchange:
-    return ToolExchange(ToolCall(tool, args or {}), ToolResult(tool, text))
+def _exchange(tool: str, value: object, args: dict | None = None) -> ToolExchange:
+    return ToolExchange(ToolCall(tool, args or {}), ToolResult(tool, value))
 
 
 # ---------------------------------------------------------------------------
@@ -254,24 +251,6 @@ def test_verdict_round_trip_property(verdict):
         "summary": verdict.summary,
         "next_steps": verdict.next_steps,
     }
-
-
-@given(patient_ids, inquiries())
-def test_observation_result_round_trip_property(patient_id, facts):
-    obs = _obs(patient_id, facts.symptom_class, facts.duration_weeks, facts.functional_limitation, facts.prior_tx)
-    assert parse_observation_text(render_observation_text(obs)) == obs
-
-
-@given(tokens, limitations, limitations, st.sampled_from(list(EnrollmentStatus)))
-def test_enrollment_result_round_trip_property(token, insurance_number, plan_id, status):
-    row = EnrollmentRow(token, insurance_number, plan_id, status)
-    assert parse_enrollment_text(render_enrollment_text(row)) == row
-
-
-@given(limitations, limitations, st.booleans(), st.lists(codes, max_size=5))
-def test_rule_result_round_trip_property(plan_id, treatment_code, covered, prerequisites):
-    rule = CoverageRule(plan_id, treatment_code, covered, tuple(prerequisites))
-    assert parse_rule_text(render_rule_text(rule)) == rule
 
 
 @given(inquiries())
@@ -575,11 +554,11 @@ def test_clinic_policy_turn_sequence():
     turn1 = policy.decide(body, history)
     assert turn1.tool_calls[0].tool == "csv_lookup"
     assert turn1.tool_calls[0].args["patient_id"] == "CLN-0001"
-    history.append(_exchange("csv_lookup", render_observation_text(_obs())))
+    history.append(_exchange("csv_lookup", _obs()))
 
     turn2 = policy.decide(body, history)
     assert turn2.tool_calls[0].tool == "hmac_token"
-    history.append(_exchange("hmac_token", TOKEN.hex))
+    history.append(_exchange("hmac_token", TOKEN))
 
     turn3 = policy.decide(body, history)
     assert turn3.tool_calls[0].tool == "relay_call"
@@ -600,17 +579,15 @@ def test_clinic_policy_explicit_treatment_overrides_inference():
     history = [
         _exchange(
             "csv_lookup",
-            render_observation_text(
-                _obs(
-                    pid="CLN-0003",
-                    symptom=SymptomClass.SEVERE,
-                    weeks=24,
-                    limitation="pain at rest; limited ROM",
-                    prior=("NSAID_3_weeks", "physio_4_weeks"),
-                )
+            _obs(
+                pid="CLN-0003",
+                symptom=SymptomClass.SEVERE,
+                weeks=24,
+                limitation="pain at rest; limited ROM",
+                prior=("NSAID_3_weeks", "physio_4_weeks"),
             ),
         ),
-        _exchange("hmac_token", TOKEN.hex),
+        _exchange("hmac_token", TOKEN),
     ]
     decision = policy.decide(body, history)
     inquiry = parse_inquiry(decision.tool_calls[0].args["body"])
@@ -619,7 +596,7 @@ def test_clinic_policy_explicit_treatment_overrides_inference():
 
 def test_clinic_policy_unknown_patient():
     policy = ClinicPolicy()
-    history = [_exchange("csv_lookup", NO_OBSERVATION)]
+    history = [_exchange("csv_lookup", None)]
     decision = policy.decide("Confirm coverage for CLN-9999", history)
     assert decision.tool_calls == ()
     assert "Patient not found" in decision.message
@@ -642,14 +619,12 @@ def test_clinic_policy_is_pure():
 # ---------------------------------------------------------------------------
 
 
-def _enrollment_text(plan="PLAN-A", status="active"):
-    return render_enrollment_text(
-        EnrollmentRow(
-            subject_token=TOKEN,
-            insurance_number="INS-441122",
-            plan_id=plan,
-            status=EnrollmentStatus(status),
-        )
+def _enrollment(plan="PLAN-A", status="active"):
+    return EnrollmentRow(
+        subject_token=TOKEN,
+        insurance_number="INS-441122",
+        plan_id=plan,
+        status=EnrollmentStatus(status),
     )
 
 
@@ -659,8 +634,12 @@ def _recommendation_text(verdict=Appropriateness.APPROPRIATE_NOW):
     )
 
 
-def _run_insurer(inquiry: CoverageInquiry, enrollment_text: str, rule_text: str | None):
-    """Drive the insurer policy across its turns against canned tool output."""
+_NOT_LOOKED_UP = object()
+
+
+def _run_insurer(inquiry: CoverageInquiry, enrollment: EnrollmentRow | None, rule=_NOT_LOOKED_UP):
+    """Drive the insurer policy across its turns against canned tool
+    results; ``rule``, when given, is what ``coverage_lookup`` returns."""
     policy = InsurerPolicy()
     body = render_inquiry(inquiry)
     history: list[ToolExchange] = []
@@ -668,12 +647,12 @@ def _run_insurer(inquiry: CoverageInquiry, enrollment_text: str, rule_text: str 
     decision = policy.decide(body, history)
     assert decision.tool_calls[0].tool == "enrollment_match"
     assert decision.tool_calls[0].args["token"] == inquiry.patient_token.hex
-    history.append(_exchange("enrollment_match", enrollment_text))
+    history.append(_exchange("enrollment_match", enrollment))
 
     decision = policy.decide(body, history)
-    if rule_text is not None:
+    if rule is not _NOT_LOOKED_UP:
         assert decision.tool_calls[0].tool == "coverage_lookup"
-        history.append(_exchange("coverage_lookup", rule_text))
+        history.append(_exchange("coverage_lookup", rule))
         decision = policy.decide(body, history)
 
     assert decision.tool_calls[0].tool == "relay_call"
@@ -687,9 +666,7 @@ def _run_insurer(inquiry: CoverageInquiry, enrollment_text: str, rule_text: str 
 
 
 def test_insurer_not_covered_when_rule_absent():
-    consult_body, fields = _run_insurer(
-        _inquiry(), _enrollment_text(), "no coverage rule"
-    )
+    consult_body, fields = _run_insurer(_inquiry(), _enrollment(), None)
     assert fields["coverage"] is CoverageStatus.NOT_COVERED
     assert fields["appropriateness"] is Appropriateness.APPROPRIATE_NOW
     parse_consult(consult_body)  # the consult is well formed and token free
@@ -697,41 +674,39 @@ def test_insurer_not_covered_when_rule_absent():
 
 
 def test_insurer_not_covered_when_rule_says_no():
-    rule_text = render_rule_text(_rule(covered=False, prereqs=()))
-    _, fields = _run_insurer(_inquiry(treatment=TREATMENT_HA_INJECTION), _enrollment_text("PLAN-C"), rule_text)
+    rule = _rule(covered=False, prereqs=())
+    _, fields = _run_insurer(_inquiry(treatment=TREATMENT_HA_INJECTION), _enrollment("PLAN-C"), rule)
     assert fields["coverage"] is CoverageStatus.NOT_COVERED
 
 
 def test_insurer_covered_with_prerequisites():
-    rule_text = render_rule_text(_rule())
     _, fields = _run_insurer(
         _inquiry(treatment=TREATMENT_HA_INJECTION, prior=("NSAID_2_weeks",)),
-        _enrollment_text(),
-        rule_text,
+        _enrollment(),
+        _rule(),
     )
     assert fields["coverage"] is CoverageStatus.COVERED_WITH_PREREQUISITES
     assert fields["outstanding"] == ("physiotherapy_6_weeks",)
 
 
 def test_insurer_covered_when_prerequisites_met():
-    rule_text = render_rule_text(_rule())
     _, fields = _run_insurer(
         _inquiry(treatment=TREATMENT_HA_INJECTION, prior=("NSAID_2_weeks", "physio_6_weeks")),
-        _enrollment_text(),
-        rule_text,
+        _enrollment(),
+        _rule(),
     )
     assert fields["coverage"] is CoverageStatus.COVERED
 
 
 def test_insurer_unmatched_token_still_consults():
-    consult_body, fields = _run_insurer(_inquiry(), NO_ENROLLMENT, None)
+    consult_body, fields = _run_insurer(_inquiry(), None)
     assert fields["coverage"] is CoverageStatus.NOT_COVERED
     assert "no active enrolment found" in str(fields["summary"]).lower()
     parse_consult(consult_body)
 
 
 def test_insurer_inactive_enrollment_is_not_covered():
-    _, fields = _run_insurer(_inquiry(), _enrollment_text(status="inactive"), None)
+    _, fields = _run_insurer(_inquiry(), _enrollment(status="inactive"))
     assert fields["coverage"] is CoverageStatus.NOT_COVERED
     assert "no active enrolment found" in str(fields["summary"]).lower()
 
@@ -745,7 +720,7 @@ def test_insurer_parse_failure_response():
 def test_insurer_forward_token_hook_leaks_token():
     policy = InsurerPolicy(forward_token=True)
     body = render_inquiry(_inquiry())
-    history = [_exchange("enrollment_match", NO_ENROLLMENT)]
+    history = [_exchange("enrollment_match", None)]
     decision = policy.decide(body, history)
     assert HEX64.search(decision.tool_calls[0].args["body"])
 
@@ -765,7 +740,7 @@ def _run_specialist(consult: SpecialistConsult, docs: list[GuidanceDoc]) -> Reco
     body = render_consult(consult)
     decision = policy.decide(body, [])
     assert decision.tool_calls[0].tool == "guidance_search"
-    history = [_exchange("guidance_search", render_guidance_text(docs))]
+    history = [_exchange("guidance_search", docs)]
     final = policy.decide(body, history)
     assert final.tool_calls == ()
     return parse_recommendation(final.message)
@@ -830,7 +805,7 @@ def test_specialist_parse_failure_response():
 MALFORMED_BODY = "A request in free text, with no labelled fields and no patient."
 
 
-def _clinic_conversation(patient_id: str, facts: CoverageInquiry) -> tuple[str, dict[str, str]]:
+def _clinic_conversation(patient_id: str, facts: CoverageInquiry) -> tuple[str, dict[str, object]]:
     observation = ClinicalObservation(
         patient_id=normalize_id(patient_id),
         symptom_class=facts.symptom_class,
@@ -839,21 +814,21 @@ def _clinic_conversation(patient_id: str, facts: CoverageInquiry) -> tuple[str, 
         prior_conservative_tx=facts.prior_tx,
     )
     return f"Confirm coverage for {patient_id} for {facts.proposed_treatment}", {
-        "csv_lookup": render_observation_text(observation),
-        "hmac_token": facts.patient_token.hex,
+        "csv_lookup": observation,
+        "hmac_token": facts.patient_token,
         "relay_call": "Coverage: Not covered",
     }
 
 
-def _insurer_conversation(inquiry: CoverageInquiry) -> tuple[str, dict[str, str]]:
+def _insurer_conversation(inquiry: CoverageInquiry) -> tuple[str, dict[str, object]]:
     return render_inquiry(inquiry), {
-        "enrollment_match": _enrollment_text(),
-        "coverage_lookup": render_rule_text(_rule()),
+        "enrollment_match": _enrollment(),
+        "coverage_lookup": _rule(),
         "relay_call": _recommendation_text(),
     }
 
 
-def _assert_memo_is_invisible(policy_type: type, conversations: list[tuple[str, dict[str, str]]]) -> None:
+def _assert_memo_is_invisible(policy_type: type, conversations: list[tuple[str, dict[str, object]]]) -> None:
     """Interleave the conversations' turns on one instance, with a malformed
     body after each turn; every decision must equal a fresh instance's."""
     shared = policy_type()
@@ -883,7 +858,27 @@ def test_last_parse_memo_never_changes_a_decision(
     _assert_memo_is_invisible(
         InsurerPolicy, [_insurer_conversation(inquiry_a), _insurer_conversation(inquiry_b)]
     )
-    guidance = {"guidance_search": render_guidance_text(guidance_docs)}
+    guidance = {"guidance_search": guidance_docs}
     _assert_memo_is_invisible(
         SpecialistPolicy, [(render_consult(consult_a), guidance), (render_consult(consult_b), guidance)]
     )
+
+
+def test_request_parses_only_the_three_messages_a_policy_is_sent(workspace, monkeypatch):
+    """Node-local tools hand their policy records, so one request parses
+    only the inquiry, the consult and the recommendation, each once."""
+    calls: Counter[str] = Counter()
+    for name, parse in vars(messages_mod).items():
+        if name.startswith("parse_") and hasattr(policies_mod, name):
+            def counted(text, _name=name, _parse=parse):
+                calls[_name] += 1
+                return _parse(text)
+
+            monkeypatch.setattr(policies_mod, name, counted)
+    scenario = boot_scenario(workspace.node_configs, run_id="run-three-parses")
+    try:
+        reply = scenario.submit(CANONICAL_REQUEST)
+    finally:
+        scenario.close()
+    assert reply.startswith("Coverage: ")
+    assert calls == {"parse_inquiry": 1, "parse_consult": 1, "parse_recommendation": 1}

@@ -5,7 +5,14 @@ import threading
 import pytest
 
 from fedmesh.config import load_node_config
-from fedmesh.datastore import ProtectedValueIndex
+from fedmesh.datastore import (
+    ClinicalObservation,
+    CoverageRule,
+    EnrollmentRow,
+    EnrollmentStatus,
+    ProtectedValueIndex,
+    SymptomClass,
+)
 from fedmesh.errors import (
     AuthError,
     ConfigError,
@@ -15,7 +22,7 @@ from fedmesh.errors import (
     ToolError,
     ToolNotPermitted,
 )
-from fedmesh.pseudonym import SecretSource
+from fedmesh.pseudonym import CaseToken, SecretSource, normalize_id
 from fedmesh.runtime import (
     Node,
     OperationConfig,
@@ -245,12 +252,12 @@ def nodes(workspace):
 def _tool(node, name, args):
     op = next(iter(node.operations.values()))
     call = ToolCall(name, args)
-    return execute_tool(node, op, call, conversation_id="c1").text
+    return execute_tool(node, op, call, conversation_id="c1").value
 
 
 def test_hmac_token_tool_matches_golden(nodes):
-    text = _tool(nodes["clinic"], "hmac_token", {"patient_id": "CLN-0001"})
-    assert text == GOLDEN_TOKENS["CLN-0001"]
+    token = _tool(nodes["clinic"], "hmac_token", {"patient_id": "CLN-0001"})
+    assert token == CaseToken(GOLDEN_TOKENS["CLN-0001"])
 
 
 def test_hmac_key_is_read_once_per_node(workspace, monkeypatch):
@@ -265,7 +272,7 @@ def test_hmac_key_is_read_once_per_node(workspace, monkeypatch):
     node = build_node(load_node_config(workspace.clinic_config))
     reads.clear()  # building the index derives tokens with its own read
     for pid in ["CLN-0001", "CLN-0002", "CLN-0001", "CLN-0005"]:
-        assert _tool(node, "hmac_token", {"patient_id": pid}) == GOLDEN_TOKENS[pid]
+        assert _tool(node, "hmac_token", {"patient_id": pid}).hex == GOLDEN_TOKENS[pid]
     assert reads == ["clinic_hmac_key"]
 
 
@@ -278,33 +285,45 @@ def test_hmac_token_missing_key_raises_at_each_call():
 
 
 def test_csv_lookup_tool_renders_row(nodes):
-    text = _tool(nodes["clinic"], "csv_lookup", {"patient_id": "CLN-0001"})
-    assert "symptom_class: moderate" in text
-    assert "duration_weeks: 12" in text
+    """The tool hands the policy the row's record, not a text."""
+    assert _tool(nodes["clinic"], "csv_lookup", {"patient_id": " cln-0001 "}) == ClinicalObservation(
+        patient_id=normalize_id("CLN-0001"),
+        symptom_class=SymptomClass.MODERATE,
+        duration_weeks=12,
+        functional_limitation="difficulty stairs and prolonged standing",
+        prior_conservative_tx=("NSAID_2_weeks", "home_exercises"),
+    )
 
 
 def test_csv_lookup_tool_absent(nodes):
-    assert _tool(nodes["clinic"], "csv_lookup", {"patient_id": "CLN-9999"}) == "no matching observation"
+    assert _tool(nodes["clinic"], "csv_lookup", {"patient_id": "CLN-9999"}) is None
 
 
 def test_enrollment_match_tool(nodes):
-    text = _tool(nodes["insurer"], "enrollment_match", {"token": GOLDEN_TOKENS["CLN-0002"]})
-    assert "plan_id: PLAN-B" in text
+    token = GOLDEN_TOKENS["CLN-0002"]
+    assert _tool(nodes["insurer"], "enrollment_match", {"token": token}) == EnrollmentRow(
+        CaseToken(token), "INS-771102", "PLAN-B", EnrollmentStatus.ACTIVE
+    )
+    assert _tool(nodes["insurer"], "enrollment_match", {"token": "ab" * 32}) is None
 
 
 def test_coverage_lookup_tool(nodes):
-    text = _tool(
+    rule = _tool(
         nodes["insurer"],
         "coverage_lookup",
         {"plan_id": "PLAN-A", "treatment_code": "knee_hyaluronic_injection"},
     )
-    assert "covered: yes" in text
+    assert rule == CoverageRule(
+        "PLAN-A", "knee_hyaluronic_injection", True, ("physiotherapy_6_weeks", "failed_simple_analgesia")
+    )
+    assert _tool(nodes["insurer"], "coverage_lookup", {"plan_id": "PLAN-Z", "treatment_code": "x"}) is None
 
 
 def test_guidance_search_tool(nodes):
-    text = _tool(nodes["specialist"], "guidance_search", {"query": "osteoarthritis"})
-    assert "doc: osteoarthritis_knee_guidance.md" in text
-    assert "red_flag: Locked knee" in text
+    docs = _tool(nodes["specialist"], "guidance_search", {"query": "osteoarthritis"})
+    assert [doc.doc_id for doc in docs] == ["osteoarthritis_knee_guidance.md", "osteoarthritis_knee_red_flags.md"]
+    assert "Locked knee" in docs[1].red_flags
+    assert _tool(nodes["specialist"], "guidance_search", {"query": "shoulder"}) == []
 
 
 def test_specialist_cannot_relay(nodes):
