@@ -30,6 +30,7 @@ from .locality import (
     Violation,
     check_trace,
     read_trace,
+    scan_bodies,
     scan_outbound,
 )
 from .messages import (

@@ -19,9 +19,10 @@ import datetime as dt
 import re
 import struct
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress, filterfalse, groupby
+from itertools import accumulate, compress, filterfalse, groupby
 from operator import itemgetter, ne
 from pathlib import Path
 from types import MappingProxyType
@@ -502,6 +503,13 @@ class ProtectedSpec:
 Q = 8
 _GRAM = struct.Struct("Q")
 
+# What ProtectedValueIndex.find's two ways of testing a table cost, in the
+# characters one `in` test scans in the same time (about 0.45 ns each on
+# x86_64, CPython 3.11): a window looked up, a slice in a set or a gram in a
+# cast (44-190 ns), and an entry's `in` test apart from its scan (~100 ns).
+_WINDOW_COST = 256
+_TEST_COST = 256
+
 # An index is built this many entries at a time: each step over a slice
 # runs in C, and the slice bounds the memory its lists take.
 _BUILD_SLICE = 1024
@@ -659,29 +667,37 @@ class ProtectedValueIndex:
             for width, (filed, by_kind) in tables.items()
         ))
 
-    def find(self, body: str, to_node: str) -> list[int]:
-        """Positions, ascending, of the entries not whitelisted for
-        ``to_node`` whose value occurs in ``body`` (``exact``) or whose
-        casefolded value occurs in ``body.casefold()`` (``text``).
+    def find(self, bodies: Sequence[str], to_node: str) -> dict[int, list[int]]:
+        """The positions, ascending, of the entries not whitelisted for
+        ``to_node`` whose value occurs in a body (``exact``) or whose
+        casefolded value occurs in its casefolded form (``text``), keyed by
+        the body's index in ``bodies``; a body that holds none is left out.
 
-        The cost is bounded by the body's length, however many entries the
-        index holds. A table whose positions outnumber the folded body's
-        windows of its width looks each window up once: string slices for
-        short widths, and for the gram table the folded body's UTF-8 read
-        in C as 64-bit integers through ``memoryview`` casts at each byte
-        offset below ``Q``. Each entry filed under a key found there is
-        checked against its own whitelist and match mode. Any other table
-        tests each position of each kind not whitelisted for ``to_node``.
+        The bodies are scanned as one text, joined by newlines, and an
+        occurrence counts for a body only when it lies wholly inside it: no
+        match spans two bodies. The cost is bounded by the text's length,
+        however many entries the index holds. Each table is tested the
+        cheaper of two ways on that text, as ``_WINDOW_COST`` and
+        ``_TEST_COST`` price them. Testing each of its positions with ``in``
+        costs the positions times the text's length. Looking each window up
+        costs about one step a window: string slices for short widths, and
+        for the gram table the folded text's UTF-8 read in C as 64-bit
+        integers through ``memoryview`` casts at each byte offset below
+        ``Q``; each entry filed under a key found there is checked against
+        its own whitelist and match mode. The per-entry way tests only the
+        kinds not whitelisted for ``to_node``. Either way, an entry the text
+        holds is then placed in the bodies that hold it whole.
         """
-        hits: list[int] = []
+        text = "\n".join(bodies)  # a single body is not copied
+        folded = text.casefold()
+        present: list[int] = []  # positions whose value the text holds
         entries = self.entries
         values, kind_ids, kinds = entries._values, entries._kind_ids, entries._kinds  # type: ignore[attr-defined]
-        folded = body.casefold()
         for width, filed, by_kind, size in self._tables:
             windows = len(folded) - width + 1
             if windows <= 0:
                 continue
-            if size > windows:
+            if windows * _WINDOW_COST < size * (len(folded) + _TEST_COST):
                 if width < Q:
                     found: set[str | int] = filed.keys() & {folded[i:i + width] for i in range(windows)}
                 else:
@@ -694,19 +710,57 @@ class ProtectedValueIndex:
                     for pos in (shared,) if isinstance(shared, int) else shared:
                         _, match, allowed_to = kinds[kind_ids[pos]]
                         if to_node not in allowed_to and (
-                            values[pos].casefold() in folded if match is MatchMode.TEXT else values[pos] in body
+                            values[pos].casefold() in folded if match is MatchMode.TEXT else values[pos] in text
                         ):
-                            hits.append(pos)
+                            present.append(pos)
                 continue
             for kind_id, positions in by_kind.items():
                 _, match, allowed_to = kinds[kind_id]
                 if to_node not in allowed_to:
                     fold = match is MatchMode.TEXT
                     for pos in positions:
-                        if values[pos].casefold() in folded if fold else values[pos] in body:
-                            hits.append(pos)
-        hits.sort()
+                        if values[pos].casefold() in folded if fold else values[pos] in text:
+                            present.append(pos)
+        if not present:
+            return {}
+        present.sort()
+        if len(bodies) == 1:
+            return {0: present}
+        # Place each value in the bodies that hold it. Casefolding may
+        # lengthen a character (ß to ss), and so move the bodies' starts.
+        starts = body_starts(bodies)
+        folded_starts = starts if len(folded) == len(text) else body_starts(list(map(str.casefold, bodies)))
+        hits: dict[int, list[int]] = {}
+        for pos in present:
+            if kinds[kind_ids[pos]][1] is MatchMode.TEXT:
+                holders = bodies_holding(folded, folded_starts, values[pos].casefold())
+            else:
+                holders = bodies_holding(text, starts, values[pos])
+            for body in holders:
+                hits.setdefault(body, []).append(pos)
         return hits
+
+
+def body_starts(bodies: Sequence[str]) -> list[int]:
+    """Where each of ``bodies`` starts in ``"\\n".join(bodies)``, followed by
+    one past the joined text's end."""
+    return list(accumulate(map((1).__add__, map(len, bodies)), initial=0))
+
+
+def bodies_holding(text: str, starts: Sequence[int], needle: str) -> list[int]:
+    """Which of the bodies joined into ``text`` hold ``needle`` wholly
+    inside them, ascending; ``starts`` is theirs (``body_starts``)."""
+    holders = []
+    at = text.find(needle)
+    while at >= 0:
+        body = bisect_right(starts, at) - 1
+        # Body k ends at starts[k + 1] - 1, where the joining newline is.
+        if at + len(needle) < starts[body + 1]:
+            holders.append(body)
+            at = text.find(needle, starts[body + 1])
+        else:
+            at = text.find(needle, at + 1)
+    return holders
 
 
 def protected_values(

@@ -3,25 +3,32 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
+from fedmesh import locality
 from fedmesh.config import load_node_config
 from fedmesh.datastore import Q, MatchMode, ProtectedValue, ProtectedValueIndex
 from fedmesh.errors import ConfigError, TraceFormatError
 from fedmesh.locality import (
+    HEX64_RE,
     PATIENT_ID_PRETEST,
     PATIENT_ID_RE,
     Finding,
     MessageEnvelope,
     Topology,
     TraceLog,
+    Violation,
     ViolationKind,
     blocked_message,
     check_trace,
     read_trace,
     scan_outbound,
+    search_token,
 )
 from fedmesh.scenario import boot_scenario, load_audit_context, run_scenario
 
@@ -75,6 +82,23 @@ def test_patient_id_pretest_holds_for_every_id(text):
     raw-id rule does, whatever the case, word edges and digit script."""
     if PATIENT_ID_RE.search(text):
         assert PATIENT_ID_PRETEST.search(text)
+
+
+@given(
+    st.lists(
+        st.one_of(st.text("0123456789abcdefABCDEF", min_size=1, max_size=130), st.text("xg -\n", min_size=1, max_size=3)),
+        max_size=8,
+    ).map("".join),
+    st.integers(0, 200),
+)
+@example("x" + "a" * 64, 0)  # a run that starts 63 characters before the anchor that holds it
+@example("x" * 64 + "a" * 64, 0)  # one that starts on an anchor and ends the text
+@example("a" * 70 + "x" + "b" * 64, 5)  # a search from inside a run
+def test_search_token_finds_what_the_regex_finds(text, pos):
+    """``search_token`` finds the match ``HEX64_RE.search`` finds, from
+    any position."""
+    found, expected = search_token(text, pos), HEX64_RE.search(text, pos)
+    assert (found and found.span()) == (expected and expected.span())
 
 
 def test_scan_respects_edge_whitelist():
@@ -496,19 +520,17 @@ _MALFORMED_LINES = {
         _GOOD_RECORD.replace('"x"', '"a\x01b"'),
         "invalid JSON: Invalid control character at: line 1 column 107 (char 106)",
     ),
+    "deeply-nested": ("[" * 100_000, "invalid JSON: nested too deeply"),
     "missing-fields": (
         '{"run_id": "r", "seq": 1, "body": "x"}', "missing fields: from, to, operation_id, conversation_id",
     ),
-    "nan-seq": (_GOOD_RECORD.replace('"seq": 1', '"seq": NaN'), "cannot convert float NaN to integer"),
-    "infinite-seq": (
-        _GOOD_RECORD.replace('"seq": 1', '"seq": Infinity'), "cannot convert float infinity to integer",
-    ),
-    "negative-infinite-seq": (
-        _GOOD_RECORD.replace('"seq": 1', '"seq": -Infinity'), "cannot convert float infinity to integer",
-    ),
-    "string-seq": (
-        _GOOD_RECORD.replace('"seq": 1', '"seq": "one"'), "invalid literal for int() with base 10: 'one'",
-    ),
+    "nan-seq": (_GOOD_RECORD.replace('"seq": 1', '"seq": NaN'), "seq must be an integer"),
+    "infinite-seq": (_GOOD_RECORD.replace('"seq": 1', '"seq": Infinity'), "seq must be an integer"),
+    "negative-infinite-seq": (_GOOD_RECORD.replace('"seq": 1', '"seq": -Infinity'), "seq must be an integer"),
+    # A string seq's text is a cell of the trace; it is not repeated.
+    "string-seq": (_GOOD_RECORD.replace('"seq": 1', '"seq": "Marina Kovacs"'), "seq must be an integer"),
+    "float-seq": (_GOOD_RECORD.replace('"seq": 1', '"seq": 1.9'), "seq must be an integer"),
+    "bool-seq": (_GOOD_RECORD.replace('"seq": 1', '"seq": true'), "seq must be an integer"),
 }
 
 
@@ -533,6 +555,131 @@ def test_read_trace_empty_file(tmp_path):
     path = tmp_path / "trace.jsonl"
     path.write_text("")
     assert read_trace(path).envelopes == []
+
+
+def _reference_read_trace(text: str) -> tuple[str, object, object]:
+    """What ``read_trace`` must make of a file's text, line by line:
+    ``json.loads`` on each ``"\\n"``-split line, then the field rules.
+    ``("ok", run id, envelope fields)`` or ``("error", line, text)``."""
+    run_id = None
+    envelopes = []
+    last_seq = 0
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if not line or line.isspace():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            return "error", line_no, f"invalid JSON: {exc}"
+        except RecursionError:
+            return "error", line_no, "invalid JSON: nested too deeply"
+        if not isinstance(record, dict):
+            return "error", line_no, "envelope record must be a JSON object"
+        missing = [key for key in ("run_id", "seq", "from", "to", "operation_id", "conversation_id", "body")
+                   if key not in record]
+        if missing:
+            return "error", line_no, f"missing fields: {', '.join(missing)}"
+        if not isinstance(record["run_id"], str):
+            return "error", line_no, "run_id must be a string"
+        if run_id is None:
+            run_id = record["run_id"]
+        elif record["run_id"] != run_id:
+            return "error", line_no, "trace mixes run ids"
+        seq = record["seq"]
+        if isinstance(seq, bool) or not isinstance(seq, int):
+            return "error", line_no, "seq must be an integer"
+        fields = [str(record[key]) for key in ("from", "to", "operation_id", "conversation_id", "body")]
+        if not fields[4]:
+            return "error", line_no, "envelope body must be non-empty"
+        if fields[0] == fields[1]:
+            return "error", line_no, "envelope endpoints must differ"
+        if seq < 1:
+            return "error", line_no, "sequence numbers start at 1"
+        if seq <= last_seq:
+            return "error", line_no, "sequence numbers must be strictly increasing"
+        last_seq = seq
+        envelopes.append((*fields, seq))
+    return "ok", run_id or "", envelopes
+
+
+_ODD_SEQS = [
+    "0", "-3", "1.9", "2.0", "1e3", "true", "false", "null", '"7"', '"Marina Kovacs"',
+    "NaN", "Infinity", "-Infinity", "[1]", "{}", str(2**70),
+]
+_ODD_NODES = ["1", "2.5", "null", "true", "[]", '{"x": 1}', '"clinic"']
+
+
+@st.composite
+def _trace_texts(draw) -> str:
+    """Valid records, most of them left whole and the others given one
+    fault each, with blank lines and padding, joined by LF or CRLF."""
+    lines = []
+    seq = 0
+    for _ in range(draw(st.integers(0, 5))):
+        seq += draw(st.integers(1, 3))
+        body = draw(st.text("ab \u2028\u2029\u0085\n\t\"\\é", max_size=8))
+        fields = {
+            "run_id": '"r"',
+            "seq": str(seq),
+            "from": '"clinic"',
+            "to": '"insurer"',
+            "operation_id": '"op"',
+            "conversation_id": '"c"',
+            "body": json.dumps(body, ensure_ascii=False),
+        }
+        fault = draw(st.sampled_from(["none"] * 20 + [
+            "seq", "from", "to", "run_id", "missing", "truncated", "doubled", "repeated", "non-object",
+        ]))
+        if fault == "seq":
+            fields["seq"] = draw(st.sampled_from(_ODD_SEQS))
+        elif fault in ("from", "to"):
+            fields[fault] = draw(st.sampled_from(_ODD_NODES))
+        elif fault == "run_id":
+            fields["run_id"] = draw(st.sampled_from(['"r2"', "7"]))
+        elif fault == "missing":
+            del fields[draw(st.sampled_from(sorted(fields)))]
+        line = "{" + ", ".join(f'"{key}": {value}' for key, value in fields.items()) + "}"
+        if fault == "truncated":
+            line = line[:draw(st.integers(0, len(line) - 1))]
+        elif fault == "doubled":
+            line += line
+        elif fault == "repeated":
+            lines.append(line)
+        elif fault == "non-object":
+            line = draw(st.sampled_from(["[1, 2]", '"x"', "3", "null", "true"]))
+        event(f"fault: {fault}")
+        if draw(st.booleans()):
+            line = draw(st.sampled_from(["", " ", "\t", " \t"])) + line + draw(st.sampled_from(["", " ", "\t "]))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\u3000"])))
+        lines.append(line)
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+@settings(deadline=None, max_examples=400)
+@given(text=_trace_texts())
+def test_read_trace_agrees_with_a_line_by_line_reference(text):
+    """``read_trace`` returns the reference's envelopes, or raises
+    ``TraceFormatError`` naming the reference's line and text, which stays
+    short; no other exception escapes it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        outcome, *expected = _reference_read_trace(path.read_text(encoding="utf-8"))
+        event(f"outcome: {outcome}")
+        if outcome == "error":
+            line, message = expected
+            with pytest.raises(TraceFormatError) as err:
+                read_trace(path)
+            assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+            assert len(str(err.value)) <= 200
+        else:
+            trace = read_trace(path)
+            assert [trace.run_id, [
+                (e.from_node, e.to_node, e.operation_id, e.conversation_id, e.body, e.sent_at)
+                for e in trace.envelopes
+            ]] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -667,3 +814,125 @@ def test_violation_json_shape():
     assert record["kind"] == "undeclared-edge"
     assert record["seq"] == 1
     assert record["from"] == "clinic"
+
+
+# ---------------------------------------------------------------------------
+# check_trace in batches against the per-envelope oracle
+# ---------------------------------------------------------------------------
+
+# 64-hex tokens the clinic may send to the insurer only.
+_BATCH_TOKENS = [hashlib.sha256(b"batch-%d" % i).hexdigest() for i in range(4)]
+# A value that holds a newline: split across two bodies at it, its halves
+# joined by check_trace's newline read as the whole value.
+_NEWLINE_VALUE = "Knee pain\nafter walks"
+
+_BATCH_INDEXES = {
+    "clinic": ProtectedValueIndex(
+        node_id="clinic",
+        entries=(
+            # Enough ids that their gram table is searched window by window
+            # on short texts, and tested value by value on long ones.
+            *(ProtectedValue(f"CLN-{i:04d}", "patient_id") for i in range(0, 600, 2)),
+            ProtectedValue("Marina Kovacs", "full_name", MatchMode.TEXT),
+            ProtectedValue("Kovacs", "full_name", MatchMode.TEXT),
+            ProtectedValue("Straße", "full_name", MatchMode.TEXT),
+            ProtectedValue("1968-08-12", "dob"),
+            ProtectedValue(_NEWLINE_VALUE, "notes", MatchMode.TEXT),
+            *(ProtectedValue(t, "case_token", MatchMode.EXACT, frozenset({"insurer"})) for t in _BATCH_TOKENS),
+        ),
+    ),
+    "insurer": ProtectedValueIndex(
+        node_id="insurer",
+        entries=(
+            ProtectedValue("INS-993377", "insurance_number"),
+            ProtectedValue("PLAN-A", "plan_id", MatchMode.EXACT, frozenset({"clinic"})),
+            ProtectedValue("Gold\nplan", "plan_name", MatchMode.TEXT),
+        ),
+    ),
+}
+_ALL_VALUES = [e.value for index in _BATCH_INDEXES.values() for e in index.entries]
+_BATCH_EDGES = [
+    ("clinic", "insurer"),
+    ("insurer", "clinic"),
+    ("insurer", "specialist"),
+    ("specialist", "insurer"),
+    ("clinic", "specialist"),  # undeclared
+]
+_FRAGMENTS = st.one_of(
+    st.sampled_from(_ALL_VALUES[-12:] + ["CLN-0000", "CLN-0298", "CLN-0007"]).flatmap(
+        lambda v: st.sampled_from([v, v.upper(), v.swapcase()])
+    ),
+    st.sampled_from(_ALL_VALUES),
+    st.sampled_from(["CLN-0042", "cln-0043", "CLN-12345", "xCLN-0044"]),
+    st.integers(64, 70).flatmap(lambda n: st.text("0123456789abcdefABCDEF", min_size=n, max_size=n)),
+    st.sampled_from([" ", "\n", "x", "-", "ß", "İ", "note: ", " "]),
+)
+
+
+def _per_envelope_oracle(trace: TraceLog) -> list[Violation]:
+    """Each envelope alone: ``oracle_scan`` for protected values, between
+    the other three rules, in rule order."""
+    violations = []
+    for env in trace.envelopes:
+        edge = (env.from_node, env.to_node)
+        findings = []
+        if not TOPOLOGY.permits(*edge):
+            findings.append(Finding(ViolationKind.UNDECLARED_EDGE))
+        if env.from_node in _BATCH_INDEXES:
+            findings += oracle_scan(env.body, _BATCH_INDEXES[env.from_node], edge)
+        token = HEX64_RE.search(env.body)
+        if token and env.to_node in TOPOLOGY.token_free_nodes:
+            findings.append(Finding(ViolationKind.TOKEN_LEAK, offending_value=token.group(0)))
+        raw_id = PATIENT_ID_RE.search(env.body)
+        if raw_id:
+            findings.append(Finding(ViolationKind.RAW_PATIENT_ID, offending_value=raw_id.group(0)))
+        violations += [
+            Violation(f.kind, env.sent_at, env.from_node, env.to_node, f.detail(edge), f.offending_value)
+            for f in findings
+        ]
+    return violations
+
+
+@pytest.mark.parametrize("batch_chars", [1, 160, 2**30])
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_check_trace_equals_the_per_envelope_oracle(batch_chars, data):
+    """Batches of one body, of a few and of a whole edge find exactly what
+    checking each envelope alone finds, in the same order, and a value
+    split across two consecutive bodies of one edge is not found."""
+    messages = data.draw(st.lists(
+        st.tuples(st.sampled_from(_BATCH_EDGES), st.lists(_FRAGMENTS, max_size=6).map("".join)),
+        min_size=1, max_size=12,
+    ))
+    edges = [edge for edge, _ in messages]
+    bodies = [body or "." for _, body in messages]
+    for i, value in data.draw(st.lists(st.tuples(st.integers(0, len(messages) - 1), st.sampled_from(
+        [_NEWLINE_VALUE, "Gold\nplan", "Marina Kovacs", "CLN-0010", _BATCH_TOKENS[0]]
+    )), max_size=3)):
+        following = [j for j in range(i + 1, len(messages)) if edges[j] == edges[i]]
+        if following:
+            head, sep, tail = value.partition("\n")
+            if not sep:
+                cut = data.draw(st.integers(1, len(value) - 1))
+                head, tail = value[:cut], value[cut:]
+            bodies[i] += head
+            bodies[following[0]] = tail + bodies[following[0]]
+            event("a value split across two bodies")
+    trace = _trace_with(*((a, b, body) for (a, b), body in zip(edges, bodies)))
+    with mock.patch.object(locality, "AUDIT_BATCH_CHARS", batch_chars):
+        assert check_trace(trace, TOPOLOGY, _BATCH_INDEXES) == _per_envelope_oracle(trace)
+
+
+@pytest.mark.parametrize("batch_chars", [1, 2**30])
+def test_check_trace_never_matches_across_two_bodies(batch_chars):
+    """Two bodies of one edge whose join by a newline spells a protected
+    value, and an id and a token cut between two bodies: nothing is
+    found, in batches of one body or of all four."""
+    trace = _trace_with(
+        ("clinic", "insurer", "notes: Knee pain"),
+        ("clinic", "insurer", "after walks; CLN-00"),
+        ("clinic", "insurer", "42 and " + _BATCH_TOKENS[1][:30]),
+        ("clinic", "insurer", _BATCH_TOKENS[1][30:]),
+    )
+    with mock.patch.object(locality, "AUDIT_BATCH_CHARS", batch_chars):
+        assert check_trace(trace, TOPOLOGY, _BATCH_INDEXES) == []
