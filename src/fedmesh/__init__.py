@@ -44,7 +44,7 @@ from .messages import (
 from .policies import infer_treatment, prerequisites_satisfied
 from .pseudonym import CanonicalId, CaseToken, SecretKey, derive_token, load_secret, normalize_id
 from .relay import RelayRequest, RelayResponse, RelayTarget, relay_call, serve
-from .runtime import Node, OperationConfig, OperationResponse, handle_operation
+from .runtime import Node, OperationConfig, handle_operation
 from .scenario import boot_scenario, run_scenario
 
 __version__ = "0.1.0"

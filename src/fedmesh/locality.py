@@ -69,6 +69,7 @@ AUDIT_BATCH_CHARS = 1 << 14
 
 _TRACE_FIELDS = ("run_id", "seq", "from", "to", "operation_id", "conversation_id", "body")
 _TRACE_KEYS = frozenset(_TRACE_FIELDS)
+_TEXT_FIELDS = ("from", "to", "operation_id", "conversation_id", "body")
 
 # json.dumps(obj, ensure_ascii=False) would build an encoder per call.
 _encode = json.JSONEncoder(ensure_ascii=False).encode
@@ -160,19 +161,26 @@ class TraceLog:
 def read_trace(path: Path | str) -> TraceLog:
     """Parse a JSONL trace file; malformed lines name their line number.
 
-    Records are split on newlines only: a body may hold U+2028, U+2029 or
-    U+0085 raw, which ``str.splitlines`` would also break at.
+    The file must be UTF-8; the first invalid byte is reported by its line.
+    Records are split on line feeds only: a body may hold U+2028, U+2029
+    or U+0085 raw, which ``str.splitlines`` would also break at, and a
+    carriage return is whitespace around a record, not a line break.
 
     A line the JSON scanner reads whole, from its first character to its
     last, is taken as scanned; any other goes through ``json.loads``, which
     accepts it or raises, so every line reads as ``json.loads`` reads it.
-    ``seq`` must be a JSON integer, not a float or a boolean. No error text
-    repeats a value read from the file.
+    ``seq`` must be a JSON integer, not a float or a boolean, and every
+    other field a string. No error text repeats a value read from the file.
     """
     run_id: str | None = None
     envelopes: list[MessageEnvelope] = []
     last_seq = 0
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(data.count(b"\n", 0, exc.start) + 1, "invalid UTF-8") from None
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if not line or line.isspace():
             continue
         try:
@@ -193,6 +201,9 @@ def read_trace(path: Path | str) -> TraceLog:
             raise TraceFormatError(line_no, f"missing fields: {', '.join(missing)}")
         if not isinstance(record["run_id"], str):
             raise TraceFormatError(line_no, "run_id must be a string")
+        for key in _TEXT_FIELDS:
+            if not isinstance(record[key], str):
+                raise TraceFormatError(line_no, f"{key} must be a string")
         if run_id is None:
             run_id = record["run_id"]
         elif record["run_id"] != run_id:
@@ -202,12 +213,7 @@ def read_trace(path: Path | str) -> TraceLog:
             raise TraceFormatError(line_no, "seq must be an integer")
         try:
             env = MessageEnvelope(
-                str(record["from"]),
-                str(record["to"]),
-                str(record["operation_id"]),
-                str(record["conversation_id"]),
-                str(record["body"]),
-                seq,
+                record["from"], record["to"], record["operation_id"], record["conversation_id"], record["body"], seq
             )
         except ValueError as exc:
             raise TraceFormatError(line_no, str(exc)) from None

@@ -1,14 +1,14 @@
 """Deterministic agent policies.
 
-Each policy reads the message it was sent and the tool results of its turns
-so far, and writes the next message; every message they read or write is
-defined in ``messages``. A tool result is the record the tool returned.
+Each turn, a policy reads the message it was sent and ``results``, the
+last value of each tool it has called in this operation (the record the
+tool returned, or a reply's text), and returns one ``ToolCall`` or its
+answer text. Every message they read or write is defined in ``messages``.
 
-The three policies are pure functions of (request body, tool history):
-given identical inputs they produce identical turns across runs and
-processes, which is what makes the end-to-end transcript testable. Each
-decide reads the last result of each tool from the history. The insurer
-and specialist keep their last parse of the message they were sent, so the
+The three policies are pure functions of (request body, results): given
+identical inputs they produce identical turns across runs and processes,
+which is what makes the end-to-end transcript testable. The insurer and
+specialist keep their last parse of the message they were sent, so the
 turns of one operation, which all carry the same body, parse it once; a
 different body only misses.
 """
@@ -46,7 +46,7 @@ from .messages import (
     render_verdict,
 )
 from .pseudonym import CaseToken
-from .runtime import AgentPolicy, PolicyDecision, ToolCall, ToolExchange
+from .runtime import AgentPolicy, ToolCall
 
 TREATMENT_CONSERVATIVE = "conservative_management"
 TREATMENT_HA_INJECTION = "knee_hyaluronic_injection"
@@ -257,11 +257,6 @@ def _explicit_treatment(body: str) -> str | None:
     return candidates[-1] if candidates else None
 
 
-def _call(tool: str, **args: str) -> PolicyDecision:
-    """A turn that requests one tool call."""
-    return PolicyDecision(tool_calls=(ToolCall(tool, args),))
-
-
 def _parse_request(policy: Any, parse: Callable[[str], Any], body: str) -> Any:
     """``parse(body)``, reusing the policy's last parse of an equal body.
     The memo is one ``(body, result)`` pair, replaced by one attribute
@@ -287,21 +282,20 @@ class ClinicPolicy:
 
     insurer_target: str = "insurer"
 
-    def decide(self, request_body: str, history: Sequence[ToolExchange]) -> PolicyDecision:
+    def decide(self, request_body: str, results: Mapping[str, Any]) -> ToolCall | str:
         id_match = PATIENT_ID_RE.search(request_body)
         if id_match is None:
-            return PolicyDecision(message="Patient not found: the request names no patient identifier.")
+            return "Patient not found: the request names no patient identifier."
         patient_id = id_match.group(0).upper()
 
-        results = {exchange.call.tool: exchange.result.value for exchange in history}
         if "csv_lookup" not in results:
-            return _call("csv_lookup", patient_id=patient_id)
+            return ToolCall("csv_lookup", {"patient_id": patient_id})
         obs: ClinicalObservation | None = results["csv_lookup"]
         if obs is None:
-            return PolicyDecision(message="Patient not found: no local case record matches the request.")
+            return "Patient not found: no local case record matches the request."
 
         if "hmac_token" not in results:
-            return _call("hmac_token", patient_id=patient_id)
+            return ToolCall("hmac_token", {"patient_id": patient_id})
         token: CaseToken = results["hmac_token"]
 
         if "relay_call" not in results:
@@ -313,9 +307,9 @@ class ClinicPolicy:
                 prior_tx=obs.prior_conservative_tx,
                 proposed_treatment=_explicit_treatment(request_body) or infer_treatment(obs),
             )
-            return _call("relay_call", target=self.insurer_target, body=render_inquiry(inquiry))
+            return ToolCall("relay_call", {"target": self.insurer_target, "body": render_inquiry(inquiry)})
 
-        return PolicyDecision(message=results["relay_call"])
+        return results["relay_call"]
 
 
 def _humanize(code: str) -> str:
@@ -385,35 +379,32 @@ class InsurerPolicy:
     forward_token: bool = False
     _last_request: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
-    def decide(self, request_body: str, history: Sequence[ToolExchange]) -> PolicyDecision:
+    def decide(self, request_body: str, results: Mapping[str, Any]) -> ToolCall | str:
         try:
             inquiry = _parse_request(self, parse_inquiry, request_body)
         except ParseError as exc:
-            return PolicyDecision(
-                message=f"Unable to process the coverage inquiry: missing or malformed field '{exc.field}'."
-            )
+            return f"Unable to process the coverage inquiry: missing or malformed field '{exc.field}'."
 
-        results = {exchange.call.tool: exchange.result.value for exchange in history}
         if "enrollment_match" not in results:
-            return _call("enrollment_match", token=inquiry.patient_token.hex)
+            return ToolCall("enrollment_match", {"token": inquiry.patient_token.hex})
         enrollment: EnrollmentRow | None = results["enrollment_match"]
         active = enrollment is not None and enrollment.status is EnrollmentStatus.ACTIVE
 
         if active and "coverage_lookup" not in results:
-            return _call("coverage_lookup", plan_id=enrollment.plan_id, treatment_code=inquiry.proposed_treatment)
+            return ToolCall(
+                "coverage_lookup", {"plan_id": enrollment.plan_id, "treatment_code": inquiry.proposed_treatment}
+            )
 
         if "relay_call" not in results:
             body = render_consult(consult_from_inquiry(inquiry))
             if self.forward_token:
                 body += "\npatient_token=" + inquiry.patient_token.hex
-            return _call("relay_call", target=self.specialist_target, body=body)
+            return ToolCall("relay_call", {"target": self.specialist_target, "body": body})
 
         try:
             rec = parse_recommendation(results["relay_call"])
         except ParseError as exc:
-            return PolicyDecision(
-                message=f"Specialist response could not be interpreted (field '{exc.field}')."
-            )
+            return f"Specialist response could not be interpreted (field '{exc.field}')."
 
         if not active:
             coverage = CoverageStatus.NOT_COVERED
@@ -438,7 +429,7 @@ class InsurerPolicy:
             summary=summary,
             next_steps=_compose_next_steps(coverage, outstanding, rec),
         )
-        return PolicyDecision(message=render_verdict(verdict))
+        return render_verdict(verdict)
 
 
 @dataclass(frozen=True)
@@ -452,19 +443,16 @@ class SpecialistPolicy:
     guidance_query: str = "osteoarthritis"
     _last_request: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
-    def decide(self, request_body: str, history: Sequence[ToolExchange]) -> PolicyDecision:
+    def decide(self, request_body: str, results: Mapping[str, Any]) -> ToolCall | str:
         try:
             consult = _parse_request(self, parse_consult, request_body)
         except ParseError as exc:
-            return PolicyDecision(
-                message=f"Unable to process the consultation request: missing or malformed field '{exc.field}'."
-            )
+            return f"Unable to process the consultation request: missing or malformed field '{exc.field}'."
 
-        results = {exchange.call.tool: exchange.result.value for exchange in history}
         if "guidance_search" not in results:
-            return _call("guidance_search", query=self.guidance_query)
+            return ToolCall("guidance_search", {"query": self.guidance_query})
         docs: list[GuidanceDoc] = results["guidance_search"]
-        return PolicyDecision(message=render_recommendation(recommend(consult, docs)))
+        return render_recommendation(recommend(consult, docs))
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,14 @@ _REQUEST_FIELDS = ("operation_id", "access_key", "conversation_id", "body")
 _encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
+def _decode(raw: str) -> object:
+    """``json.loads``, raising ``ValueError`` for nesting too deep to parse."""
+    try:
+        return json.loads(raw)
+    except RecursionError:
+        raise ValueError("nested too deeply") from None
+
+
 @dataclass(frozen=True)
 class RelayTarget:
     """A remote operation this node may call: name, URL, id, and key."""
@@ -112,7 +120,7 @@ class RelayRequest:
 
     @classmethod
     def from_json(cls, raw: str) -> "RelayRequest":
-        record = json.loads(raw)
+        record = _decode(raw)
         if not isinstance(record, dict):
             raise ValueError("request must be a JSON object")
         missing = [key for key in _REQUEST_FIELDS if key not in record]
@@ -156,7 +164,7 @@ class RelayResponse:
 
     @classmethod
     def from_json(cls, raw: str) -> "RelayResponse":
-        record = json.loads(raw)
+        record = _decode(raw)
         if not isinstance(record, dict) or "status" not in record:
             raise ValueError("response must be a JSON object with a status")
         if record["status"] == "ok":
@@ -487,7 +495,7 @@ def serve_request(node: "Node", request: RelayRequest) -> RelayResponse:
     from .runtime import handle_operation
 
     try:
-        response = RelayResponse.ok(handle_operation(node, request).body)
+        response = RelayResponse.ok(handle_operation(node, request))
     except OperationNotFound as exc:
         response = RelayResponse.fail("not_found", str(exc))
     except AuthError as exc:

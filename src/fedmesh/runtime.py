@@ -1,13 +1,15 @@
 """Per-node execution environment.
 
 A node owns its datasets, secrets, tool registry, and exposed operations.
-Handling a request runs the bounded tool-calling loop: the operation's
-policy produces a message and tool calls, the runtime executes the
-permitted tools, and the results feed the next turn until the policy stops
-requesting tools. Policies never touch node state directly; every data
-access goes through a recorded tool call. A tool over local data hands the
-policy the store's record itself, never text: only ``relay_call``, whose
-result comes from another node, returns a message.
+Handling a request runs the bounded tool-calling loop. Each turn, the
+operation's policy reads the request body and the last value of each tool
+it has called, and returns either one ``ToolCall`` or the answer text. The
+runtime runs a permitted call and keeps its value for the next turn; the
+answer ends the loop. Policies never touch node state directly; every data
+access goes through a tool call. A tool is ``fn(node, args,
+conversation_id)``. A tool over local data hands the policy the store's
+record itself, never text: only ``relay_call``, whose result comes from
+another node, returns a message.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import logging
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import Callable, Mapping, Protocol, TypeVar
 
 from .datastore import (
     ClinicalObservation,
@@ -46,6 +48,8 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_LOOP_LIMIT = 8
 
+T = TypeVar("T")
+
 
 @dataclass(frozen=True)
 class ToolCall:
@@ -53,35 +57,8 @@ class ToolCall:
     args: Mapping[str, str] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class ToolResult:
-    """What a tool returned: a record or records of the node's own data,
-    ``None`` for a lookup that found nothing, or the text of a reply."""
-
-    tool: str
-    value: object
-
-
-@dataclass(frozen=True)
-class ToolExchange:
-    call: ToolCall
-    result: ToolResult
-
-
-@dataclass(frozen=True)
-class PolicyDecision:
-    """One policy turn: an optional message plus requested tool calls.
-
-    A turn with no tool calls ends the loop and its message is the final
-    response.
-    """
-
-    message: str | None = None
-    tool_calls: tuple[ToolCall, ...] = ()
-
-
 class AgentPolicy(Protocol):
-    def decide(self, request_body: str, history: Sequence[ToolExchange]) -> PolicyDecision: ...
+    def decide(self, request_body: str, results: Mapping[str, object]) -> ToolCall | str: ...
 
 
 @dataclass(frozen=True)
@@ -98,26 +75,7 @@ class OperationConfig:
             raise ConfigError(f"operation {self.operation_id!r} has an empty access key")
 
 
-@dataclass(frozen=True)
-class OperationResponse:
-    body: str
-    tool_log: tuple[ToolExchange, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.body:
-            raise ValueError("response body must be non-empty")
-
-
-@dataclass
-class ToolContext:
-    """Everything a tool may see: the node it runs on and the conversation."""
-
-    node: "Node"
-    operation: OperationConfig
-    conversation_id: str
-
-
-ToolFn = Callable[[ToolContext, Mapping[str, str]], object]
+ToolFn = Callable[["Node", Mapping[str, str], str], object]
 
 
 @dataclass
@@ -204,8 +162,8 @@ class _ConversationLock:
                 del self.node._conversation_locks[self.conversation_id]
 
 
-def handle_operation(node: Node, req: RelayRequest) -> OperationResponse:
-    """Run the tool-calling loop for one request.
+def handle_operation(node: Node, req: RelayRequest) -> str:
+    """Run the tool-calling loop for one request and return the answer.
 
     The loop is bounded unconditionally: a policy that keeps requesting
     tools is cut off after ``node.loop_limit`` turns. Requests in the same
@@ -220,20 +178,17 @@ def handle_operation(node: Node, req: RelayRequest) -> OperationResponse:
 
     policy = node.policies[req.operation_id]
     with node.conversation_lock(req.conversation_id):
-        history: list[ToolExchange] = []
-        for _ in range(node.loop_limit):
-            decision = policy.decide(req.body, tuple(history))
-            if not decision.tool_calls:
+        results: dict[str, object] = {}  # each tool's last value
+        for calls in range(node.loop_limit):
+            turn = policy.decide(req.body, results)
+            if not isinstance(turn, ToolCall):
+                if not turn:
+                    raise ValueError("response body must be non-empty")
                 logger.debug(
-                    "node=%s op=%s finished after %d tool call(s)",
-                    node.node_id,
-                    req.operation_id,
-                    len(history),
+                    "node=%s op=%s finished after %d tool call(s)", node.node_id, req.operation_id, calls
                 )
-                return OperationResponse(body=decision.message or "", tool_log=tuple(history))
-            for call in decision.tool_calls:
-                result = execute_tool(node, op, call, conversation_id=req.conversation_id)
-                history.append(ToolExchange(call, result))
+                return turn
+            results[turn.tool] = execute_tool(node, op, turn, conversation_id=req.conversation_id)
     raise LoopLimitExceeded(
         f"operation {req.operation_id!r} exceeded the loop bound of {node.loop_limit}"
     )
@@ -245,7 +200,7 @@ def execute_tool(
     call: ToolCall,
     *,
     conversation_id: str,
-) -> ToolResult:
+) -> object:
     """Dispatch one permitted tool call against node-local state."""
     if call.tool not in op.permitted_tools:
         raise ToolNotPermitted(
@@ -254,15 +209,14 @@ def execute_tool(
     fn = node.tools.get(call.tool)
     if fn is None:
         raise ToolError(f"tool {call.tool!r} is not registered on node {node.node_id!r}")
-    ctx = ToolContext(node=node, operation=op, conversation_id=conversation_id)
     try:
-        value = fn(ctx, dict(call.args))
+        value = fn(node, call.args, conversation_id)
     except FedmeshError:
         raise
     except Exception as exc:
         raise ToolError(f"tool {call.tool!r} failed: {exc}") from exc
     logger.debug("node=%s tool=%s returned", node.node_id, call.tool)
-    return ToolResult(tool=call.tool, value=value)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -277,46 +231,37 @@ def _require_arg(args: Mapping[str, str], name: str, tool: str) -> str:
     return value
 
 
-def _clinic_store(ctx: ToolContext, tool: str) -> ClinicStore:
-    store = ctx.node.datasets.get("clinic")
-    if not isinstance(store, ClinicStore):
-        raise ToolError(f"tool {tool!r} needs a clinic dataset on node {ctx.node.node_id!r}")
-    return store
+def _dataset(node: Node, kind: str, expected: type[T], tool: str) -> T:
+    data = node.datasets.get(kind)
+    if not isinstance(data, expected):
+        raise ToolError(f"tool {tool!r} needs the {kind} dataset on node {node.node_id!r}")
+    return data
 
 
-def _insurer_store(ctx: ToolContext, tool: str) -> InsurerStore:
-    store = ctx.node.datasets.get("insurer")
-    if not isinstance(store, InsurerStore):
-        raise ToolError(f"tool {tool!r} needs an insurer dataset on node {ctx.node.node_id!r}")
-    return store
-
-
-def tool_csv_lookup(ctx: ToolContext, args: Mapping[str, str]) -> ClinicalObservation | None:
+def tool_csv_lookup(node: Node, args: Mapping[str, str], conversation_id: str) -> ClinicalObservation | None:
     """Fetch the clinical observation row for a patient id."""
-    store = _clinic_store(ctx, "csv_lookup")
+    store = _dataset(node, "clinic", ClinicStore, "csv_lookup")
     raw = _require_arg(args, "patient_id", "csv_lookup")
     return lookup_observation(store, normalize_id(raw))
 
 
-def tool_enrollment_match(ctx: ToolContext, args: Mapping[str, str]) -> EnrollmentRow | None:
+def tool_enrollment_match(node: Node, args: Mapping[str, str], conversation_id: str) -> EnrollmentRow | None:
     """Exact-match a case token against the local enrolment table."""
-    store = _insurer_store(ctx, "enrollment_match")
+    store = _dataset(node, "insurer", InsurerStore, "enrollment_match")
     token = _require_arg(args, "token", "enrollment_match")
     return match_enrollment(store, token)
 
 
-def tool_coverage_lookup(ctx: ToolContext, args: Mapping[str, str]) -> CoverageRule | None:
-    store = _insurer_store(ctx, "coverage_lookup")
+def tool_coverage_lookup(node: Node, args: Mapping[str, str], conversation_id: str) -> CoverageRule | None:
+    store = _dataset(node, "insurer", InsurerStore, "coverage_lookup")
     plan_id = _require_arg(args, "plan_id", "coverage_lookup")
     treatment = _require_arg(args, "treatment_code", "coverage_lookup")
     return coverage_rule(store, plan_id, treatment)
 
 
-def tool_guidance_search(ctx: ToolContext, args: Mapping[str, str]) -> list[GuidanceDoc]:
+def tool_guidance_search(node: Node, args: Mapping[str, str], conversation_id: str) -> list[GuidanceDoc]:
     """Return the guidance documents matching the query (all, when empty)."""
-    docs = ctx.node.datasets.get("guidance")
-    if not isinstance(docs, list):
-        raise ToolError(f"tool 'guidance_search' needs a guidance dataset on node {ctx.node.node_id!r}")
+    docs = _dataset(node, "guidance", list, "guidance_search")
     query = args.get("query", "").strip().casefold()
 
     def matches(doc: GuidanceDoc) -> bool:
@@ -330,20 +275,20 @@ def tool_guidance_search(ctx: ToolContext, args: Mapping[str, str]) -> list[Guid
     return [doc for doc in docs if matches(doc)]
 
 
-def tool_hmac_token(ctx: ToolContext, args: Mapping[str, str]) -> CaseToken:
+def tool_hmac_token(node: Node, args: Mapping[str, str], conversation_id: str) -> CaseToken:
     """Derive the case token for an id. The key resolves at the node's first
     call, from the node-local secret source; it never enters a message."""
-    if ctx.node.hmac_secret is None:
+    if node.hmac_secret is None:
         raise ToolError("tool 'hmac_token' needs an hmac_secret in node config")
     raw = _require_arg(args, "patient_id", "hmac_token")
-    return derive_token(ctx.node.hmac_key(), normalize_id(raw))
+    return derive_token(node.hmac_key(), normalize_id(raw))
 
 
-def tool_relay_call(ctx: ToolContext, args: Mapping[str, str]) -> str:
+def tool_relay_call(node: Node, args: Mapping[str, str], conversation_id: str) -> str:
     """Call a configured remote operation; the guard applies."""
     target = _require_arg(args, "target", "relay_call")
     body = _require_arg(args, "body", "relay_call")
-    return relay_call(ctx.node, target, body, ctx.conversation_id)
+    return relay_call(node, target, body, conversation_id)
 
 
 TOOL_REGISTRY: dict[str, ToolFn] = {

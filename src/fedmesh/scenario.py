@@ -133,7 +133,7 @@ class Scenario:
             conversation_id=conversation_id or f"{self.run_id}-c1",
             body=body,
         )
-        return handle_operation(node, request).body
+        return handle_operation(node, request)
 
     def indexes(self):
         return {node_id: node.protected_index for node_id, node in self.nodes.items()}

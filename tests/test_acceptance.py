@@ -36,7 +36,6 @@ from fedmesh.relay import RelayRequest, serve_request
 from fedmesh.runtime import (
     Node,
     OperationConfig,
-    PolicyDecision,
     TOOL_REGISTRY,
     ToolCall,
     handle_operation,
@@ -319,13 +318,13 @@ def test_criterion_7_loop_safety():
         def __init__(self) -> None:
             self.turns = 0
 
-        def decide(self, request_body, history):
+        def decide(self, request_body, results):
             self.turns += 1
-            return PolicyDecision(tool_calls=(ToolCall("noop"),))
+            return ToolCall("noop")
 
     def make_node(policy, loop_limit):
         tools = dict(TOOL_REGISTRY)
-        tools["noop"] = lambda ctx, args: "ok"
+        tools["noop"] = lambda node, args, conversation_id: "ok"
         op = OperationConfig("op", "greedy", frozenset({"noop"}), "key")
         return Node(
             node_id="bound-test",

@@ -181,6 +181,14 @@ def test_check_trace_malformed_line(workspace, tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_check_trace_names_the_line_of_a_byte_that_is_not_utf8(workspace, tmp_path, capsys):
+    trace = tmp_path / "bad.jsonl"
+    trace.write_bytes(b"\n\n\xff\xfe\n")
+    code = main(["check-trace", "--trace", str(trace), "--topology", str(workspace.topology_config)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: malformed trace: line 3: invalid UTF-8\n"
+
+
 def test_run_scenario_and_check_trace_apply_the_same_rules(tmp_path, capsys):
     """The guard and both audits take the token-free nodes from the node
     configs: marking the insurer token-free blocks the clinic's inquiry,

@@ -38,16 +38,14 @@ class Outcome:
 
 @dataclasses.dataclass(frozen=True)
 class _ReplyWrapper:
-    """A responder's policy whose final message is passed through ``change``."""
+    """A responder's policy whose answer is passed through ``change``."""
 
     policy: object
     change: Callable[[str], str]
 
-    def decide(self, request_body, history):
-        decision = self.policy.decide(request_body, history)
-        if decision.tool_calls or decision.message is None:
-            return decision
-        return dataclasses.replace(decision, message=self.change(decision.message))
+    def decide(self, request_body, results):
+        turn = self.policy.decide(request_body, results)
+        return self.change(turn) if isinstance(turn, str) else turn
 
 
 def _splice(body: str, leak: str, at: float) -> str:

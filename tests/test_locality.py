@@ -531,6 +531,17 @@ _MALFORMED_LINES = {
     "string-seq": (_GOOD_RECORD.replace('"seq": 1', '"seq": "Marina Kovacs"'), "seq must be an integer"),
     "float-seq": (_GOOD_RECORD.replace('"seq": 1', '"seq": 1.9'), "seq must be an integer"),
     "bool-seq": (_GOOD_RECORD.replace('"seq": 1', '"seq": true'), "seq must be an integer"),
+    # Text fields are taken as they are, never converted with str().
+    "null-from": (_GOOD_RECORD.replace('"from": "a"', '"from": null'), "from must be a string"),
+    "integer-to": (_GOOD_RECORD.replace('"to": "b"', '"to": 2'), "to must be a string"),
+    "integer-operation-id": (
+        _GOOD_RECORD.replace('"operation_id": "op"', '"operation_id": 5'), "operation_id must be a string",
+    ),
+    "list-conversation-id": (
+        _GOOD_RECORD.replace('"conversation_id": "c"', '"conversation_id": ["c"]'),
+        "conversation_id must be a string",
+    ),
+    "object-body": (_GOOD_RECORD.replace('"body": "x"', '"body": {"x": 1}'), "body must be a string"),
 }
 
 
@@ -550,6 +561,23 @@ def test_read_trace_accepts_whitespace_around_a_record(tmp_path, line):
     path.write_text(line + "\n", encoding="utf-8")
     (envelope,) = read_trace(path).envelopes
     assert (envelope.sent_at, envelope.body) == (1, "x")
+
+def test_read_trace_names_the_line_of_the_first_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(_records("r", "r").encode() + b'{"body": "caf\xe9"}\n\xff\xfe\n')
+    with pytest.raises(TraceFormatError) as err:
+        read_trace(path)
+    assert str(err.value) == "line 3: invalid UTF-8"
+
+
+def test_read_trace_splits_records_on_line_feeds_only(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes((_GOOD_RECORD + "\r\n" + _GOOD_RECORD.replace('"seq": 1', '"seq": 2') + "\r").encode())
+    assert [envelope.sent_at for envelope in read_trace(path).envelopes] == [1, 2]
+    path.write_bytes((_GOOD_RECORD + "\r" + _GOOD_RECORD).encode())
+    with pytest.raises(TraceFormatError, match="^line 1: invalid JSON: Extra data"):
+        read_trace(path)
+
 
 def test_read_trace_empty_file(tmp_path):
     path = tmp_path / "trace.jsonl"
@@ -581,6 +609,11 @@ def _reference_read_trace(text: str) -> tuple[str, object, object]:
             return "error", line_no, f"missing fields: {', '.join(missing)}"
         if not isinstance(record["run_id"], str):
             return "error", line_no, "run_id must be a string"
+        text_keys = ("from", "to", "operation_id", "conversation_id", "body")
+        for key in text_keys:
+            if not isinstance(record[key], str):
+                return "error", line_no, f"{key} must be a string"
+        fields = [record[key] for key in text_keys]
         if run_id is None:
             run_id = record["run_id"]
         elif record["run_id"] != run_id:
@@ -588,7 +621,6 @@ def _reference_read_trace(text: str) -> tuple[str, object, object]:
         seq = record["seq"]
         if isinstance(seq, bool) or not isinstance(seq, int):
             return "error", line_no, "seq must be an integer"
-        fields = [str(record[key]) for key in ("from", "to", "operation_id", "conversation_id", "body")]
         if not fields[4]:
             return "error", line_no, "envelope body must be non-empty"
         if fields[0] == fields[1]:
@@ -666,7 +698,7 @@ def test_read_trace_agrees_with_a_line_by_line_reference(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.jsonl"
         path.write_bytes(text.encode("utf-8"))
-        outcome, *expected = _reference_read_trace(path.read_text(encoding="utf-8"))
+        outcome, *expected = _reference_read_trace(path.read_bytes().decode("utf-8"))
         event(f"outcome: {outcome}")
         if outcome == "error":
             line, message = expected

@@ -48,7 +48,7 @@ from fedmesh.policies import (
     prerequisites_satisfied,
 )
 from fedmesh.pseudonym import CaseToken, normalize_id
-from fedmesh.runtime import ToolCall, ToolExchange, ToolResult
+from fedmesh.runtime import ToolCall
 from fedmesh.scenario import boot_scenario
 
 from conftest import GOLDEN_TOKENS
@@ -83,10 +83,6 @@ def _inquiry(treatment=TREATMENT_CONSERVATIVE, prior=("NSAID_2_weeks", "home_exe
         prior_tx=tuple(prior),
         proposed_treatment=treatment,
     )
-
-
-def _exchange(tool: str, value: object, args: dict | None = None) -> ToolExchange:
-    return ToolExchange(ToolCall(tool, args or {}), ToolResult(tool, value))
 
 
 # ---------------------------------------------------------------------------
@@ -549,69 +545,57 @@ def test_physio_four_weeks_does_not_satisfy_six():
 def test_clinic_policy_turn_sequence():
     policy = ClinicPolicy()
     body = "Confirm coverage for CLN-0001"
-    history: list[ToolExchange] = []
+    results: dict[str, object] = {}
 
-    turn1 = policy.decide(body, history)
-    assert turn1.tool_calls[0].tool == "csv_lookup"
-    assert turn1.tool_calls[0].args["patient_id"] == "CLN-0001"
-    history.append(_exchange("csv_lookup", _obs()))
+    assert policy.decide(body, results) == ToolCall("csv_lookup", {"patient_id": "CLN-0001"})
+    results["csv_lookup"] = _obs()
 
-    turn2 = policy.decide(body, history)
-    assert turn2.tool_calls[0].tool == "hmac_token"
-    history.append(_exchange("hmac_token", TOKEN))
+    assert policy.decide(body, results) == ToolCall("hmac_token", {"patient_id": "CLN-0001"})
+    results["hmac_token"] = TOKEN
 
-    turn3 = policy.decide(body, history)
-    assert turn3.tool_calls[0].tool == "relay_call"
-    assert turn3.tool_calls[0].args["target"] == "insurer"
-    inquiry = parse_inquiry(turn3.tool_calls[0].args["body"])
+    turn3 = policy.decide(body, results)
+    assert turn3.tool == "relay_call"
+    assert turn3.args["target"] == "insurer"
+    inquiry = parse_inquiry(turn3.args["body"])
     assert inquiry.patient_token == TOKEN
     assert inquiry.proposed_treatment == TREATMENT_CONSERVATIVE
-    history.append(_exchange("relay_call", "Coverage: Not covered\n..."))
+    results["relay_call"] = "Coverage: Not covered\n..."
 
-    final = policy.decide(body, history)
-    assert final.tool_calls == ()
-    assert final.message == "Coverage: Not covered\n..."
+    assert policy.decide(body, results) == "Coverage: Not covered\n..."
 
 
 def test_clinic_policy_explicit_treatment_overrides_inference():
     policy = ClinicPolicy()
     body = "Confirm coverage for CLN-0003 for knee_hyaluronic_injection"
-    history = [
-        _exchange(
-            "csv_lookup",
-            _obs(
-                pid="CLN-0003",
-                symptom=SymptomClass.SEVERE,
-                weeks=24,
-                limitation="pain at rest; limited ROM",
-                prior=("NSAID_3_weeks", "physio_4_weeks"),
-            ),
+    results = {
+        "csv_lookup": _obs(
+            pid="CLN-0003",
+            symptom=SymptomClass.SEVERE,
+            weeks=24,
+            limitation="pain at rest; limited ROM",
+            prior=("NSAID_3_weeks", "physio_4_weeks"),
         ),
-        _exchange("hmac_token", TOKEN),
-    ]
-    decision = policy.decide(body, history)
-    inquiry = parse_inquiry(decision.tool_calls[0].args["body"])
+        "hmac_token": TOKEN,
+    }
+    decision = policy.decide(body, results)
+    inquiry = parse_inquiry(decision.args["body"])
     assert inquiry.proposed_treatment == TREATMENT_HA_INJECTION
 
 
 def test_clinic_policy_unknown_patient():
     policy = ClinicPolicy()
-    history = [_exchange("csv_lookup", None)]
-    decision = policy.decide("Confirm coverage for CLN-9999", history)
-    assert decision.tool_calls == ()
-    assert "Patient not found" in decision.message
+    answer = policy.decide("Confirm coverage for CLN-9999", {"csv_lookup": None})
+    assert answer.startswith("Patient not found")
 
 
 def test_clinic_policy_request_without_id():
-    decision = ClinicPolicy().decide("Confirm coverage please", [])
-    assert decision.tool_calls == ()
-    assert "Patient not found" in decision.message
+    assert ClinicPolicy().decide("Confirm coverage please", {}).startswith("Patient not found")
 
 
 def test_clinic_policy_is_pure():
     policy = ClinicPolicy()
     body = "Confirm coverage for CLN-0001"
-    assert policy.decide(body, []) == policy.decide(body, [])
+    assert policy.decide(body, {}) == policy.decide(body, {})
 
 
 # ---------------------------------------------------------------------------
@@ -642,27 +626,25 @@ def _run_insurer(inquiry: CoverageInquiry, enrollment: EnrollmentRow | None, rul
     results; ``rule``, when given, is what ``coverage_lookup`` returns."""
     policy = InsurerPolicy()
     body = render_inquiry(inquiry)
-    history: list[ToolExchange] = []
+    results: dict[str, object] = {}
 
-    decision = policy.decide(body, history)
-    assert decision.tool_calls[0].tool == "enrollment_match"
-    assert decision.tool_calls[0].args["token"] == inquiry.patient_token.hex
-    history.append(_exchange("enrollment_match", enrollment))
+    assert policy.decide(body, results) == ToolCall("enrollment_match", {"token": inquiry.patient_token.hex})
+    results["enrollment_match"] = enrollment
 
-    decision = policy.decide(body, history)
+    decision = policy.decide(body, results)
     if rule is not _NOT_LOOKED_UP:
-        assert decision.tool_calls[0].tool == "coverage_lookup"
-        history.append(_exchange("coverage_lookup", rule))
-        decision = policy.decide(body, history)
+        assert decision.tool == "coverage_lookup"
+        results["coverage_lookup"] = rule
+        decision = policy.decide(body, results)
 
-    assert decision.tool_calls[0].tool == "relay_call"
-    assert decision.tool_calls[0].args["target"] == "specialist"
-    consult_body = decision.tool_calls[0].args["body"]
-    history.append(_exchange("relay_call", _recommendation_text()))
+    assert decision.tool == "relay_call"
+    assert decision.args["target"] == "specialist"
+    consult_body = decision.args["body"]
+    results["relay_call"] = _recommendation_text()
 
-    final = policy.decide(body, history)
-    assert final.tool_calls == ()
-    return consult_body, parse_verdict_fields(final.message)
+    final = policy.decide(body, results)
+    assert isinstance(final, str)
+    return consult_body, parse_verdict_fields(final)
 
 
 def test_insurer_not_covered_when_rule_absent():
@@ -712,17 +694,16 @@ def test_insurer_inactive_enrollment_is_not_covered():
 
 
 def test_insurer_parse_failure_response():
-    decision = InsurerPolicy().decide("nonsense body", [])
-    assert decision.tool_calls == ()
-    assert "patient_token" in decision.message
+    answer = InsurerPolicy().decide("nonsense body", {})
+    assert isinstance(answer, str)
+    assert "patient_token" in answer
 
 
 def test_insurer_forward_token_hook_leaks_token():
     policy = InsurerPolicy(forward_token=True)
     body = render_inquiry(_inquiry())
-    history = [_exchange("enrollment_match", None)]
-    decision = policy.decide(body, history)
-    assert HEX64.search(decision.tool_calls[0].args["body"])
+    decision = policy.decide(body, {"enrollment_match": None})
+    assert HEX64.search(decision.args["body"])
 
 
 # ---------------------------------------------------------------------------
@@ -738,12 +719,10 @@ def guidance_docs(workspace):
 def _run_specialist(consult: SpecialistConsult, docs: list[GuidanceDoc]) -> Recommendation:
     policy = SpecialistPolicy()
     body = render_consult(consult)
-    decision = policy.decide(body, [])
-    assert decision.tool_calls[0].tool == "guidance_search"
-    history = [_exchange("guidance_search", docs)]
-    final = policy.decide(body, history)
-    assert final.tool_calls == ()
-    return parse_recommendation(final.message)
+    assert policy.decide(body, {}) == ToolCall("guidance_search", {"query": "osteoarthritis"})
+    final = policy.decide(body, {"guidance_search": docs})
+    assert isinstance(final, str)
+    return parse_recommendation(final)
 
 
 def test_specialist_conservative_moderate(guidance_docs):
@@ -793,9 +772,9 @@ def test_specialist_unknown_treatment(guidance_docs):
 
 
 def test_specialist_parse_failure_response():
-    decision = SpecialistPolicy().decide("not a consult", [])
-    assert decision.tool_calls == ()
-    assert "Unable to process" in decision.message
+    answer = SpecialistPolicy().decide("not a consult", {})
+    assert isinstance(answer, str)
+    assert "Unable to process" in answer
 
 
 # ---------------------------------------------------------------------------
@@ -832,19 +811,18 @@ def _assert_memo_is_invisible(policy_type: type, conversations: list[tuple[str, 
     """Interleave the conversations' turns on one instance, with a malformed
     body after each turn; every decision must equal a fresh instance's."""
     shared = policy_type()
-    histories: list[list[ToolExchange]] = [[] for _ in conversations]
+    seen: list[dict[str, object]] = [{} for _ in conversations]
     unfinished = list(range(len(conversations)))
     for _ in range(8):
         for i in list(unfinished):
             body, results = conversations[i]
-            history = tuple(histories[i])
-            decision = shared.decide(body, history)
-            assert decision == policy_type().decide(body, history)
-            assert shared.decide(MALFORMED_BODY, ()) == policy_type().decide(MALFORMED_BODY, ())
-            if not decision.tool_calls:
+            turn = shared.decide(body, seen[i])
+            assert turn == policy_type().decide(body, seen[i])
+            assert shared.decide(MALFORMED_BODY, {}) == policy_type().decide(MALFORMED_BODY, {})
+            if isinstance(turn, str):
                 unfinished.remove(i)
-            for call in decision.tool_calls:
-                histories[i].append(_exchange(call.tool, results[call.tool], dict(call.args)))
+            else:
+                seen[i][turn.tool] = results[turn.tool]
     assert unfinished == []
 
 

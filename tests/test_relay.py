@@ -575,6 +575,19 @@ def test_http_listener_serves_a_head_of_max_header_lines(specialist_server):
     assert record["status"] == "ok"
 
 
+def test_http_listener_answers_a_deeply_nested_body_and_keeps_the_connection(specialist_server):
+    nested = b"[" * 100_000
+    payload = _consult_request().to_json().encode()
+    pending = bytearray()
+    with socket.create_connection(specialist_server.address, timeout=2) as sock:
+        sock.sendall(_post_head(len(nested)) + nested)
+        _, refused = _read_reply(sock, pending)
+        sock.sendall(_post_head(len(payload)) + payload)
+        _, answered = _read_reply(sock, pending)
+    assert refused["error"] == {"code": "protocol", "message": "malformed request: nested too deeply"}
+    assert answered["status"] == "ok"
+
+
 def test_http_listener_answers_expect_100_continue(specialist_server):
     payload = _consult_request().to_json().encode()
     with socket.create_connection(specialist_server.address, timeout=2) as sock:
@@ -643,6 +656,19 @@ def test_http_transport_refuses_a_bad_response_without_resending(reply):
     assert transport.sends == len(requests) == 1
     assert transport._idle == {}
     assert requests[0].startswith(b"POST /operations/specialist_consult HTTP/1.1\r\n")
+
+
+def test_http_transport_refuses_a_deeply_nested_reply():
+    transport = HttpTransport(timeout=2)
+    nested = b"[" * 100_000
+    reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(nested), nested)
+    try:
+        with _one_shot_server(reply) as (url, requests):
+            with pytest.raises(RelayTransportError, match="malformed relay response .*: nested too deeply"):
+                transport.send(_specialist_target(url), _consult_request())
+    finally:
+        transport.close()  # the reply was framed whole, so its connection was pooled
+    assert transport.sends == len(requests) == 1
 
 
 def test_http_transport_refuses_an_oversized_reply_before_reading_it():

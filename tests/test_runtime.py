@@ -26,7 +26,6 @@ from fedmesh.pseudonym import CaseToken, SecretSource, normalize_id
 from fedmesh.runtime import (
     Node,
     OperationConfig,
-    PolicyDecision,
     TOOL_REGISTRY,
     ToolCall,
     execute_tool,
@@ -44,21 +43,21 @@ class GreedyPolicy:
     def __init__(self) -> None:
         self.turns = 0
 
-    def decide(self, request_body, history):
+    def decide(self, request_body, results):
         self.turns += 1
-        return PolicyDecision(tool_calls=(ToolCall("noop"),))
+        return ToolCall("noop")
 
 
 class SilentPolicy:
     """Answers immediately without any tool calls."""
 
-    def decide(self, request_body, history):
-        return PolicyDecision(message=f"echo: {request_body}")
+    def decide(self, request_body, results):
+        return f"echo: {request_body}"
 
 
 def _test_node(policy, *, loop_limit=8, permitted=("noop",)):
     tools = dict(TOOL_REGISTRY)
-    tools["noop"] = lambda ctx, args: "ok"
+    tools["noop"] = lambda node, args, conversation_id: "ok"
     op = OperationConfig(
         operation_id="op",
         agent_policy="stub",
@@ -112,8 +111,8 @@ def test_loop_limit_configurable():
 
 def test_tool_outside_permitted_set():
     class RelayHungryPolicy:
-        def decide(self, request_body, history):
-            return PolicyDecision(tool_calls=(ToolCall("relay_call", {"target": "x", "body": "y"}),))
+        def decide(self, request_body, results):
+            return ToolCall("relay_call", {"target": "x", "body": "y"})
 
     node = _test_node(RelayHungryPolicy(), permitted=("noop",))
     with pytest.raises(ToolNotPermitted):
@@ -130,23 +129,35 @@ def test_empty_access_key_rejected():
         OperationConfig("op", "stub", frozenset(), "")
 
 
-def test_policy_without_tools_has_empty_tool_log():
+def test_policy_without_tools_answers_at_once():
     node = _test_node(SilentPolicy())
-    response = handle_operation(node, _request("ping"))
-    assert response.body == "echo: ping"
-    assert response.tool_log == ()
+    assert handle_operation(node, _request("ping")) == "echo: ping"
 
 
-def test_intermediate_message_does_not_end_the_loop():
-    class ChattyPolicy:
-        def decide(self, request_body, history):
-            if not history:
-                return PolicyDecision(message="working on it", tool_calls=(ToolCall("noop"),))
-            return PolicyDecision(message="final answer")
+def test_decide_sees_the_last_value_of_a_tool_called_twice():
+    seen: list[dict[str, object]] = []
 
-    response = handle_operation(_test_node(ChattyPolicy()), _request())
-    assert response.body == "final answer"
-    assert len(response.tool_log) == 1
+    class TwicePolicy:
+        def decide(self, request_body, results):
+            seen.append(dict(results))
+            if len(seen) < 3:
+                return ToolCall("noop", {"n": str(len(seen))})
+            return f"last value {results['noop']}"
+
+    node = _test_node(TwicePolicy())
+    node.tools["noop"] = lambda node, args, conversation_id: int(args["n"]) * 10
+    assert handle_operation(node, _request()) == "last value 20"
+    assert seen == [{}, {"noop": 10}, {"noop": 20}]
+
+
+@pytest.mark.parametrize("answer", ["", None])
+def test_an_empty_answer_is_refused(answer):
+    class EmptyPolicy:
+        def decide(self, request_body, results):
+            return answer
+
+    with pytest.raises(ValueError, match="response body must be non-empty"):
+        handle_operation(_test_node(EmptyPolicy()), _request())
 
 
 def test_distinct_conversations_run_concurrently():
@@ -155,7 +166,7 @@ def test_distinct_conversations_run_concurrently():
 
     def run(conversation_id: str) -> None:
         request = RelayRequest("op", "key-1", conversation_id, "hi")
-        results[conversation_id] = handle_operation(node, request).body
+        results[conversation_id] = handle_operation(node, request)
 
     threads = [threading.Thread(target=run, args=(f"conv-{i}",)) for i in range(4)]
     for thread in threads:
@@ -171,11 +182,11 @@ def test_same_conversation_is_serialised():
     intervals: list[tuple[float, float]] = []
 
     class SlowPolicy:
-        def decide(self, request_body, history):
+        def decide(self, request_body, results):
             entered = time.monotonic()
             time.sleep(0.05)
             intervals.append((entered, time.monotonic()))
-            return PolicyDecision(message="done")
+            return "done"
 
     node = _test_node(SlowPolicy())
 
@@ -252,7 +263,7 @@ def nodes(workspace):
 def _tool(node, name, args):
     op = next(iter(node.operations.values()))
     call = ToolCall(name, args)
-    return execute_tool(node, op, call, conversation_id="c1").value
+    return execute_tool(node, op, call, conversation_id="c1")
 
 
 def test_hmac_token_tool_matches_golden(nodes):
@@ -333,6 +344,15 @@ def test_specialist_cannot_relay(nodes):
     assert "relay_call" not in op.permitted_tools
     with pytest.raises(ToolNotPermitted):
         execute_tool(node, op, ToolCall("relay_call", {"target": "x", "body": "y"}), conversation_id="c")
+
+
+@pytest.mark.parametrize(
+    "tool, kind", [("csv_lookup", "clinic"), ("enrollment_match", "insurer"), ("guidance_search", "guidance")]
+)
+def test_tool_without_its_dataset_raises(tool, kind):
+    node = _test_node(SilentPolicy(), permitted=(tool,))
+    with pytest.raises(ToolError, match=f"tool '{tool}' needs the {kind} dataset on node 'test'"):
+        _tool(node, tool, {"patient_id": "CLN-0001", "token": "ab" * 32})
 
 
 def test_tool_missing_argument(nodes):
