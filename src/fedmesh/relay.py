@@ -21,21 +21,26 @@ columns but no value.
 Over HTTP both sides frame messages by hand, in the subset of HTTP/1.1
 (RFC 9112) the relay needs: a POST or a ``200`` response whose body is
 framed by ``Content-Length``, head and body sent in one write, no
-``Transfer-Encoding``. ``_read_head`` reads every message head for both
-sides and bounds it by ``MAX_LINE_BYTES`` and ``MAX_HEADERS``. A node keeps
-its connections to each target alive and reuses them across calls; a
-request is still sent at most once. The listener bounds what it reads: a
-request must declare a ``Content-Length`` of at most ``MAX_REQUEST_BYTES``,
-and an idle connection closes after ``DEFAULT_TIMEOUT_SECONDS``. A client
-refuses a reply over the same size before reading its body.
+``Transfer-Encoding``. Both ends read a connection through one reader,
+``_Connection``: ``_read_head`` reads every message head and bounds it by
+``MAX_LINE_BYTES`` and ``MAX_HEADERS``, and ``_content_length`` refuses a
+body over ``MAX_REQUEST_BYTES`` before it is read. A node keeps its
+connections to each target alive and reuses them across calls; a request
+is still sent at most once. An idle listener connection closes after
+``DEFAULT_TIMEOUT_SECONDS``. A reply is decoded strictly: an ``ok`` with a
+non-empty text body, or an ``error`` with a non-empty text code and a text
+message; anything else fails the call. An error text quotes at most
+``QUOTE_CHARS`` characters of what a peer sent.
 
 An in-process loopback transport serves hermetic runs and tests; requests
-still round-trip through their JSON wire form.
+still round-trip through their JSON wire form, and both transports answer
+them through ``_answer``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import logging
 import select
@@ -67,8 +72,6 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_TIMEOUT_SECONDS = 30.0
 MAX_REQUEST_BYTES = 1 << 20
-
-_REQUEST_FIELDS = ("operation_id", "access_key", "conversation_id", "body")
 
 # json.dumps(obj, ensure_ascii=False) would build an encoder per call.
 _encode = json.JSONEncoder(ensure_ascii=False).encode
@@ -109,14 +112,8 @@ class RelayRequest:
             raise ValueError("request body must be non-empty")
 
     def to_json(self) -> str:
-        return _encode(
-            {
-                "operation_id": self.operation_id,
-                "access_key": self.access_key,
-                "conversation_id": self.conversation_id,
-                "body": self.body,
-            }
-        )
+        """The wire form: the dataclass's own fields, in field order."""
+        return _encode(vars(self))
 
     @classmethod
     def from_json(cls, raw: str) -> "RelayRequest":
@@ -126,14 +123,13 @@ class RelayRequest:
         missing = [key for key in _REQUEST_FIELDS if key not in record]
         if missing:
             raise ValueError(f"request missing fields: {', '.join(missing)}")
-        if not all(isinstance(record[key], str) for key in _REQUEST_FIELDS):
+        values = [record[key] for key in _REQUEST_FIELDS]
+        if not all(isinstance(value, str) for value in values):
             raise ValueError("request fields must be strings")
-        return cls(
-            operation_id=record["operation_id"],
-            access_key=record["access_key"],
-            conversation_id=record["conversation_id"],
-            body=record["body"],
-        )
+        return cls(*values)
+
+
+_REQUEST_FIELDS = tuple(field.name for field in dataclasses.fields(RelayRequest))
 
 
 @dataclass(frozen=True)
@@ -160,21 +156,24 @@ class RelayResponse:
         """The reply as its caller records it in the trace."""
         if self.status == "ok" and self.body is not None:
             return self.body
-        return f"error[{self.error_code or 'internal'}]: {self.error_message or ''}"
+        return f"error[{self.error_code}]: {self.error_message}"
 
     @classmethod
     def from_json(cls, raw: str) -> "RelayResponse":
         record = _decode(raw)
-        if not isinstance(record, dict) or "status" not in record:
-            raise ValueError("response must be a JSON object with a status")
-        if record["status"] == "ok":
-            if not isinstance(record.get("body"), str):
-                raise ValueError("ok response must carry a text body")
-            return cls.ok(record["body"])
-        error = record.get("error")
-        if not isinstance(error, dict):
-            raise ValueError("error response must carry an error object")
-        return cls.fail(str(error.get("code", "internal")), str(error.get("message", "")))
+        status = record.get("status") if isinstance(record, dict) else None
+        if status == "ok":
+            body = record.get("body")
+            if not (isinstance(body, str) and body):
+                raise ValueError("ok response must carry a non-empty text body")
+            return cls.ok(body)
+        if status == "error":
+            error = record.get("error")
+            code, message = (error.get("code"), error.get("message")) if isinstance(error, dict) else (None, None)
+            if not (isinstance(code, str) and code and isinstance(message, str)):
+                raise ValueError("error response must carry a non-empty text code and a text message")
+            return cls.fail(code, message)
+        raise ValueError('response must be a JSON object with a status of "ok" or "error"')
 
 
 class Transport(Protocol):
@@ -205,14 +204,10 @@ class LoopbackTransport:
         node = self.bus.get(target.url[len("local:"):])
         if node is None:
             raise RelayTransportError(f"no local node behind url {target.url!r}")
-        payload = request.to_json()
+        payload = request.to_json().encode("utf-8")
         self.sends += 1
-        self.bytes_sent += len(payload.encode("utf-8"))
-        try:
-            parsed = RelayRequest.from_json(payload)
-        except (ValueError, json.JSONDecodeError) as exc:
-            return RelayResponse.fail("protocol", str(exc))
-        return serve_request(node, parsed)
+        self.bytes_sent += len(payload)
+        return _answer(node, target.operation_id, payload)
 
     def close(self) -> None:
         pass
@@ -268,7 +263,7 @@ class HttpTransport:
             connection.close()
         try:
             return RelayResponse.from_json(raw.decode("utf-8"))
-        except (ValueError, json.JSONDecodeError) as exc:
+        except ValueError as exc:
             raise RelayTransportError(f"malformed relay response from {route.url}: {exc}") from exc
 
     def _checkout(self, key: tuple[str, str, int]) -> _Connection | None:
@@ -334,12 +329,10 @@ def _route(target: RelayTarget) -> _Route:
 
 
 class _Connection:
-    """A client socket and the bytes received on it but not yet read.
-
-    ``readline`` and ``read`` behave as a buffered reader's do, so
-    ``_read_head`` reads either side's messages; unlike one, this shows
-    whether bytes are left over once a response is read.
-    """
+    """A socket and the bytes received on it but not yet read; both ends
+    read through one. ``readline`` and ``read`` behave as a buffered
+    reader's do; unlike one, this shows whether bytes are left over once a
+    response is read."""
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
@@ -384,12 +377,10 @@ def _read_response(connection: _Connection) -> tuple[bytes, bool]:
     start, headers = head
     version, _, status = start.partition(" ")
     if version not in ("HTTP/1.1", "HTTP/1.0"):
-        raise _FramingError(f"malformed status line {start!r}")
+        raise _FramingError(f"malformed status line {_quote(start)}")
     if status.partition(" ")[0] != "200":
-        raise _FramingError(f"HTTP Error {status}")
-    length = _content_length(headers)
-    if length > MAX_REQUEST_BYTES:
-        raise _FramingError(f"response of {length} bytes exceeds the limit of {MAX_REQUEST_BYTES}")
+        raise _FramingError(f"HTTP Error {status[:QUOTE_CHARS]}")
+    length = _content_length(headers, "response")
     body = connection.read(length)
     if len(body) < length:
         raise _FramingError("connection closed inside the response body")
@@ -414,17 +405,15 @@ def _is_quiet(sock: socket.socket) -> bool:
 # As in http.server: the longest line, CRLF included, and the most header lines.
 MAX_LINE_BYTES = 65536
 MAX_HEADERS = 100
+# The most characters of a peer's text that an error message quotes.
+QUOTE_CHARS = 80
 
 
 class _FramingError(ValueError):
     """A message head the relay refuses to frame."""
 
 
-class _LineReader(Protocol):
-    def readline(self, limit: int, /) -> bytes: ...
-
-
-def _read_head(reader: _LineReader) -> tuple[str, dict[str, str]] | None:
+def _read_head(connection: _Connection) -> tuple[str, dict[str, str]] | None:
     """The start line and header fields of the next message, or None if the
     stream ends before it starts.
 
@@ -434,13 +423,13 @@ def _read_head(reader: _LineReader) -> tuple[str, dict[str, str]] | None:
     line is refused, as is a line over ``MAX_LINE_BYTES`` or a head of more
     than ``MAX_HEADERS`` fields.
     """
-    first = reader.readline(MAX_LINE_BYTES + 1)
+    first = connection.readline(MAX_LINE_BYTES + 1)
     if not first:
         return None
     start = _line(first).decode("latin-1")
     headers: dict[str, str] = {}
     lines = 0
-    while line := _line(reader.readline(MAX_LINE_BYTES + 1)):
+    while line := _line(connection.readline(MAX_LINE_BYTES + 1)):
         lines += 1
         if lines > MAX_HEADERS:
             raise _FramingError(f"more than {MAX_HEADERS} header lines")
@@ -468,17 +457,44 @@ def _line(raw: bytes) -> bytes:
     return raw[:-2] if raw.endswith(b"\r\n") else raw[:-1]
 
 
-def _content_length(headers: Mapping[str, str]) -> int:
-    """The body length a message declares in its one ``Content-Length``."""
+def _content_length(headers: Mapping[str, str], what: str) -> int:
+    """The body length a message declares in its one ``Content-Length``, at
+    most ``MAX_REQUEST_BYTES``; ``what`` names the message in the error."""
     declared = headers.get("content-length", "")
     if not (declared.isascii() and declared.isdigit()):
-        raise _FramingError(f"a message must declare its length in Content-Length, got {declared!r}")
-    return int(declared)
+        raise _FramingError(f"a message must declare its length in Content-Length, got {_quote(declared)}")
+    # Count the digits first: int() of a long digit string is slow, and
+    # refused past sys.get_int_max_str_digits().
+    digits = declared.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_REQUEST_BYTES)) or int(digits) > MAX_REQUEST_BYTES:
+        raise _FramingError(f"{what} of {digits[:QUOTE_CHARS]} bytes exceeds the limit of {MAX_REQUEST_BYTES}")
+    return int(digits)
+
+
+def _quote(text: str) -> str:
+    """The first ``QUOTE_CHARS`` characters of a peer's text, quoted."""
+    return repr(text[:QUOTE_CHARS])
 
 
 def _closes(headers: Mapping[str, str]) -> bool:
     """True when the message's ``Connection`` field carries ``close``."""
     return "close" in (token.strip().lower() for token in headers.get("connection", "").split(","))
+
+
+def _answer(node: "Node", operation_id: str, raw: bytes) -> RelayResponse:
+    """Decode a request sent to ``operation_id`` and answer it, for both
+    transports. A body that does not decode to a request for that operation
+    is answered with a ``protocol`` error."""
+    try:
+        request = RelayRequest.from_json(raw.decode("utf-8"))
+    except ValueError as exc:
+        return RelayResponse.fail("protocol", f"malformed request: {exc}")
+    if request.operation_id != operation_id:
+        return RelayResponse.fail(
+            "protocol",
+            f"path operation {_quote(operation_id)} does not match body operation {_quote(request.operation_id)}",
+        )
+    return serve_request(node, request)
 
 
 def serve_request(node: "Node", request: RelayRequest) -> RelayResponse:
@@ -563,11 +579,9 @@ def relay_call(node: "Node", target_name: str, body: str, conversation_id: str) 
 
     if response.status == "ok" and response.body is not None:
         return response.body
-    code = response.error_code or "internal"
-    message = response.error_message or ""
-    if code == "auth":
-        raise RelayAuthError(f"target {target.name!r} rejected the access key: {message}")
-    raise RelayRemoteError(f"target {target.name!r} answered error[{code}]: {message}")
+    if response.error_code == "auth":
+        raise RelayAuthError(f"target {target.name!r} rejected the access key: {response.error_message}")
+    raise RelayRemoteError(f"target {target.name!r} answered {response.trace_body()}")
 
 
 # ---------------------------------------------------------------------------
@@ -575,22 +589,24 @@ def relay_call(node: "Node", target_name: str, body: str, conversation_id: str) 
 # ---------------------------------------------------------------------------
 
 
-class _RelayHandler(socketserver.StreamRequestHandler):
-    node: "Node"  # set on the subclass built in serve()
+class _RelayHandler(socketserver.BaseRequestHandler):
+    """Serves the requests on one connection in turn until one closes it."""
 
-    # Responses are small writes; with Nagle's algorithm on, one sent while
-    # an earlier write is unacknowledged waits for the peer's delayed ACK.
-    disable_nagle_algorithm = True
+    server: "RelayServer"
     # An idle or stalled connection frees its thread after this many seconds.
     timeout = DEFAULT_TIMEOUT_SECONDS
 
     def handle(self) -> None:
-        """Serve the requests on this connection in turn until one closes it."""
         with contextlib.suppress(OSError):  # the peer hung up, or idled past the timeout
-            while self._serve_one():
+            self.request.settimeout(self.timeout)
+            # Replies are small writes; with Nagle's algorithm on, one sent while
+            # an earlier write is unacknowledged waits for the peer's delayed ACK.
+            self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            connection = _Connection(self.request)
+            while self._serve_one(connection):
                 pass
 
-    def _serve_one(self) -> bool:
+    def _serve_one(self, connection: _Connection) -> bool:
         """Read and answer one request; False once the connection must close.
 
         A request whose framing is refused is answered with a ``protocol``
@@ -599,89 +615,72 @@ class _RelayHandler(socketserver.StreamRequestHandler):
         path leaves the connection usable.
         """
         try:
-            head = _read_head(self.rfile)
+            head = _read_head(connection)
             if head is None:
                 return False
             start, headers = head
             words = start.split(" ")
             if len(words) != 3:
-                raise _FramingError(f"malformed request line {start[:80]!r}")
+                raise _FramingError(f"malformed request line {_quote(start)}")
             method, path, version = words
             if version not in ("HTTP/1.1", "HTTP/1.0"):
-                raise _FramingError(f"unsupported protocol version {version!r}")
+                raise _FramingError(f"unsupported protocol version {_quote(version)}")
             if method != "POST":
-                raise _FramingError(f"method {method!r} is not accepted; use POST")
-            length = _content_length(headers)
-            if length > MAX_REQUEST_BYTES:
-                raise _FramingError(f"request of {length} bytes exceeds the limit of {MAX_REQUEST_BYTES}")
-        except ValueError as exc:  # _FramingError, or a Content-Length too long for int()
+                raise _FramingError(f"method {_quote(method)} is not accepted; use POST")
+            length = _content_length(headers, "request")
+        except _FramingError as exc:
             self._reply(RelayResponse.fail("protocol", str(exc)), close=True)
             return False
         if version == "HTTP/1.1" and headers.get("expect", "").lower() == "100-continue":
-            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-        raw = self.rfile.read(length)
+            self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+        raw = connection.read(length)
         if len(raw) < length:
             return False  # the caller hung up mid-body
         close = version == "HTTP/1.0" or _closes(headers)
-        self._reply(self._answer(path, raw), close)
+        prefix = "/operations/"
+        if path.startswith(prefix):
+            response = _answer(self.server.node, path[len(prefix):], raw)
+        else:
+            response = RelayResponse.fail("protocol", f"unknown path {_quote(path)}")
+        self._reply(response, close)
         return not close
 
-    def _answer(self, path: str, raw: bytes) -> RelayResponse:
-        prefix = "/operations/"
-        if not path.startswith(prefix):
-            return RelayResponse.fail("protocol", f"unknown path {path!r}")
-        path_operation = path[len(prefix):]
-        try:
-            request = RelayRequest.from_json(raw.decode("utf-8"))
-        except (ValueError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-            return RelayResponse.fail("protocol", f"malformed request: {exc}")
-        if request.operation_id != path_operation:
-            return RelayResponse.fail(
-                "protocol",
-                f"path operation {path_operation!r} does not match body operation {request.operation_id!r}",
-            )
-        return serve_request(self.node, request)
-
     def _reply(self, response: RelayResponse, close: bool) -> None:
-        """Write the response's head and body in one write."""
+        """Send the response's head and body in one write."""
         payload = response.to_json().encode("utf-8")
-        self.wfile.write(
+        self.request.sendall(
             b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: %d\r\n%s\r\n%s"
             % (len(payload), b"Connection: close\r\n" if close else b"", payload)
         )
 
 
-class _Listener(socketserver.ThreadingTCPServer):
-    # A configured port can be bound again while the last run's connections
-    # linger in TIME_WAIT.
-    allow_reuse_address = True
-    daemon_threads = True
-
-
-class RelayServer:
-    """A running listener; handles each inbound connection in its own
-    thread, so a handler awaiting its own outbound relay call never blocks
-    new work. A connection serves its requests in turn, pipelined ones
-    included, and stays open for the caller's next request until the caller
-    closes it, asks for ``Connection: close``, speaks HTTP/1.0 or idles for
-    ``DEFAULT_TIMEOUT_SECONDS``. Only POST is served; ``Expect:
+class RelayServer(socketserver.ThreadingTCPServer):
+    """A running listener for one node; handles each inbound connection in
+    its own thread, so a handler awaiting its own outbound relay call never
+    blocks new work. A connection serves its requests in turn, pipelined
+    ones included, and stays open for the caller's next request until the
+    caller closes it, asks for ``Connection: close``, speaks HTTP/1.0 or
+    idles for ``DEFAULT_TIMEOUT_SECONDS``. Only POST is served; ``Expect:
     100-continue`` gets an interim ``100 Continue``. A request whose framing
     is refused (see ``_read_head``; a missing, malformed or over-limit
     ``Content-Length``; another method) is answered with a ``protocol``
     error and the connection closes. Responses carry no ``Server`` or
     ``Date`` field and go out as one write."""
 
+    # A configured port can be bound again while the last run's connections
+    # linger in TIME_WAIT.
+    allow_reuse_address = True
+    daemon_threads = True
+
     def __init__(self, node: "Node", bind_address: tuple[str, int]) -> None:
-        handler = type("BoundRelayHandler", (_RelayHandler,), {"node": node})
-        self._server = _Listener(bind_address, handler)
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, name=f"relay-{node.node_id}", daemon=True
-        )
+        self.node = node
+        super().__init__(bind_address, _RelayHandler)
+        self._thread = threading.Thread(target=self.serve_forever, name=f"relay-{node.node_id}", daemon=True)
         self._thread.start()
 
     @property
     def address(self) -> tuple[str, int]:
-        return self._server.server_address[0], self._server.server_address[1]
+        return self.server_address[0], self.server_address[1]
 
     @property
     def url(self) -> str:
@@ -693,9 +692,9 @@ class RelayServer:
         # once, so shutdown() need not wait out serve_forever's 0.5 s poll.
         # Where the platform refuses that for a listening socket, it waits.
         with contextlib.suppress(OSError):
-            self._server.socket.shutdown(socket.SHUT_RDWR)
-        self._server.shutdown()
-        self._server.server_close()
+            self.socket.shutdown(socket.SHUT_RDWR)
+        self.shutdown()
+        self.server_close()
         self._thread.join(timeout=5)
 
 

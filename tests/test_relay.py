@@ -10,7 +10,9 @@ import time
 import urllib.request
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import oracle_scan
 from fedmesh.errors import (
     ConfigError,
     LeakBlocked,
@@ -39,7 +41,7 @@ from fedmesh.relay import (
     serve,
     serve_request,
 )
-from fedmesh.scenario import boot_scenario
+from fedmesh.scenario import boot_scenario, load_audit_context
 
 
 def _consult_body() -> str:
@@ -89,6 +91,24 @@ def test_response_json_round_trip():
     parsed = RelayResponse.from_json(failed.to_json())
     assert parsed.status == "error"
     assert parsed.error_code == "auth"
+
+
+@pytest.mark.parametrize(
+    "raw",
+    ['{"status": "error", "error": {"code": null, "message": {"x": 1}}}',
+     '{"status": "error", "error": {"code": 5, "message": "m"}}',
+     '{"status": "error", "error": {"code": "", "message": "m"}}',
+     '{"status": "error", "error": {"message": "m"}}',
+     '{"status": "error", "error": {"code": "auth"}}',
+     '{"status": "weird", "error": {}}',
+     '{"status": null, "error": {"code": "auth", "message": "m"}}',
+     '{"status": "ok", "body": ""}'],
+    ids=["null-code-object-message", "integer-code", "empty-code", "no-code", "no-message",
+         "unknown-status", "null-status", "empty-ok-body"],
+)
+def test_response_json_rejects_a_malformed_reply(raw):
+    with pytest.raises(ValueError):
+        RelayResponse.from_json(raw)
 
 
 def test_relay_target_requires_all_fields():
@@ -288,14 +308,14 @@ def _specialist_target(url: str) -> RelayTarget:
 def _count_accepts(server) -> list:
     """Record each connection the listener accepts."""
     accepted = []
-    get_request = server._server.get_request
+    get_request = server.get_request
 
     def counting():
         connection = get_request()
         accepted.append(connection[1])
         return connection
 
-    server._server.get_request = counting
+    server.get_request = counting
     return accepted
 
 
@@ -315,7 +335,7 @@ def test_http_transport_reuses_one_connection(specialist_server):
 def test_http_transport_replaces_connection_the_server_closed(specialist_server, monkeypatch):
     """An idle connection the listener timed out is dropped before use, and
     no request is sent twice."""
-    monkeypatch.setattr(specialist_server._server.RequestHandlerClass, "timeout", 0.2)
+    monkeypatch.setattr(specialist_server.RequestHandlerClass, "timeout", 0.2)
     served = []
     original = relay.serve_request
 
@@ -493,9 +513,12 @@ def _consult_head(*fields: bytes) -> bytes:
      _consult_head(b"X-Note: a\r\n b\r\nContent-Length: 0\r\n"),
      b"GET /operations/specialist_consult HTTP/1.1\r\nHost: x\r\n\r\n",
      b"POST /" + b"x" * (relay.MAX_LINE_BYTES - 5),  # one byte over the limit, no line end
-     _consult_head(*[b"X-Filler-%d: y\r\n" % n for n in range(relay.MAX_HEADERS)])[:-2]],  # + Host, no blank line
+     _consult_head(*[b"X-Filler-%d: y\r\n" % n for n in range(relay.MAX_HEADERS)])[:-2],  # + Host, no blank line
+     b"POST /operations/specialist_consult\r\nHost: x\r\n\r\n",
+     b"POST /operations/specialist_consult HTTP/2.0\r\nHost: x\r\n\r\n",
+     b"POST /elsewhere HTTP/1.1\r\nHost: x\r\nConnection: close\r\nContent-Length: 0\r\n\r\n"],
     ids=["negative", "non-integer", "missing", "chunked", "oversized", "duplicate", "folded",
-         "get", "long-request-line", "101-header-lines"],
+         "get", "long-request-line", "101-header-lines", "two-word-request-line", "http-2.0", "unknown-path"],
 )
 def test_http_bad_content_length_is_protocol_error_and_closes(specialist_server, request_head):
     _assert_refused(_raw_exchange(specialist_server.address, request_head))
@@ -603,6 +626,40 @@ def test_http_listener_answers_expect_100_continue(specialist_server):
     assert record["status"] == "ok"
 
 
+def test_http_listener_closes_without_a_reply_when_the_caller_hangs_up_mid_body(specialist_server):
+    payload = _consult_request().to_json().encode()
+    with socket.create_connection(specialist_server.address, timeout=2) as sock:
+        sock.sendall(_post_head(len(payload)) + payload[:10])
+        sock.shutdown(socket.SHUT_WR)
+        assert sock.recv(65536) == b""
+
+
+_LONG = "9" * 60_000
+
+
+@pytest.mark.parametrize(
+    "request_line, length, payload",
+    [(f"POST /{_LONG} HTTP/1.1", None, None),
+     (f"POST /operations/{_LONG} HTTP/1.1", None, _consult_request().to_json()),
+     (f"{_LONG} /operations/specialist_consult HTTP/1.1", None, None),
+     (f"POST /operations/specialist_consult HTTP/{_LONG}", None, None),
+     ("POST /operations/specialist_consult HTTP/1.1", _LONG + "x", None),
+     ("POST /operations/specialist_consult HTTP/1.1", None,
+      dataclasses.replace(_consult_request(), operation_id=_LONG).to_json())],
+    ids=["unknown-path", "path-operation", "method", "version", "content-length", "body-operation"],
+)
+def test_http_listener_quotes_at_most_80_characters_of_a_request(specialist_server, request_line, length, payload):
+    body = (payload or "{}").encode()
+    head = f"{request_line}\r\nHost: x\r\nContent-Length: {length or len(body)}\r\n\r\n".encode()
+    with socket.create_connection(specialist_server.address, timeout=2) as sock:
+        sock.sendall(head + body)
+        _, record = _read_reply(sock, bytearray())
+    message = record["error"]["message"]
+    assert record["error"]["code"] == "protocol"
+    assert "9" * (relay.QUOTE_CHARS + 1) not in message
+    assert len(message) < 300
+
+
 # --- client framing ---
 
 
@@ -645,8 +702,13 @@ def _one_shot_server(reply: bytes):
      b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n" + OK_BODY,
      b"HTTP/1.1 500 Internal Server Error\r\nContent-Length: %d\r\n\r\n%s" % (len(OK_BODY), OK_BODY),
      b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(OK_BODY) + 10, OK_BODY),
-     b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%sHTTP/1.1" % (len(OK_BODY), OK_BODY)],
-    ids=["chunked", "no-content-length", "status-500", "closed-mid-body", "bytes-after-body"],
+     b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%sHTTP/1.1" % (len(OK_BODY), OK_BODY),
+     b"",
+     b"HTTP/2 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(OK_BODY), OK_BODY),
+     # HTTP/1.0, since a kept-alive reply framed whole is pooled even when its JSON is refused
+     b'HTTP/1.0 200 OK\r\nContent-Length: 28\r\n\r\n{"status": "ok", "body": ""}'],
+    ids=["chunked", "no-content-length", "status-500", "closed-mid-body", "bytes-after-body",
+         "closed-before-response", "malformed-status-line", "empty-ok-body"],
 )
 def test_http_transport_refuses_a_bad_response_without_resending(reply):
     transport = HttpTransport(timeout=2)
@@ -683,9 +745,28 @@ def test_http_transport_refuses_an_oversized_reply_before_reading_it():
 
 
 @pytest.mark.parametrize(
+    "reply",
+    [b"HTTP/1.1 %s OK\r\nContent-Length: 0\r\n\r\n" % _LONG.encode(),
+     b"%s\r\n\r\n" % _LONG.encode(),
+     b"HTTP/1.1 200 OK\r\nContent-Length: %sx\r\n\r\n" % _LONG.encode()],
+    ids=["status-code", "status-line", "content-length"],
+)
+def test_http_transport_quotes_at_most_80_characters_of_a_response(reply):
+    transport = HttpTransport(timeout=2)
+    with _one_shot_server(reply) as (url, requests):
+        with pytest.raises(RelayTransportError) as err:
+            transport.send(_specialist_target(url), _consult_request())
+    text = str(err.value)
+    assert "9" * (relay.QUOTE_CHARS + 1) not in text
+    assert len(text) < 300
+    assert transport.sends == len(requests) == 1
+
+
+@pytest.mark.parametrize(
     "status_line, extra",
-    [(b"HTTP/1.1 200 OK", b"Connection: close\r\n"), (b"HTTP/1.0 200 OK", b"")],
-    ids=["connection-close", "http-1.0"],
+    [(b"HTTP/1.1 200 OK", b"Connection: close\r\n"), (b"HTTP/1.0 200 OK", b""),
+     (b"HTTP/1.1 200 OK", b"Connection: keep-alive\r\nConnection: close\r\n")],
+    ids=["connection-close", "http-1.0", "repeated-connection"],
 )
 def test_http_transport_does_not_pool_a_closing_response(status_line, extra):
     transport = HttpTransport(timeout=2)
@@ -695,3 +776,97 @@ def test_http_transport_does_not_pool_a_closing_response(status_line, extra):
     assert response == RelayResponse.ok("fine")
     assert transport.sends == len(requests) == 1
     assert transport._idle == {}
+
+
+# --- totality of the readers of a peer's bytes ---
+
+# Every error text a reader raises is at most this long; none quotes more
+# than ``relay.QUOTE_CHARS`` characters of its input.
+ERROR_TEXT_CHARS = 400
+
+
+@pytest.fixture(scope="module")
+def indexes(workspace):
+    return load_audit_context(workspace.topology_config)[1]
+
+
+def _assert_a_safe_error_text(text: str, indexes) -> None:
+    assert len(text) <= ERROR_TEXT_CHARS, text
+    for node_id, index in indexes.items():
+        assert oracle_scan(text, index, (node_id, "nowhere")) == [], text
+
+
+class _ChunkedSocket:
+    """In-memory bytes handed to ``recv`` in the given pieces, then the end of the stream."""
+
+    def __init__(self, data: bytes, cuts: list[int]) -> None:
+        bounds = sorted({0, len(data), *(min(cut, len(data)) for cut in cuts)})
+        self.chunks = [data[start:end] for start, end in zip(bounds, bounds[1:])]
+
+    def recv(self, size: int) -> bytes:
+        if not self.chunks:
+            return b""
+        chunk = self.chunks.pop(0)
+        if len(chunk) > size:
+            self.chunks.insert(0, chunk[size:])
+        return chunk[:size]
+
+
+_START_LINES = st.sampled_from(
+    [b"HTTP/1.1 200 OK", b"HTTP/1.0 200 OK", b"HTTP/1.1 404 Not Found", b"HTTP/1.1", b"POST /operations/x HTTP/1.1"]
+) | st.binary(max_size=12)
+_FIELD_LINES = st.sampled_from(
+    [b"Content-Length: 2", b"content-length:0", b"Content-Length: 12x", b"Content-Length: 9999999",
+     b"Transfer-Encoding: chunked", b"Connection: close", b"Connection: keep-alive", b" folded", b"X-Empty:"]
+) | st.binary(max_size=12)
+_LINE_ENDS = st.sampled_from([b"\r\n", b"\r\n", b"\n", b"\r", b""])
+_CHUNKED_STREAMS = {
+    # a start line, field lines, the blank line and a few body bytes, each
+    # line end chosen at random
+    "data": st.tuples(
+        st.tuples(_START_LINES, _LINE_ENDS).map(b"".join),
+        st.lists(st.tuples(_FIELD_LINES, _LINE_ENDS).map(b"".join), max_size=6).map(b"".join),
+        _LINE_ENDS,
+        st.binary(max_size=6),
+    ).map(b"".join),
+    "cuts": st.lists(st.integers(0, 300), max_size=8),
+}
+
+
+@settings(deadline=None, max_examples=300)
+@given(**_CHUNKED_STREAMS)
+def test_read_head_is_total_over_chunked_bytes(indexes, data, cuts):
+    try:
+        relay._read_head(relay._Connection(_ChunkedSocket(data, cuts)))
+    except relay._FramingError as exc:
+        _assert_a_safe_error_text(str(exc), indexes)
+
+
+@settings(deadline=None, max_examples=300)
+@given(**_CHUNKED_STREAMS)
+def test_read_response_is_total_over_chunked_bytes(indexes, data, cuts):
+    try:
+        relay._read_response(relay._Connection(_ChunkedSocket(data, cuts)))
+    except relay._FramingError as exc:
+        _assert_a_safe_error_text(str(exc), indexes)
+
+
+_WIRE_KEYS = ["status", "body", "error", "code", "message", "operation_id", "access_key", "conversation_id"]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from(["ok", "error", "auth", ""]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(_WIRE_KEYS) | st.text(max_size=4), children, max_size=5),
+    max_leaves=20,
+)
+_WIRE_TEXTS = st.one_of(st.text(), _JSON_VALUES.map(json.dumps), _JSON_VALUES.map(json.dumps).map(lambda s: s[:-1]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(raw=_WIRE_TEXTS)
+def test_request_and_response_decoding_is_total(indexes, raw):
+    for decode in (RelayRequest.from_json, RelayResponse.from_json):
+        try:
+            decode(raw)
+        except ValueError as exc:
+            _assert_a_safe_error_text(str(exc), indexes)
