@@ -121,13 +121,23 @@ def _parse_protected(entries: object, where: str) -> tuple[ProtectedSpec, ...]:
     return tuple(specs)
 
 
+def _read_json(path: Path) -> Any:
+    """The JSON value a config file holds; ``ConfigError`` names the file
+    if it is not UTF-8, not JSON, or nested too deeply to parse."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path.name}: invalid UTF-8") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path.name}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"{path.name}: invalid JSON: nested too deeply") from None
+
+
 def load_node_config(path: Path | str) -> NodeConfig:
     path = Path(path)
     where = path.name
-    try:
-        record = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{where}: invalid JSON: {exc}") from None
+    record = _read_json(path)
     if not isinstance(record, dict):
         raise ConfigError(f"{where}: config root must be an object")
 
@@ -236,10 +246,7 @@ def load_topology_config(path: Path | str) -> tuple[Path, ...]:
     """The node config paths a topology file lists."""
     path = Path(path)
     where = path.name
-    try:
-        record = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{where}: invalid JSON: {exc}") from None
+    record = _read_json(path)
     if not isinstance(record, dict):
         raise ConfigError(f"{where}: topology root must be an object")
     for key, moved_to in _MOVED_TOPOLOGY_KEYS.items():

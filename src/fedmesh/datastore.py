@@ -100,33 +100,48 @@ def read_table(path: Path | str, name: str, required: Sequence[str]) -> Table:
     """Load a header-prefixed CSV file whose header names the required
     columns, and no column twice.
 
-    A UTF-8 byte-order mark, which spreadsheet tools write, is skipped."""
+    A UTF-8 byte-order mark, which spreadsheet tools write, is skipped.
+    Bytes that are not UTF-8, and a row the CSV reader refuses (a cell
+    longer than its field limit, say), raise ``RowError`` naming the line;
+    its text quotes no cell."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(required[0], f"{path.name}: file has no header row") from None
-        for col in required:
-            if col not in header:
-                raise SchemaError(col, f"{path.name}: missing column {col!r}")
-        for col in header:
-            if header.count(col) > 1:
-                raise SchemaError(col, f"{path.name}: column {col!r} appears more than once")
-        rows: list[tuple[str, ...]] = []
-        lines: list[int] = []
-        # A row starts on the line after the previous row ends; blank lines
-        # come back as empty rows, so they are counted too.
-        start = reader.line_num + 1
-        for cells in reader:
-            line, start = start, reader.line_num + 1
-            if not cells:
-                continue
-            if len(cells) != len(header):
-                raise RowError(line, f"{path.name}: expected {len(header)} cells, got {len(cells)}")
-            rows.append(tuple(cells))
-            lines.append(line)
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(required[0], f"{path.name}: file has no header row")
+            for col in required:
+                if col not in header:
+                    raise SchemaError(col, f"{path.name}: missing column {col!r}")
+            for col in header:
+                if header.count(col) > 1:
+                    raise SchemaError(col, f"{path.name}: column {col!r} appears more than once")
+            rows: list[tuple[str, ...]] = []
+            lines: list[int] = []
+            # A row starts on the line after the previous row ends; blank
+            # lines come back as empty rows, so they are counted too.
+            start = reader.line_num + 1
+            for cells in reader:
+                line, start = start, reader.line_num + 1
+                if not cells:
+                    continue
+                if len(cells) != len(header):
+                    raise RowError(line, f"{path.name}: expected {len(header)} cells, got {len(cells)}")
+                rows.append(tuple(cells))
+                lines.append(line)
+        except UnicodeDecodeError:
+            # The file is decoded a block at a time, ahead of the reader's
+            # line count, so the line of the first bad byte is found anew.
+            data = path.read_bytes()
+            bad = len(data)
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                bad = exc.start
+            raise RowError(data.count(b"\n", 0, bad) + 1, f"{path.name}: invalid UTF-8") from None
+        except csv.Error as exc:
+            raise RowError(reader.line_num, f"{path.name}: {exc}") from None
     return Table(name=name, header=tuple(header), rows=tuple(rows), lines=tuple(lines))
 
 

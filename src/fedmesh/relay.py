@@ -221,7 +221,7 @@ class HttpTransport:
     response whose body is framed by ``Content-Length`` is accepted.
     Connections are kept alive and pooled per ``(scheme, host, port)``: a
     call takes an idle connection, or opens one with Nagle's algorithm off,
-    and returns it once the whole response is read, so concurrent
+    and returns it once the whole response is read and decoded, so concurrent
     conversations each hold their own. An idle connection the peer has
     closed is dropped before use, and one is never pooled after
     ``Connection: close`` or an HTTP/1.0 response. A request is never sent
@@ -256,15 +256,17 @@ class HttpTransport:
             if connection is not None:
                 connection.close()
             raise RelayTransportError(f"relay transport failed for {route.url}: {exc}") from exc
+        try:
+            response = RelayResponse.from_json(raw.decode("utf-8"))
+        except ValueError as exc:
+            connection.close()
+            raise RelayTransportError(f"malformed relay response from {route.url}: {exc}") from exc
         if reusable:
             with self._lock:
                 self._idle.setdefault(route.key, []).append(connection)
         else:
             connection.close()
-        try:
-            return RelayResponse.from_json(raw.decode("utf-8"))
-        except ValueError as exc:
-            raise RelayTransportError(f"malformed relay response from {route.url}: {exc}") from exc
+        return response
 
     def _checkout(self, key: tuple[str, str, int]) -> _Connection | None:
         """An idle connection to ``key`` the peer has not closed, if any."""

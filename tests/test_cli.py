@@ -5,8 +5,9 @@ import json
 import pytest
 
 from fedmesh.cli import main
-from fedmesh.config import load_node_config
-from fedmesh.errors import ConfigError
+from fedmesh.config import load_node_config, load_topology_config
+from fedmesh.datastore import read_table
+from fedmesh.errors import ConfigError, RowError
 from fedmesh.fixtures import CANONICAL_REQUEST, FIXTURE_SECRET, write_demo_workspace
 from fedmesh.scenario import boot_scenario, run_scenario
 
@@ -298,3 +299,57 @@ def test_wrong_typed_config_fields_are_config_errors(tmp_path, capsys, path, val
 
     assert main(_run_args(ws)) == 1
     assert capsys.readouterr().err == f"error: ConfigError: {err.value}\n"
+
+
+@pytest.mark.parametrize("config", ["clinic_config", "topology_config"])
+@pytest.mark.parametrize(
+    "content",
+    ['{"node_id": "Zo\xeb"}'.encode("latin-1"), b"[" * 100_000],
+    ids=["latin-1", "deeply-nested"],
+)
+def test_unreadable_config_files_are_config_errors(tmp_path, config, content):
+    """A file that is not UTF-8 or nests too deeply for the JSON parser is
+    a ConfigError naming the file, not a decoding or recursion error."""
+    ws = write_demo_workspace(tmp_path / "ws")
+    path = getattr(ws, config)
+    path.write_bytes(content)
+    load = load_node_config if config == "clinic_config" else load_topology_config
+    with pytest.raises(ConfigError) as err:
+        load(path)
+    assert str(err.value).startswith(f"{path.name}: invalid ")
+    assert len(str(err.value)) < 200
+
+
+def _patients_error(ws, capsys) -> RowError:
+    """The RowError reading the workspace's patients.csv raises, after
+    checking that run-scenario reports it in one line."""
+    patients = ws.root / "clinic" / "patients.csv"
+    with pytest.raises(RowError) as err:
+        read_table(patients, "patients", [])
+    assert str(err.value).startswith(f"line {err.value.line}: patients.csv: ")
+    assert len(str(err.value)) < 200
+    assert main(_run_args(ws)) == 1
+    assert capsys.readouterr().err == f"error: RowError: {err.value}\n"
+    return err.value
+
+
+def test_patients_csv_that_is_not_utf8_is_a_row_error(tmp_path, capsys):
+    """The line is that of the first bad byte, even when it lies past the
+    first block of the file the reader decodes."""
+    ws = write_demo_workspace(tmp_path / "ws")
+    patients = ws.root / "clinic" / "patients.csv"
+    good = patients.read_bytes().rstrip(b"\n").split(b"\n")
+    rows = good + [b"CLN-%04d,Ann Lee,1968-02-03,n" % i for i in range(100, 1100)]
+    patients.write_bytes(b"\n".join(rows + ["CLN-0099,Zoë Lee,1970-01-01,n".encode("latin-1")]) + b"\n")
+    assert _patients_error(ws, capsys).line == len(rows) + 1
+
+
+def test_patients_csv_cell_past_the_field_limit_is_a_row_error(tmp_path, capsys):
+    ws = write_demo_workspace(tmp_path / "ws")
+    patients = ws.root / "clinic" / "patients.csv"
+    lines = patients.read_text().splitlines()
+    lines.insert(2, "CLN-0099,Ann Lee,1968-02-03," + "x" * 200_000)
+    patients.write_text("\n".join(lines) + "\n")
+    error = _patients_error(ws, capsys)
+    assert error.line == 3
+    assert "xxxx" not in str(error)

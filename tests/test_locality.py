@@ -930,14 +930,25 @@ def _per_envelope_oracle(trace: TraceLog) -> list[Violation]:
 @given(data=st.data())
 def test_check_trace_equals_the_per_envelope_oracle(batch_chars, data):
     """Batches of one body, of a few and of a whole edge find exactly what
-    checking each envelope alone finds, in the same order, and a value
-    split across two consecutive bodies of one edge is not found."""
+    checking each envelope alone finds, in the same order, for every copy
+    of a body repeated on its edge or on another, and a value split across
+    two consecutive bodies of one edge is not found."""
     messages = data.draw(st.lists(
         st.tuples(st.sampled_from(_BATCH_EDGES), st.lists(_FRAGMENTS, max_size=6).map("".join)),
         min_size=1, max_size=12,
     ))
     edges = [edge for edge, _ in messages]
     bodies = [body or "." for _, body in messages]
+    last = len(messages) - 1
+    for i, j, same_edge in data.draw(st.lists(st.tuples(st.integers(0, last), st.integers(0, last), st.booleans()),
+                                              max_size=4)):
+        if i < j:
+            bodies[j] = bodies[i]
+            if same_edge:
+                edges[j] = edges[i]
+            elif edges[j] == edges[i]:
+                edges[j] = data.draw(st.sampled_from([edge for edge in _BATCH_EDGES if edge != edges[i]]))
+            event("a body repeated on its edge" if same_edge else "a body repeated on another edge")
     for i, value in data.draw(st.lists(st.tuples(st.integers(0, len(messages) - 1), st.sampled_from(
         [_NEWLINE_VALUE, "Gold\nplan", "Marina Kovacs", "CLN-0010", _BATCH_TOKENS[0]]
     )), max_size=3)):
@@ -953,6 +964,24 @@ def test_check_trace_equals_the_per_envelope_oracle(batch_chars, data):
     trace = _trace_with(*((a, b, body) for (a, b), body in zip(edges, bodies)))
     with mock.patch.object(locality, "AUDIT_BATCH_CHARS", batch_chars):
         assert check_trace(trace, TOPOLOGY, _BATCH_INDEXES) == _per_envelope_oracle(trace)
+
+
+def test_check_trace_scans_each_distinct_body_of_an_edge_once():
+    """A body repeated on one edge is scanned once, and once more on each
+    other edge that carries it; every copy still gets its findings."""
+    trace = _trace_with(
+        ("clinic", "insurer", "Marina Kovacs"),
+        ("clinic", "insurer", "fine"),
+        ("insurer", "clinic", "Marina Kovacs"),
+        ("clinic", "insurer", "Marina Kovacs"),
+        ("clinic", "specialist", "fine"),
+        ("clinic", "insurer", "fine"),
+        ("clinic", "specialist", "fine"),
+    )
+    with mock.patch.object(locality, "scan_bodies", wraps=locality.scan_bodies) as scan:
+        assert check_trace(trace, TOPOLOGY, _BATCH_INDEXES) == _per_envelope_oracle(trace)
+    scanned = [(call.args[2], body) for call in scan.call_args_list for body in call.args[0]]
+    assert sorted(scanned) == sorted({((env.from_node, env.to_node), env.body) for env in trace.envelopes})
 
 
 @pytest.mark.parametrize("batch_chars", [1, 2**30])

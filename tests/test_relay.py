@@ -705,8 +705,7 @@ def _one_shot_server(reply: bytes):
      b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%sHTTP/1.1" % (len(OK_BODY), OK_BODY),
      b"",
      b"HTTP/2 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(OK_BODY), OK_BODY),
-     # HTTP/1.0, since a kept-alive reply framed whole is pooled even when its JSON is refused
-     b'HTTP/1.0 200 OK\r\nContent-Length: 28\r\n\r\n{"status": "ok", "body": ""}'],
+     b'HTTP/1.1 200 OK\r\nContent-Length: 28\r\n\r\n{"status": "ok", "body": ""}'],
     ids=["chunked", "no-content-length", "status-500", "closed-mid-body", "bytes-after-body",
          "closed-before-response", "malformed-status-line", "empty-ok-body"],
 )
@@ -724,13 +723,11 @@ def test_http_transport_refuses_a_deeply_nested_reply():
     transport = HttpTransport(timeout=2)
     nested = b"[" * 100_000
     reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(nested), nested)
-    try:
-        with _one_shot_server(reply) as (url, requests):
-            with pytest.raises(RelayTransportError, match="malformed relay response .*: nested too deeply"):
-                transport.send(_specialist_target(url), _consult_request())
-    finally:
-        transport.close()  # the reply was framed whole, so its connection was pooled
+    with _one_shot_server(reply) as (url, requests):
+        with pytest.raises(RelayTransportError, match="malformed relay response .*: nested too deeply"):
+            transport.send(_specialist_target(url), _consult_request())
     assert transport.sends == len(requests) == 1
+    assert transport._idle == {}
 
 
 def test_http_transport_refuses_an_oversized_reply_before_reading_it():
