@@ -3,14 +3,14 @@
 A node config declares the node id, dataset paths, secret sources, protected
 columns, exposed operations, relay targets, the listener bind address, and
 the audit rules for traffic to and from the node.
-Relative paths resolve against the config file's directory. The README
-documents the full schema; by contract a relay target's name must equal the
+Relative paths resolve against the config file's directory. Every object
+in a config refuses a key its loader does not read. The README documents
+the full schema; by contract a relay target's name must equal the
 destination node's id.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,9 +19,8 @@ from typing import Any, Mapping, Sequence
 from .datastore import MatchMode, ProtectedSpec
 from .errors import ConfigError
 from .locality import Topology
-from .policies import POLICY_REGISTRY
 from .relay import RelayTarget
-from .runtime import DEFAULT_LOOP_LIMIT, OperationConfig
+from .runtime import OperationConfig
 
 # Each dataset kind and the path names it must give.
 DATASET_KINDS = {
@@ -29,6 +28,14 @@ DATASET_KINDS = {
     "insurer": ("enrollment", "coverage_rules"),
     "guidance": ("dir",),
 }
+
+# The keys a node config's root and each kind of protected entry may hold.
+_NODE_KEYS = (
+    "node_id", "datasets", "secrets", "hmac_secret", "protected",
+    "operations", "relay_targets", "token_free", "bind",
+)
+_COLUMNS_KEYS = ("store", "columns", "match", "allowed_to")
+_DERIVED_KEYS = ("derived", "store", "column", "secret", "match", "allowed_to")
 
 
 @dataclass(frozen=True)
@@ -39,11 +46,9 @@ class NodeConfig:
     hmac_secret: str | None
     protected: tuple[ProtectedSpec, ...]
     operations: tuple[OperationConfig, ...]
-    policy_options: Mapping[str, Mapping[str, object]]
     relay_targets: tuple[RelayTarget, ...]
     bind_host: str
     bind_port: int
-    loop_limit: int
     # Audit rule: receives no 64-hex substring.
     token_free: bool
 
@@ -66,35 +71,38 @@ def _expect(
     return value
 
 
-def _check_policy_options(policy: str, options: Mapping[str, object], where: str) -> None:
-    """A dataclass policy takes only its init fields, each typed as its default."""
-    factory = POLICY_REGISTRY.get(policy)
-    if factory is None or not dataclasses.is_dataclass(factory):
-        return
-    defaults = {f.name: f.default for f in dataclasses.fields(factory) if f.init}
-    for key, value in options.items():
-        if key not in defaults:
-            raise ConfigError(f"{where}: unknown policy_options key {key!r} for policy {policy!r}")
-        default = defaults[key]
-        if default is not dataclasses.MISSING and type(value) is not type(default):
-            raise ConfigError(f"{where}: policy_options key {key!r} must be {type(default).__name__}")
+def _expect_strings(
+    record: Mapping[str, object], key: str, where: str, default: object = _REQUIRED
+) -> list[str]:
+    """``record[key]``, which must be a list of strings."""
+    values = _expect(record, key, list, where, default)
+    if not all(isinstance(value, str) for value in values):
+        raise ConfigError(f"{where}: key {key!r} must list strings")
+    return values
+
+
+def _refuse_unread(record: Mapping[str, object], keys: Sequence[str], where: str) -> None:
+    """A key the loader does not read is a typo or a retired setting;
+    ignoring it would run the node with a default its author did not mean."""
+    for key in record:
+        if key not in keys:
+            raise ConfigError(f"{where}: unknown key {key!r} (reads {', '.join(keys)})")
 
 
 def _parse_protected(entries: object, where: str) -> tuple[ProtectedSpec, ...]:
     if not isinstance(entries, list):
         raise ConfigError(f"{where}: 'protected' must be a list")
     specs: list[ProtectedSpec] = []
-    for entry in entries:
+    for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ConfigError(f"{where}: protected entries must be objects")
+        keys = _DERIVED_KEYS if "derived" in entry else _COLUMNS_KEYS
+        _refuse_unread(entry, keys, f"{where}:protected[{i}]")
         try:
             match = MatchMode(entry.get("match", "exact"))
         except ValueError:
             raise ConfigError(f"{where}: protected match must be 'exact' or 'text'") from None
-        allowed_to = _expect(entry, "allowed_to", list, where, [])
-        if not all(isinstance(node, str) for node in allowed_to):
-            raise ConfigError(f"{where}: key 'allowed_to' must list node ids")
-        allowed_to = frozenset(allowed_to)
+        allowed_to = frozenset(_expect_strings(entry, "allowed_to", where, []))
         if "derived" in entry:
             specs.append(
                 ProtectedSpec(
@@ -107,13 +115,13 @@ def _parse_protected(entries: object, where: str) -> tuple[ProtectedSpec, ...]:
                 )
             )
         else:
-            columns = entry.get("columns")
-            if not isinstance(columns, list) or not columns:
+            columns = _expect_strings(entry, "columns", where)
+            if not columns:
                 raise ConfigError(f"{where}: protected entry needs a non-empty 'columns' list")
             specs.append(
                 ProtectedSpec(
                     store=_expect(entry, "store", str, where),
-                    columns=tuple(str(col) for col in columns),
+                    columns=tuple(columns),
                     match=match,
                     allowed_to=allowed_to,
                 )
@@ -140,6 +148,7 @@ def load_node_config(path: Path | str) -> NodeConfig:
     record = _read_json(path)
     if not isinstance(record, dict):
         raise ConfigError(f"{where}: config root must be an object")
+    _refuse_unread(record, _NODE_KEYS, where)
 
     base_dir = path.parent
     node_id = _expect(record, "node_id", str, where)
@@ -152,6 +161,7 @@ def load_node_config(path: Path | str) -> NodeConfig:
             raise ConfigError(f"{where}: unknown dataset kind {kind!r}")
         if not isinstance(paths, dict):
             raise ConfigError(f"{where}: dataset {kind!r} must map names to paths")
+        _refuse_unread(paths, DATASET_KINDS[kind], f"{where}:{kind}")
         datasets[kind] = {
             name: base_dir / _expect(paths, name, str, f"{where}:{kind}")
             for name in DATASET_KINDS[kind]
@@ -161,42 +171,36 @@ def load_node_config(path: Path | str) -> NodeConfig:
     for name, source in _expect(record, "secrets", dict, where, {}).items():
         if not isinstance(source, dict):
             raise ConfigError(f"{where}: secret {name!r} must be an object")
+        _refuse_unread(source, ("file",), f"{where}:{name}")
         if "file" in source:
             secret_files[name] = base_dir / _expect(source, "file", str, f"{where}:{name}")
         # otherwise the secret resolves through its environment variable
 
     operations: list[OperationConfig] = []
-    policy_options: dict[str, dict[str, object]] = {}
     ops_record = _expect(record, "operations", dict, where)
     if not ops_record:
         raise ConfigError(f"{where}: node must expose at least one operation")
     for op_id, op in ops_record.items():
         if not isinstance(op, dict):
             raise ConfigError(f"{where}: operation {op_id!r} must be an object")
-        tools = op.get("tools", [])
-        if not isinstance(tools, list):
-            raise ConfigError(f"{where}: operation {op_id!r}: 'tools' must be a list")
+        _refuse_unread(op, ("policy", "tools", "access_key"), f"{where}:{op_id}")
         operations.append(
             OperationConfig(
-                operation_id=str(op_id),
+                operation_id=op_id,
                 agent_policy=_expect(op, "policy", str, f"{where}:{op_id}"),
-                permitted_tools=frozenset(str(tool) for tool in tools),
+                permitted_tools=frozenset(_expect_strings(op, "tools", f"{where}:{op_id}", [])),
                 access_key=_expect(op, "access_key", str, f"{where}:{op_id}"),
             )
         )
-        options = op.get("policy_options", {})
-        if not isinstance(options, dict):
-            raise ConfigError(f"{where}: operation {op_id!r}: 'policy_options' must be an object")
-        _check_policy_options(operations[-1].agent_policy, options, f"{where}:{op_id}")
-        policy_options[str(op_id)] = dict(options)
 
     targets: list[RelayTarget] = []
     for name, target in _expect(record, "relay_targets", dict, where, {}).items():
         if not isinstance(target, dict):
             raise ConfigError(f"{where}: relay target {name!r} must be an object")
+        _refuse_unread(target, ("url", "operation_id", "access_key"), f"{where}:{name}")
         targets.append(
             RelayTarget(
-                name=str(name),
+                name=name,
                 url=_expect(target, "url", str, f"{where}:{name}"),
                 operation_id=_expect(target, "operation_id", str, f"{where}:{name}"),
                 access_key=_expect(target, "access_key", str, f"{where}:{name}"),
@@ -208,6 +212,7 @@ def load_node_config(path: Path | str) -> NodeConfig:
         raise ConfigError(f"{where}: 'token_free' must be true or false")
 
     bind = _expect(record, "bind", dict, where, {})
+    _refuse_unread(bind, ("host", "port"), f"{where}:bind")
     bind_port = _expect(bind, "port", int, f"{where}:bind", 0)
     if not 0 <= bind_port <= 65535:
         raise ConfigError(f"{where}:bind: key 'port' must be in 0..65535")
@@ -219,11 +224,9 @@ def load_node_config(path: Path | str) -> NodeConfig:
         hmac_secret=_expect(record, "hmac_secret", str, where, None),
         protected=_parse_protected(record.get("protected", []), where),
         operations=tuple(operations),
-        policy_options=policy_options,
         relay_targets=tuple(targets),
         bind_host=_expect(bind, "host", str, f"{where}:bind", "127.0.0.1"),
         bind_port=bind_port,
-        loop_limit=_expect(record, "loop_limit", int, where, DEFAULT_LOOP_LIMIT),
         token_free=token_free,
     )
 
@@ -252,10 +255,11 @@ def load_topology_config(path: Path | str) -> tuple[Path, ...]:
     for key, moved_to in _MOVED_TOPOLOGY_KEYS.items():
         if key in record:
             raise ConfigError(f"{where}: {key!r} is no longer read here; {moved_to}")
+    _refuse_unread(record, ("nodes",), where)
     nodes = record.get("nodes")
-    if not isinstance(nodes, list) or not nodes:
+    if not isinstance(nodes, list) or not nodes or not all(isinstance(p, str) for p in nodes):
         raise ConfigError(f"{where}: 'nodes' must list node config paths")
-    return tuple(path.parent / str(p) for p in nodes)
+    return tuple(path.parent / p for p in nodes)
 
 
 def build_topology(configs: Sequence[NodeConfig]) -> Topology:

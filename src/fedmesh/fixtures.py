@@ -219,7 +219,7 @@ class DemoWorkspace:
         return (self.clinic_config, self.insurer_config, self.specialist_config)
 
 
-def write_demo_workspace(root: Path | str, *, secret: str = FIXTURE_SECRET) -> DemoWorkspace:
+def write_demo_workspace(root: Path | str) -> DemoWorkspace:
     """Materialise datasets, key file, and node configs under ``root``."""
     root = Path(root)
     clinic_dir = root / "clinic"
@@ -231,9 +231,9 @@ def write_demo_workspace(root: Path | str, *, secret: str = FIXTURE_SECRET) -> D
 
     (clinic_dir / "clinical_observations.csv").write_text(OBSERVATIONS_CSV, encoding="utf-8")
     (clinic_dir / "patients.csv").write_text(PATIENTS_CSV, encoding="utf-8")
-    (clinic_dir / "hmac.key").write_text(secret + "\n", encoding="utf-8")
+    (clinic_dir / "hmac.key").write_text(FIXTURE_SECRET + "\n", encoding="utf-8")
 
-    key = SecretKey(name="clinic_hmac_key", material=secret.encode("utf-8"))
+    key = SecretKey(name="clinic_hmac_key", material=FIXTURE_SECRET.encode("utf-8"))
     (insurer_dir / "enrollment.csv").write_text(
         build_enrollment_csv(PATIENT_IDS, ENROLLMENT_TEMPLATE, key), encoding="utf-8"
     )

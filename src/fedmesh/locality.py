@@ -35,7 +35,6 @@ from .datastore import ProtectedValueIndex, body_starts
 from .errors import TraceFormatError
 
 HEX64_RE = re.compile(r"[0-9a-fA-F]{64}")
-_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 # A raw clinic patient identifier, in any letter case.
 PATIENT_ID_RE = re.compile(r"\bCLN-\d{4}\b", re.IGNORECASE)
@@ -43,22 +42,6 @@ PATIENT_ID_RE = re.compile(r"\bCLN-\d{4}\b", re.IGNORECASE)
 # regex engine skips to, so it spares most bodies the slower case-blind
 # search.
 PATIENT_ID_PRETEST = re.compile(r"-\d{4}")
-
-
-def search_token(text: str, pos: int = 0) -> re.Match[str] | None:
-    """``HEX64_RE.search(text, pos)``, without trying the regex at each
-    character: tried there, it costs a few microseconds on a body of
-    prose, whose letters include a to f. Every run of 64 hex digits holds
-    a position that is a multiple of 64, and a match that holds such a
-    position lies within 63 characters of it. So the regex is tried only
-    around those positions that hold a hex digit, in ascending order, and
-    the first match found is the text's first."""
-    for anchor in range(-(-pos // 64) * 64, len(text), 64):
-        if text[anchor] in _HEX_DIGITS:
-            match = HEX64_RE.search(text, max(pos, anchor - 63), anchor + 64)
-            if match:
-                return match
-    return None
 
 
 # check_trace scans an edge's distinct bodies, each once however many
@@ -321,7 +304,7 @@ def scan_bodies(
                 entry = entries[pos]
                 found.append(Finding(ViolationKind.PROTECTED_VALUE, entry.source_column, entry.value))
     text = "\n".join(bodies)
-    token = search_token(text) if edge[1] in topology.token_free_nodes else None
+    token = HEX64_RE.search(text) if edge[1] in topology.token_free_nodes else None
     hint = PATIENT_ID_PRETEST.search(text)
     if token or hint:
         starts = body_starts(bodies)
@@ -329,7 +312,7 @@ def scan_bodies(
             body = bisect_right(starts, token.start()) - 1
             finding = Finding(ViolationKind.TOKEN_LEAK, offending_value=token.group(0))
             findings.setdefault(body, []).append(finding)
-            token = search_token(text, starts[body + 1])
+            token = HEX64_RE.search(text, starts[body + 1])
         while hint:
             body = bisect_right(starts, hint.start()) - 1
             match = PATIENT_ID_RE.search(text, starts[body], starts[body + 1] - 1)

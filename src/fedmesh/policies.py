@@ -55,6 +55,12 @@ TREATMENT_PHYSIO_COURSE = "physiotherapy_course"
 PREREQ_PHYSIO = "physiotherapy_6_weeks"
 PREREQ_ANALGESIA = "failed_simple_analgesia"
 
+# The relay target each relaying policy calls, and the specialist's
+# guidance query.
+INSURER_TARGET = "insurer"
+SPECIALIST_TARGET = "specialist"
+GUIDANCE_QUERY = "osteoarthritis"
+
 _EXPLICIT_TREATMENT_RE = re.compile(rf"\bfor\s+({TREATMENT_CODE_RE.pattern})(?![\w-])")
 
 
@@ -280,8 +286,6 @@ class ClinicPolicy:
     An explicit treatment in the request wins over the inferred one.
     """
 
-    insurer_target: str = "insurer"
-
     def decide(self, request_body: str, results: Mapping[str, Any]) -> ToolCall | str:
         id_match = PATIENT_ID_RE.search(request_body)
         if id_match is None:
@@ -307,7 +311,7 @@ class ClinicPolicy:
                 prior_tx=obs.prior_conservative_tx,
                 proposed_treatment=_explicit_treatment(request_body) or infer_treatment(obs),
             )
-            return ToolCall("relay_call", {"target": self.insurer_target, "body": render_inquiry(inquiry)})
+            return ToolCall("relay_call", {"target": INSURER_TARGET, "body": render_inquiry(inquiry)})
 
         return results["relay_call"]
 
@@ -375,7 +379,6 @@ class InsurerPolicy:
     and the trace checker; it deliberately violates the consult contract.
     """
 
-    specialist_target: str = "specialist"
     forward_token: bool = False
     _last_request: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
@@ -399,7 +402,7 @@ class InsurerPolicy:
             body = render_consult(consult_from_inquiry(inquiry))
             if self.forward_token:
                 body += "\npatient_token=" + inquiry.patient_token.hex
-            return ToolCall("relay_call", {"target": self.specialist_target, "body": body})
+            return ToolCall("relay_call", {"target": SPECIALIST_TARGET, "body": body})
 
         try:
             rec = parse_recommendation(results["relay_call"])
@@ -440,7 +443,6 @@ class SpecialistPolicy:
     conversation handles, and its permitted tool set contains no relay.
     """
 
-    guidance_query: str = "osteoarthritis"
     _last_request: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def decide(self, request_body: str, results: Mapping[str, Any]) -> ToolCall | str:
@@ -450,7 +452,7 @@ class SpecialistPolicy:
             return f"Unable to process the consultation request: missing or malformed field '{exc.field}'."
 
         if "guidance_search" not in results:
-            return ToolCall("guidance_search", {"query": self.guidance_query})
+            return ToolCall("guidance_search", {"query": GUIDANCE_QUERY})
         docs: list[GuidanceDoc] = results["guidance_search"]
         return render_recommendation(recommend(consult, docs))
 
@@ -466,8 +468,8 @@ POLICY_REGISTRY: dict[str, type] = {
 }
 
 
-def build_policy(name: str, options: Mapping[str, object] | None = None) -> AgentPolicy:
+def build_policy(name: str) -> AgentPolicy:
     factory = POLICY_REGISTRY.get(name)
     if factory is None:
         raise ConfigError(f"unknown agent policy {name!r}")
-    return factory(**(options or {}))
+    return factory()

@@ -14,7 +14,7 @@ import logging
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .config import NodeConfig, build_topology, load_node_config, load_topology_config
 from .datastore import (
@@ -63,21 +63,17 @@ def build_node(
     *,
     topology: Topology | None = None,
     trace: TraceLog | None = None,
-    env: Mapping[str, str] | None = None,
 ) -> Node:
     """Load datasets, build the protected index, and instantiate policies.
 
     ``topology`` is the deployment's; without one, the node's guard knows
     only the edges and rules its own config declares."""
-    secrets = SecretSource(files=dict(cfg.secret_files), env=env)
+    secrets = SecretSource(files=dict(cfg.secret_files))
     datasets, index = load_stores(cfg, secrets)
     if "guidance" in cfg.datasets:
         datasets["guidance"] = load_guidance(cfg.datasets["guidance"]["dir"])
 
-    policies = {
-        op.operation_id: build_policy(op.agent_policy, cfg.policy_options.get(op.operation_id))
-        for op in cfg.operations
-    }
+    policies = {op.operation_id: build_policy(op.agent_policy) for op in cfg.operations}
 
     return Node(
         node_id=cfg.node_id,
@@ -91,7 +87,6 @@ def build_node(
         hmac_secret=cfg.hmac_secret,
         trace=trace,
         topology=topology or build_topology([cfg]),
-        loop_limit=cfg.loop_limit,
     )
 
 
@@ -155,7 +150,6 @@ def boot_scenario(
     *,
     transport: str = "inprocess",
     run_id: str | None = None,
-    env: Mapping[str, str] | None = None,
 ) -> Scenario:
     """Boot every configured node; the first config hosts the entry
     operation."""
@@ -169,9 +163,7 @@ def boot_scenario(
     configs = [load_node_config(path) for path in config_paths]
     topology = build_topology(configs)
 
-    nodes = {
-        cfg.node_id: build_node(cfg, topology=topology, trace=trace, env=env) for cfg in configs
-    }
+    nodes = {cfg.node_id: build_node(cfg, topology=topology, trace=trace) for cfg in configs}
     scenario = Scenario(
         run_id=run_id,
         nodes=nodes,
@@ -257,7 +249,6 @@ def run_scenario(
     transport: str = "inprocess",
     run_id: str | None = None,
     trace_path: Path | str | None = None,
-    env: Mapping[str, str] | None = None,
     inject_leak: str | None = None,
     forward_token: bool = False,
     bypass_guard: bool = False,
@@ -269,7 +260,7 @@ def run_scenario(
     consult; ``bypass_guard`` disables the runtime guard so seeded faults
     reach the trace for the offline checker to catch.
     """
-    scenario = boot_scenario(config_paths, transport=transport, run_id=run_id, env=env)
+    scenario = boot_scenario(config_paths, transport=transport, run_id=run_id)
     try:
         if forward_token:
             for node in scenario.nodes.values():

@@ -235,6 +235,41 @@ def test_check_trace_rejects_topology_audit_keys(workspace, tmp_path, capsys, ke
     assert moved_to in err
 
 
+@pytest.mark.parametrize(
+    "extra, key",
+    [({"edges": [["clinic", "insurer"]]}, "edges"), ({"nodes": ["clinic.json", 1]}, "nodes")],
+    ids=["extra-key", "nodes-number-item"],
+)
+def test_check_trace_rejects_unread_or_wrong_typed_topology_keys(workspace, tmp_path, capsys, extra, key):
+    topology = tmp_path / "topology.json"
+    topology.write_text(json.dumps({"nodes": [str(p) for p in workspace.node_configs], **extra}))
+    trace = tmp_path / "empty.jsonl"
+    trace.write_text("")
+    assert main(["check-trace", "--trace", str(trace), "--topology", str(topology)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError: topology.json: ") and err.count("\n") == 1
+    assert repr(key) in err
+
+
+def test_misspelt_match_key_is_refused_by_boot_and_audit(tmp_path, capsys):
+    """Ignored, a misspelt ``match`` would index names as exact values, so a
+    name in another letter case would cross the clinic's edge unflagged."""
+    ws = write_demo_workspace(tmp_path / "ws")
+    record = json.loads(ws.clinic_config.read_text())
+    record["protected"][1]["Match"] = record["protected"][1].pop("match")
+    ws.clinic_config.write_text(json.dumps(record))
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("")
+
+    assert main(_run_args(ws, "--inject-leak", "marina kovacs", "--trace", str(trace))) == 1
+    run_err = capsys.readouterr().err
+    assert main(["check-trace", "--trace", str(trace), "--topology", str(ws.topology_config)]) == 1
+    check_err = capsys.readouterr().err
+    for err in (run_err, check_err):
+        assert err.startswith("error: ConfigError: clinic.json:protected[1]: ") and err.count("\n") == 1
+        assert "'Match'" in err
+
+
 def test_duplicate_node_id_is_rejected_by_boot_and_audit(workspace, tmp_path, capsys):
     configs = [workspace.node_configs[0], *workspace.node_configs]
     with pytest.raises(ConfigError, match="duplicate node id 'clinic'"):
@@ -252,14 +287,10 @@ def test_duplicate_node_id_is_rejected_by_boot_and_audit(workspace, tmp_path, ca
     [
         (("bind", "port"), "abc", "port"),
         (("bind", "port"), 70000, "port"),
-        (("loop_limit",), "x", "loop_limit"),
-        (("loop_limit",), True, "loop_limit"),
         (("relay_targets",), [], "relay_targets"),
         (("secrets",), [], "secrets"),
         (("protected", 0, "allowed_to"), 5, "allowed_to"),
         (("protected", 3, "allowed_to"), "insurer", "allowed_to"),
-        (("operations", "coverage_request", "policy_options"), {"insurer": "x"}, "insurer"),
-        (("operations", "coverage_request", "policy_options"), {"insurer_target": 5}, "insurer_target"),
         (("datasets", "clinic"), {"observations": "obs.csv"}, "patients"),
         (("datasets", "clinic", "observations"), None, "observations"),
         (("datasets", "insurer"), {"enrollment": "enrollment.csv"}, "coverage_rules"),
@@ -270,19 +301,34 @@ def test_duplicate_node_id_is_rejected_by_boot_and_audit(workspace, tmp_path, ca
         (("protected", 3, "secret"), None, "secret"),
         (("protected", 3, "column"), 5, "column"),
         (("protected", 3, "store"), None, "store"),
+        (("operations", "coverage_request", "tools"), [None], "tools"),
+        (("protected", 0, "columns"), ["patient_id", 5], "columns"),
+        (("loop_limit",), 8, "loop_limit"),
+        (("token_fre",), True, "token_fre"),
+        (("operations", "coverage_request", "policy_options"), {"insurer_target": "insurer"}, "policy_options"),
+        (("protected", 1, "Match"), "text", "Match"),
+        (("protected", 3, "columns"), ["patient_id"], "columns"),
+        (("secrets", "clinic_hmac_key", "env"), "FEDMESH_SECRET_CLINIC_HMAC_KEY", "env"),
+        (("datasets", "clinic", "guidance"), "notes.md", "guidance"),
+        (("relay_targets", "insurer", "timeout"), 5, "timeout"),
+        (("bind", "hostname"), "localhost", "hostname"),
     ],
     ids=[
-        "port-text", "port-range", "loop_limit-text", "loop_limit-bool", "relay_targets-list",
-        "secrets-list", "allowed_to-number", "allowed_to-text", "policy_options-unknown",
-        "policy_options-type", "clinic-patients-missing", "clinic-observations-null",
+        "port-text", "port-range", "relay_targets-list", "secrets-list", "allowed_to-number",
+        "allowed_to-text", "clinic-patients-missing", "clinic-observations-null",
         "insurer-coverage_rules-missing", "guidance-dir-missing", "hmac_secret-null",
         "secret-file-null", "derived-null", "derived-secret-null", "derived-column-number",
-        "derived-store-null",
+        "derived-store-null", "tools-null-item", "columns-number-item", "unread-root-loop_limit",
+        "unread-root-token_fre", "unread-operation-policy_options", "unread-protected-Match",
+        "unread-derived-columns", "unread-secret-env", "unread-dataset-path",
+        "unread-relay_target-timeout", "unread-bind-hostname",
     ],
 )
 def test_wrong_typed_config_fields_are_config_errors(tmp_path, capsys, path, value, key):
     """Each is a ConfigError naming the file and the key, which the CLI
-    reports in one line instead of a traceback."""
+    reports in one line instead of a traceback. A key no loader reads,
+    misspelt or retired, is refused too: ignored, it would leave the node
+    on a default its author did not mean."""
     ws = write_demo_workspace(tmp_path / "ws")
     record = json.loads(ws.clinic_config.read_text())
     *parents, last = path

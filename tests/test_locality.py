@@ -28,7 +28,6 @@ from fedmesh.locality import (
     check_trace,
     read_trace,
     scan_outbound,
-    search_token,
 )
 from fedmesh.scenario import boot_scenario, load_audit_context, run_scenario
 
@@ -82,23 +81,6 @@ def test_patient_id_pretest_holds_for_every_id(text):
     raw-id rule does, whatever the case, word edges and digit script."""
     if PATIENT_ID_RE.search(text):
         assert PATIENT_ID_PRETEST.search(text)
-
-
-@given(
-    st.lists(
-        st.one_of(st.text("0123456789abcdefABCDEF", min_size=1, max_size=130), st.text("xg -\n", min_size=1, max_size=3)),
-        max_size=8,
-    ).map("".join),
-    st.integers(0, 200),
-)
-@example("x" + "a" * 64, 0)  # a run that starts 63 characters before the anchor that holds it
-@example("x" * 64 + "a" * 64, 0)  # one that starts on an anchor and ends the text
-@example("a" * 70 + "x" + "b" * 64, 5)  # a search from inside a run
-def test_search_token_finds_what_the_regex_finds(text, pos):
-    """``search_token`` finds the match ``HEX64_RE.search`` finds, from
-    any position."""
-    found, expected = search_token(text, pos), HEX64_RE.search(text, pos)
-    assert (found and found.span()) == (expected and expected.span())
 
 
 def test_scan_respects_edge_whitelist():
