@@ -3,10 +3,11 @@
 A node config declares the node id, dataset paths, secret sources, protected
 columns, exposed operations, relay targets, the listener bind address, and
 the audit rules for traffic to and from the node.
-Relative paths resolve against the config file's directory. Every object
-in a config refuses a key its loader does not read. The README documents
-the full schema; by contract a relay target's name must equal the
-destination node's id.
+Relative paths resolve against the config file's directory. This module
+alone decides whether a config is valid, and refuses each mistake it can
+see as the config loads, with a ``ConfigError`` naming the file and the
+key. The README documents the full schema; by contract a relay target's
+name must equal the destination node's id.
 """
 
 from __future__ import annotations
@@ -14,15 +15,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Collection, Mapping, Sequence
 
 from .datastore import MatchMode, ProtectedSpec
 from .errors import ConfigError
 from .locality import Topology
+from .policies import POLICY_REGISTRY
+from .pseudonym import SecretSource
 from .relay import RelayTarget
-from .runtime import OperationConfig
+from .runtime import TOOL_REGISTRY, OperationConfig
 
-# Each dataset kind and the path names it must give.
+# Each dataset kind and the path names it must give. A clinic or insurer
+# path is a table, which a protected entry names as its store; a guidance
+# dataset's one path is a directory.
 DATASET_KINDS = {
     "clinic": ("patients", "observations"),
     "insurer": ("enrollment", "coverage_rules"),
@@ -35,14 +40,15 @@ _NODE_KEYS = (
     "operations", "relay_targets", "token_free", "bind",
 )
 _COLUMNS_KEYS = ("store", "columns", "match", "allowed_to")
-_DERIVED_KEYS = ("derived", "store", "column", "secret", "match", "allowed_to")
+_DERIVED_KEYS = ("derived", "store", "column", "secret", "allowed_to")
 
 
 @dataclass(frozen=True)
 class NodeConfig:
+    file_name: str  # which error texts about the deployment name
     node_id: str
     datasets: Mapping[str, Mapping[str, Path]]
-    secret_files: Mapping[str, Path]
+    secrets: SecretSource
     hmac_secret: str | None
     protected: tuple[ProtectedSpec, ...]
     operations: tuple[OperationConfig, ...]
@@ -55,74 +61,121 @@ class NodeConfig:
 
 _REQUIRED = object()
 
+# A rule a value must keep besides its type: a test, and what it asks for.
+_Rule = tuple[Callable[[Any], bool], str]
+
+
+def _name(name: str) -> str:
+    """A name the config chose, as an error text shows it: printable and
+    at most 32 characters, so no text grows with the file."""
+    shown = name if name.isprintable() else repr(name)[1:-1]
+    return shown if len(shown) <= 32 else shown[:29] + "..."
+
+
+def _one_of(names: Collection[str]) -> _Rule:
+    return names.__contains__, f"one of {', '.join(names)}"
+
+
+_NONEMPTY: _Rule = (bool, "non-empty")
+_NO_NUL: _Rule = (lambda text: "\0" not in text, "free of NUL")  # no file system or socket call takes one
+_PORT: _Rule = (range(65536).__contains__, "in 0..65535")
+_MATCH_MODES = _one_of([mode.value for mode in MatchMode])
+
+
+def _target_url(name: str) -> _Rule:
+    """``local:<name>``, so that the in-process bus delivers to the node the
+    guard and the trace take the target to be, or a URL of another scheme."""
+    local = f"local:{name}"
+    return (
+        lambda url: url == local or (url != "" and not url.startswith("local:")),
+        f"local:{_name(name)} or a network URL",
+    )
+
+
+def _object(value: object, keys: Sequence[str], where: str) -> dict[str, Any]:
+    """``value``, which must be an object holding no key but ``keys``. A key
+    the loader does not read is a typo or a retired setting; ignoring it
+    would run the node with a default its author did not mean."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: must be an object")
+    for key in value:
+        if key not in keys:
+            raise ConfigError(f"{where}: unknown key {_name(key)!r} (reads {', '.join(keys)})")
+    return value
+
 
 def _expect(
-    record: Mapping[str, object], key: str, kind: type, where: str, default: object = _REQUIRED
+    record: Mapping[str, object],
+    key: str,
+    kind: type,
+    where: str,
+    default: object = _REQUIRED,
+    rule: _Rule | None = None,
 ) -> Any:
     """``record[key]``, which must be a ``kind`` (a JSON bool is no int);
-    ``default`` when the key is absent and a default is given."""
-    if key not in record:
-        if default is _REQUIRED:
-            raise ConfigError(f"{where}: missing key {key!r}")
-        return default
-    value = record[key]
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise ConfigError(f"{where}: key {key!r} must be {kind.__name__}")
+    ``default`` when the key is absent and a default is given. Either, if
+    not ``None``, must keep ``rule``."""
+    if key in record:
+        value = record[key]
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            raise ConfigError(
+                f"{where}: key {key!r} must be {'true or false' if kind is bool else kind.__name__}"
+            )
+    elif default is _REQUIRED:
+        raise ConfigError(f"{where}: missing key {key!r}")
+    else:
+        value = default
+    if rule is not None and value is not None and not rule[0](value):
+        raise ConfigError(f"{where}: key {key!r} must be {rule[1]}")
     return value
 
 
 def _expect_strings(
-    record: Mapping[str, object], key: str, where: str, default: object = _REQUIRED
+    record: Mapping[str, object],
+    key: str,
+    where: str,
+    default: object = _REQUIRED,
+    rule: _Rule | None = None,
 ) -> list[str]:
-    """``record[key]``, which must be a list of strings."""
+    """``record[key]``, which must be a list of strings, each keeping
+    ``rule`` if one is given."""
     values = _expect(record, key, list, where, default)
-    if not all(isinstance(value, str) for value in values):
-        raise ConfigError(f"{where}: key {key!r} must list strings")
+    if not all(isinstance(value, str) and (rule is None or rule[0](value)) for value in values):
+        each = "" if rule is None else f", each {rule[1]}"
+        raise ConfigError(f"{where}: key {key!r} must list strings{each}")
     return values
 
 
-def _refuse_unread(record: Mapping[str, object], keys: Sequence[str], where: str) -> None:
-    """A key the loader does not read is a typo or a retired setting;
-    ignoring it would run the node with a default its author did not mean."""
-    for key in record:
-        if key not in keys:
-            raise ConfigError(f"{where}: unknown key {key!r} (reads {', '.join(keys)})")
-
-
-def _parse_protected(entries: object, where: str) -> tuple[ProtectedSpec, ...]:
-    if not isinstance(entries, list):
-        raise ConfigError(f"{where}: 'protected' must be a list")
+def _parse_protected(
+    record: Mapping[str, object], tables: _Rule, secrets: _Rule, where: str
+) -> tuple[ProtectedSpec, ...]:
+    """The protected entries; each names a table of the node's datasets, and
+    a derived entry a secret the node declares."""
     specs: list[ProtectedSpec] = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{where}: protected entries must be objects")
-        keys = _DERIVED_KEYS if "derived" in entry else _COLUMNS_KEYS
-        _refuse_unread(entry, keys, f"{where}:protected[{i}]")
-        try:
-            match = MatchMode(entry.get("match", "exact"))
-        except ValueError:
-            raise ConfigError(f"{where}: protected match must be 'exact' or 'text'") from None
-        allowed_to = frozenset(_expect_strings(entry, "allowed_to", where, []))
-        if "derived" in entry:
+    for i, entry in enumerate(_expect(record, "protected", list, where, [])):
+        at = f"{where}:protected[{i}]"
+        derived = isinstance(entry, dict) and "derived" in entry
+        entry = _object(entry, _DERIVED_KEYS if derived else _COLUMNS_KEYS, at)
+        allowed_to = frozenset(_expect_strings(entry, "allowed_to", at, []))
+        if derived:
             specs.append(
                 ProtectedSpec(
-                    derived=_expect(entry, "derived", str, where),
-                    store=_expect(entry, "store", str, where, "patients"),
-                    column=_expect(entry, "column", str, where, "patient_id"),
-                    secret=_expect(entry, "secret", str, where, None),
-                    match=match,
+                    derived=_expect(entry, "derived", str, at, rule=_one_of(("case_tokens",))),
+                    store=_expect(entry, "store", str, at, "patients", tables),
+                    column=_expect(entry, "column", str, at, "patient_id"),
+                    secret=_expect(entry, "secret", str, at, rule=secrets),
                     allowed_to=allowed_to,
                 )
             )
         else:
-            columns = _expect_strings(entry, "columns", where)
+            columns = _expect_strings(entry, "columns", at)
             if not columns:
-                raise ConfigError(f"{where}: protected entry needs a non-empty 'columns' list")
+                raise ConfigError(f"{at}: protected entry needs a non-empty 'columns' list")
             specs.append(
                 ProtectedSpec(
-                    store=_expect(entry, "store", str, where),
+                    store=_expect(entry, "store", str, at, rule=tables),
                     columns=tuple(columns),
-                    match=match,
+                    match=MatchMode(_expect(entry, "match", str, at, "exact", _MATCH_MODES)),
                     allowed_to=allowed_to,
                 )
             )
@@ -138,6 +191,8 @@ def _read_json(path: Path) -> Any:
         raise ConfigError(f"{path.name}: invalid UTF-8") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path.name}: invalid JSON: {exc}") from None
+    except ValueError:  # an integer literal longer than int() takes
+        raise ConfigError(f"{path.name}: invalid JSON: number too long") from None
     except RecursionError:
         raise ConfigError(f"{path.name}: invalid JSON: nested too deeply") from None
 
@@ -145,89 +200,68 @@ def _read_json(path: Path) -> Any:
 def load_node_config(path: Path | str) -> NodeConfig:
     path = Path(path)
     where = path.name
-    record = _read_json(path)
-    if not isinstance(record, dict):
-        raise ConfigError(f"{where}: config root must be an object")
-    _refuse_unread(record, _NODE_KEYS, where)
-
+    record = _object(_read_json(path), _NODE_KEYS, where)
     base_dir = path.parent
-    node_id = _expect(record, "node_id", str, where)
-    if not node_id:
-        raise ConfigError(f"{where}: node_id must be non-empty")
 
     datasets: dict[str, dict[str, Path]] = {}
-    for kind, paths in _expect(record, "datasets", dict, where).items():
-        if kind not in DATASET_KINDS:
-            raise ConfigError(f"{where}: unknown dataset kind {kind!r}")
-        if not isinstance(paths, dict):
-            raise ConfigError(f"{where}: dataset {kind!r} must map names to paths")
-        _refuse_unread(paths, DATASET_KINDS[kind], f"{where}:{kind}")
-        datasets[kind] = {
-            name: base_dir / _expect(paths, name, str, f"{where}:{kind}")
-            for name in DATASET_KINDS[kind]
-        }
+    kinds = _object(_expect(record, "datasets", dict, where), tuple(DATASET_KINDS), f"{where}:datasets")
+    for kind, paths in kinds.items():
+        names, at = DATASET_KINDS[kind], f"{where}:{kind}"
+        paths = _object(paths, names, at)
+        datasets[kind] = {name: base_dir / _expect(paths, name, str, at, rule=_NO_NUL) for name in names}
+    tables = [name for kind in datasets if kind != "guidance" for name in DATASET_KINDS[kind]]
 
+    secrets = _expect(record, "secrets", dict, where, {})
     secret_files: dict[str, Path] = {}
-    for name, source in _expect(record, "secrets", dict, where, {}).items():
-        if not isinstance(source, dict):
-            raise ConfigError(f"{where}: secret {name!r} must be an object")
-        _refuse_unread(source, ("file",), f"{where}:{name}")
-        if "file" in source:
-            secret_files[name] = base_dir / _expect(source, "file", str, f"{where}:{name}")
-        # otherwise the secret resolves through its environment variable
+    for name, source in secrets.items():
+        at = f"{where}:{_name(name)}"
+        # without a file, the secret resolves through its environment variable
+        if "file" in _object(source, ("file",), at):
+            secret_files[name] = base_dir / _expect(source, "file", str, at, rule=_NO_NUL)
+    secret_names: _Rule = (secrets.__contains__, "the name of an entry of 'secrets'")
 
     operations: list[OperationConfig] = []
     ops_record = _expect(record, "operations", dict, where)
     if not ops_record:
         raise ConfigError(f"{where}: node must expose at least one operation")
     for op_id, op in ops_record.items():
-        if not isinstance(op, dict):
-            raise ConfigError(f"{where}: operation {op_id!r} must be an object")
-        _refuse_unread(op, ("policy", "tools", "access_key"), f"{where}:{op_id}")
+        at = f"{where}:{_name(op_id)}"
+        op = _object(op, ("policy", "tools", "access_key"), at)
         operations.append(
             OperationConfig(
                 operation_id=op_id,
-                agent_policy=_expect(op, "policy", str, f"{where}:{op_id}"),
-                permitted_tools=frozenset(_expect_strings(op, "tools", f"{where}:{op_id}", [])),
-                access_key=_expect(op, "access_key", str, f"{where}:{op_id}"),
+                agent_policy=_expect(op, "policy", str, at, rule=_one_of(POLICY_REGISTRY)),
+                permitted_tools=frozenset(_expect_strings(op, "tools", at, [], _one_of(TOOL_REGISTRY))),
+                access_key=_expect(op, "access_key", str, at, rule=_NONEMPTY),
             )
         )
 
     targets: list[RelayTarget] = []
     for name, target in _expect(record, "relay_targets", dict, where, {}).items():
-        if not isinstance(target, dict):
-            raise ConfigError(f"{where}: relay target {name!r} must be an object")
-        _refuse_unread(target, ("url", "operation_id", "access_key"), f"{where}:{name}")
+        at = f"{where}:{_name(name)}"
+        target = _object(target, ("url", "operation_id", "access_key"), at)
         targets.append(
             RelayTarget(
                 name=name,
-                url=_expect(target, "url", str, f"{where}:{name}"),
-                operation_id=_expect(target, "operation_id", str, f"{where}:{name}"),
-                access_key=_expect(target, "access_key", str, f"{where}:{name}"),
+                url=_expect(target, "url", str, at, rule=_target_url(name)),
+                operation_id=_expect(target, "operation_id", str, at, rule=_NONEMPTY),
+                access_key=_expect(target, "access_key", str, at, rule=_NONEMPTY),
             )
         )
 
-    token_free = record.get("token_free", False)
-    if not isinstance(token_free, bool):
-        raise ConfigError(f"{where}: 'token_free' must be true or false")
-
-    bind = _expect(record, "bind", dict, where, {})
-    _refuse_unread(bind, ("host", "port"), f"{where}:bind")
-    bind_port = _expect(bind, "port", int, f"{where}:bind", 0)
-    if not 0 <= bind_port <= 65535:
-        raise ConfigError(f"{where}:bind: key 'port' must be in 0..65535")
-
+    bind = _object(_expect(record, "bind", dict, where, {}), ("host", "port"), f"{where}:bind")
     return NodeConfig(
-        node_id=node_id,
+        file_name=where,
+        node_id=_expect(record, "node_id", str, where, rule=_NONEMPTY),
         datasets=datasets,
-        secret_files=secret_files,
-        hmac_secret=_expect(record, "hmac_secret", str, where, None),
-        protected=_parse_protected(record.get("protected", []), where),
+        secrets=SecretSource(files=secret_files),
+        hmac_secret=_expect(record, "hmac_secret", str, where, None, secret_names),
+        protected=_parse_protected(record, _one_of(tables), secret_names, where),
         operations=tuple(operations),
         relay_targets=tuple(targets),
-        bind_host=_expect(bind, "host", str, f"{where}:bind", "127.0.0.1"),
-        bind_port=bind_port,
-        token_free=token_free,
+        bind_host=_expect(bind, "host", str, f"{where}:bind", "127.0.0.1", _NO_NUL),
+        bind_port=_expect(bind, "port", int, f"{where}:bind", 0, _PORT),
+        token_free=_expect(record, "token_free", bool, where, False),
     )
 
 
@@ -255,9 +289,10 @@ def load_topology_config(path: Path | str) -> tuple[Path, ...]:
     for key, moved_to in _MOVED_TOPOLOGY_KEYS.items():
         if key in record:
             raise ConfigError(f"{where}: {key!r} is no longer read here; {moved_to}")
-    _refuse_unread(record, ("nodes",), where)
-    nodes = record.get("nodes")
-    if not isinstance(nodes, list) or not nodes or not all(isinstance(p, str) for p in nodes):
+    nodes = _object(record, ("nodes",), where).get("nodes")
+    if not isinstance(nodes, list) or not nodes or not all(
+        isinstance(p, str) and "\0" not in p for p in nodes
+    ):
         raise ConfigError(f"{where}: 'nodes' must list node config paths")
     return tuple(path.parent / p for p in nodes)
 
@@ -265,8 +300,10 @@ def load_topology_config(path: Path | str) -> tuple[Path, ...]:
 def build_topology(configs: Sequence[NodeConfig]) -> Topology:
     """Declared relay edges are exactly the configured (node, target) pairs;
     the audit rules are the ones each node declares for itself. Node ids
-    must be unique, and each operation may be the relay target of one node
-    only, which is then where its replies go."""
+    must be unique, every node a config names, as a relay target or in an
+    ``allowed_to`` list, must be one of ``configs``, and each operation may
+    be the relay target of one node only, which is then where its replies
+    go."""
     seen: set[str] = set()
     for cfg in configs:
         if cfg.node_id in seen:
@@ -274,7 +311,18 @@ def build_topology(configs: Sequence[NodeConfig]) -> Topology:
         seen.add(cfg.node_id)
     callers: dict[tuple[str, str], str] = {}
     for cfg in configs:
+        for i, spec in enumerate(cfg.protected):
+            outside = spec.allowed_to - seen
+            if outside:
+                raise ConfigError(
+                    f"{cfg.file_name}:protected[{i}]: key 'allowed_to' names "
+                    f"{_name(min(outside))!r}, which is not a node of the deployment"
+                )
         for target in cfg.relay_targets:
+            if target.name not in seen:
+                raise ConfigError(
+                    f"{cfg.file_name}: relay target {_name(target.name)!r} is not a node of the deployment"
+                )
             caller = callers.setdefault((target.name, target.operation_id), cfg.node_id)
             if caller != cfg.node_id:
                 raise ConfigError(

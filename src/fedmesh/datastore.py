@@ -87,8 +87,7 @@ class Table:
     lines: tuple[int, ...]
 
     def column(self, name: str) -> tuple[str, ...]:
-        if name not in self.header:
-            raise ConfigError(f"table {self.name!r} has no column {name!r}")
+        """The cells of a present column, in row order."""
         return tuple(map(itemgetter(self.header.index(name)), self.rows))
 
     def select(self, columns: Sequence[str]) -> Iterator[tuple[str, ...]]:
@@ -501,11 +500,12 @@ class ProtectedValue:
 
 @dataclass(frozen=True)
 class ProtectedSpec:
-    """One protected-column (or derived-value) declaration from node config."""
+    """One protected-column (or derived-value) declaration from node config,
+    which ``fedmesh.config`` checked as it loaded."""
 
-    store: str | None = None
+    store: str
     columns: tuple[str, ...] = ()
-    derived: str | None = None
+    derived: str | None = None  # "case_tokens", the one derived kind
     secret: str | None = None
     column: str = "patient_id"
     match: MatchMode = MatchMode.EXACT
@@ -789,8 +789,9 @@ def protected_values(
     Every distinct cell of each declared column is indexed. A ``derived:
     case_tokens`` spec additionally indexes the case token of every
     identifier in the named column, so derived pseudonyms are confined to
-    their whitelisted edge just like stored values. A value is indexed once
-    per column, match mode and ``allowed_to`` set.
+    their whitelisted edge just like stored values; its key resolves
+    through ``secrets``. A value is indexed once per column, match mode and
+    ``allowed_to`` set.
     """
     values: list[str] = []
     kind_ids: list[int] = []
@@ -808,34 +809,20 @@ def protected_values(
         kind_ids.extend([kind_id] * len(new))
 
     for spec in specs:
-        if spec.derived is None:
-            if spec.store is None:
-                raise ConfigError("protected entry needs either 'store' or 'derived'")
-            table = tables.get(spec.store)
-            if table is None:
-                raise ConfigError(f"node {node_id!r}: protected entry names unknown store {spec.store!r}")
-            for column in spec.columns:
-                if column not in table.header:
-                    raise ConfigError(
-                        f"node {node_id!r}: protected column {column!r} not in store {spec.store!r}"
-                    )
-                add(table.column(column), column, spec.match, spec.allowed_to)
-        elif spec.derived == "case_tokens":
-            if secrets is None or spec.secret is None:
-                raise ConfigError(f"node {node_id!r}: derived case_tokens entry needs a secret")
-            store_name = spec.store or "patients"
-            table = tables.get(store_name)
-            if table is None:
-                raise ConfigError(f"node {node_id!r}: derived entry names unknown store {store_name!r}")
-            if spec.column not in table.header:
+        table = tables.get(spec.store)
+        if table is None:
+            raise ConfigError(f"node {node_id!r}: protected entry names unknown store {spec.store!r}")
+        for column in spec.columns if spec.derived is None else (spec.column,):
+            if column not in table.header:
                 raise ConfigError(
-                    f"node {node_id!r}: derived column {spec.column!r} not in store {store_name!r}"
+                    f"node {node_id!r}: protected column {column!r} not in store {spec.store!r}"
                 )
-            key = load_secret(spec.secret, secrets)
-            # Equal ids have equal tokens, so each distinct id is hashed once.
-            ids = dict.fromkeys(map(canonical_id, filter(str.strip, table.column(spec.column))))
-            add(token_hexes(key, ids), "case_token", MatchMode.EXACT, spec.allowed_to)
-        else:
-            raise ConfigError(f"unknown derived protected kind {spec.derived!r}")
+            if spec.derived is None:
+                add(table.column(column), column, spec.match, spec.allowed_to)
+            else:
+                key = load_secret(spec.secret, secrets)  # type: ignore[arg-type]
+                # Equal ids have equal tokens, so each distinct id is hashed once.
+                ids = dict.fromkeys(map(canonical_id, filter(str.strip, table.column(column))))
+                add(token_hexes(key, ids), "case_token", MatchMode.EXACT, spec.allowed_to)
 
     return ProtectedValueIndex(node_id, ProtectedEntries(tuple(values), kind_ids, tuple(kinds)))

@@ -28,7 +28,7 @@ from .datastore import (
     GuidanceDoc,
     SymptomClass,
 )
-from .errors import ConfigError, ParseError
+from .errors import ParseError
 from .locality import PATIENT_ID_RE
 from .messages import (
     Appropriateness,
@@ -46,7 +46,7 @@ from .messages import (
     render_verdict,
 )
 from .pseudonym import CaseToken
-from .runtime import AgentPolicy, ToolCall
+from .runtime import ToolCall
 
 TREATMENT_CONSERVATIVE = "conservative_management"
 TREATMENT_HA_INJECTION = "knee_hyaluronic_injection"
@@ -466,10 +466,3 @@ POLICY_REGISTRY: dict[str, type] = {
     "insurer": InsurerPolicy,
     "specialist": SpecialistPolicy,
 }
-
-
-def build_policy(name: str) -> AgentPolicy:
-    factory = POLICY_REGISTRY.get(name)
-    if factory is None:
-        raise ConfigError(f"unknown agent policy {name!r}")
-    return factory()

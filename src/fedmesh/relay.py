@@ -54,7 +54,6 @@ from typing import TYPE_CHECKING, Mapping, Protocol
 
 from .errors import (
     AuthError,
-    ConfigError,
     FedmeshError,
     LeakBlocked,
     OperationNotFound,
@@ -93,11 +92,6 @@ class RelayTarget:
     url: str
     operation_id: str
     access_key: str
-
-    def __post_init__(self) -> None:
-        for field_name in ("name", "url", "operation_id", "access_key"):
-            if not getattr(self, field_name):
-                raise ConfigError(f"relay target field {field_name!r} must be non-empty")
 
 
 @dataclass(frozen=True)

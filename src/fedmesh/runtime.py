@@ -41,7 +41,7 @@ from .errors import (
     ToolNotPermitted,
 )
 from .locality import Topology, TraceLog
-from .pseudonym import CaseToken, SecretKey, SecretSource, derive_token, load_secret, normalize_id
+from .pseudonym import CaseToken, SecretKey, derive_token, normalize_id
 from .relay import RelayRequest, RelayTarget, Transport, relay_call
 
 logger = logging.getLogger(__name__)
@@ -70,10 +70,6 @@ class OperationConfig:
     permitted_tools: frozenset[str]
     access_key: str
 
-    def __post_init__(self) -> None:
-        if not self.access_key:
-            raise ConfigError(f"operation {self.operation_id!r} has an empty access key")
-
 
 ToolFn = Callable[["Node", Mapping[str, str], str], object]
 
@@ -82,29 +78,29 @@ ToolFn = Callable[["Node", Mapping[str, str], str], object]
 class Node:
     """One organisation's isolated deployment.
 
-    Datasets, secrets, and tools are local; the only outward path is a
-    relay target declared in config. ``topology`` is the deployment's, from
-    which the guard takes its rules and each reply's edge. ``enforce_guard``
-    exists as a test hook so the offline checker can be exercised against
-    guard bypasses.
+    Datasets, the HMAC key and tools are local; the only outward path is a
+    relay target declared in config. Its config was checked as it loaded,
+    and ``hmac_key``, the key the config's ``hmac_secret`` names, was read
+    at boot, so serving a request reads no secret. ``topology`` is the
+    deployment's, from which the guard takes its rules and each reply's
+    edge. ``enforce_guard`` exists as a test hook so the offline checker
+    can be exercised against guard bypasses.
     """
 
     node_id: str
     datasets: dict[str, ClinicStore | InsurerStore | list[GuidanceDoc]]
-    secrets: SecretSource
     operations: dict[str, OperationConfig]
     policies: dict[str, AgentPolicy]
     relay_targets: dict[str, RelayTarget]
     protected_index: ProtectedValueIndex
     tools: dict[str, ToolFn]
-    hmac_secret: str | None = None
+    hmac_key: SecretKey | None = None
     transport: Transport | None = None
     trace: TraceLog | None = None
     topology: Topology = field(default_factory=Topology)
     loop_limit: int = DEFAULT_LOOP_LIMIT
     enforce_guard: bool = True
     outbound_mutators: list[Callable[[str, str], str]] = field(default_factory=list)
-    _hmac_key: SecretKey | None = field(default=None, init=False, repr=False)
     _conversation_locks: dict[str, _ConversationLock] = field(
         default_factory=dict, init=False, repr=False
     )
@@ -112,23 +108,10 @@ class Node:
 
     def __post_init__(self) -> None:
         for op in self.operations.values():
-            unknown = op.permitted_tools - set(self.tools)
-            if unknown:
-                raise ConfigError(
-                    f"operation {op.operation_id!r} permits unknown tools: {sorted(unknown)}"
-                )
             if op.operation_id not in self.policies:
                 raise ConfigError(f"operation {op.operation_id!r} has no policy instance")
         if self.loop_limit < 1:
             raise ConfigError("loop_limit must be at least 1")
-
-    def hmac_key(self) -> SecretKey:
-        """The key named by ``hmac_secret``, resolved on first use and then
-        kept. A failed resolution is not kept, so the next call retries it;
-        two threads racing on the first call both resolve the same key."""
-        if self._hmac_key is None:
-            self._hmac_key = load_secret(self.hmac_secret, self.secrets)  # type: ignore[arg-type]
-        return self._hmac_key
 
     def conversation_lock(self, conversation_id: str) -> _ConversationLock:
         """The conversation's lock, to be held with ``with`` and nothing
@@ -276,12 +259,13 @@ def tool_guidance_search(node: Node, args: Mapping[str, str], conversation_id: s
 
 
 def tool_hmac_token(node: Node, args: Mapping[str, str], conversation_id: str) -> CaseToken:
-    """Derive the case token for an id. The key resolves at the node's first
-    call, from the node-local secret source; it never enters a message."""
-    if node.hmac_secret is None:
+    """Derive the case token for an id under the node's HMAC key, which was
+    read from the node-local secret source at boot; it never enters a
+    message."""
+    if node.hmac_key is None:
         raise ToolError("tool 'hmac_token' needs an hmac_secret in node config")
     raw = _require_arg(args, "patient_id", "hmac_token")
-    return derive_token(node.hmac_key(), normalize_id(raw))
+    return derive_token(node.hmac_key, normalize_id(raw))
 
 
 def tool_relay_call(node: Node, args: Mapping[str, str], conversation_id: str) -> str:

@@ -27,8 +27,8 @@ from .datastore import (
 )
 from .errors import ConfigError, FedmeshError
 from .locality import Topology, TraceLog, Violation, check_trace
-from .policies import build_policy
-from .pseudonym import SecretSource
+from .policies import POLICY_REGISTRY
+from .pseudonym import load_secret
 from .relay import HttpTransport, LoopbackTransport, RelayRequest, RelayServer, serve
 from .runtime import TOOL_REGISTRY, Node, handle_operation
 
@@ -37,9 +37,7 @@ logger = logging.getLogger(__name__)
 TRANSPORTS = ("inprocess", "network")
 
 
-def load_stores(
-    cfg: NodeConfig, secrets: SecretSource
-) -> tuple[dict[str, object], ProtectedValueIndex]:
+def load_stores(cfg: NodeConfig) -> tuple[dict[str, object], ProtectedValueIndex]:
     """Load a node's tabular stores and build its protected index.
 
     The raw tables feed only the index, so they are garbage once this
@@ -55,7 +53,7 @@ def load_stores(
         else:
             continue
         tables.update(loaded)
-    return stores, protected_values(cfg.node_id, cfg.protected, tables, secrets)
+    return stores, protected_values(cfg.node_id, cfg.protected, tables, cfg.secrets)
 
 
 def build_node(
@@ -64,29 +62,27 @@ def build_node(
     topology: Topology | None = None,
     trace: TraceLog | None = None,
 ) -> Node:
-    """Load datasets, build the protected index, and instantiate policies.
+    """Load datasets, build the protected index, read the HMAC key and
+    instantiate policies.
 
-    ``topology`` is the deployment's; without one, the node's guard knows
-    only the edges and rules its own config declares."""
-    secrets = SecretSource(files=dict(cfg.secret_files))
-    datasets, index = load_stores(cfg, secrets)
+    ``topology`` is the deployment's. Without one, the node stands alone:
+    its relay targets name nodes outside any deployment, so its guard
+    permits no edge."""
+    datasets, index = load_stores(cfg)
     if "guidance" in cfg.datasets:
         datasets["guidance"] = load_guidance(cfg.datasets["guidance"]["dir"])
-
-    policies = {op.operation_id: build_policy(op.agent_policy) for op in cfg.operations}
 
     return Node(
         node_id=cfg.node_id,
         datasets=datasets,  # type: ignore[arg-type]
-        secrets=secrets,
         operations={op.operation_id: op for op in cfg.operations},
-        policies=policies,
+        policies={op.operation_id: POLICY_REGISTRY[op.agent_policy]() for op in cfg.operations},
         relay_targets={target.name: target for target in cfg.relay_targets},
         protected_index=index,
         tools=dict(TOOL_REGISTRY),
-        hmac_secret=cfg.hmac_secret,
+        hmac_key=None if cfg.hmac_secret is None else load_secret(cfg.hmac_secret, cfg.secrets),
         trace=trace,
-        topology=topology or build_topology([cfg]),
+        topology=topology or Topology(),
     )
 
 
@@ -100,11 +96,7 @@ def load_audit_context(
     """
     configs = [load_node_config(path) for path in load_topology_config(topology_config_path)]
     topology = build_topology(configs)
-    indexes = {
-        cfg.node_id: load_stores(cfg, SecretSource(files=dict(cfg.secret_files)))[1]
-        for cfg in configs
-    }
-    return topology, indexes
+    return topology, {cfg.node_id: load_stores(cfg)[1] for cfg in configs}
 
 
 @dataclass

@@ -41,7 +41,6 @@ from fedmesh.runtime import (
     handle_operation,
 )
 from fedmesh.datastore import ProtectedValueIndex
-from fedmesh.pseudonym import SecretSource
 from fedmesh.scenario import boot_scenario, load_audit_context, run_scenario
 
 from conftest import GOLDEN_TOKENS, hmac_sha256_reference
@@ -329,7 +328,6 @@ def test_criterion_7_loop_safety():
         return Node(
             node_id="bound-test",
             datasets={},
-            secrets=SecretSource(env={}),
             operations={"op": op},
             policies={"op": policy},
             relay_targets={},

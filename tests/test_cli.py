@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedmesh.cli import main
 from fedmesh.config import load_node_config, load_topology_config
@@ -11,7 +12,12 @@ from fedmesh.errors import ConfigError, RowError
 from fedmesh.fixtures import CANONICAL_REQUEST, FIXTURE_SECRET, write_demo_workspace
 from fedmesh.scenario import boot_scenario, run_scenario
 
-from conftest import GOLDEN_TOKENS
+from fedmesh.scenario import load_audit_context
+
+from conftest import GOLDEN_TOKENS, oracle_scan
+
+
+DELETE = object()  # a row's value that removes the key instead
 
 
 def _run_args(workspace, *extra):
@@ -312,6 +318,23 @@ def test_duplicate_node_id_is_rejected_by_boot_and_audit(workspace, tmp_path, ca
         (("datasets", "clinic", "guidance"), "notes.md", "guidance"),
         (("relay_targets", "insurer", "timeout"), 5, "timeout"),
         (("bind", "hostname"), "localhost", "hostname"),
+        (("operations", "coverage_request", "policy"), "nope", "policy"),
+        (("operations", "coverage_request", "tools"), ["csv_lookup", "nope"], "tools"),
+        (("operations", "coverage_request", "access_key"), "", "access_key"),
+        (("relay_targets", "insurer", "url"), "", "url"),
+        (("relay_targets", "insurer", "url"), "local:specialist", "url"),
+        (("relay_targets", "insurer", "operation_id"), "", "operation_id"),
+        (("relay_targets", "insurer", "access_key"), "", "access_key"),
+        (("protected", 3, "match"), "text", "match"),
+        (("protected", 3, "derived"), "bogus", "derived"),
+        (("protected", 3, "secret"), DELETE, "secret"),
+        (("protected", 3, "secret"), "nope", "secret"),
+        (("protected", 3, "store"), "nope", "store"),
+        (("protected", 0, "store"), "enrollment", "store"),
+        (("hmac_secret",), "nope", "hmac_secret"),
+        (("datasets", "clinic", "patients"), "../clinic/pat\0ients.csv", "patients"),
+        (("secrets", "clinic_hmac_key", "file"), "../clinic/hmac.key\0", "file"),
+        (("bind", "host"), "127.0.0.1\0", "host"),
     ],
     ids=[
         "port-text", "port-range", "relay_targets-list", "secrets-list", "allowed_to-number",
@@ -321,21 +344,33 @@ def test_duplicate_node_id_is_rejected_by_boot_and_audit(workspace, tmp_path, ca
         "derived-store-null", "tools-null-item", "columns-number-item", "unread-root-loop_limit",
         "unread-root-token_fre", "unread-operation-policy_options", "unread-protected-Match",
         "unread-derived-columns", "unread-secret-env", "unread-dataset-path",
-        "unread-relay_target-timeout", "unread-bind-hostname",
+        "unread-relay_target-timeout", "unread-bind-hostname", "policy-unknown", "tools-unknown",
+        "operation-access_key-empty", "relay_target-url-empty", "relay_target-url-other-node",
+        "relay_target-operation_id-empty",
+        "relay_target-access_key-empty", "unread-derived-match", "derived-unknown",
+        "derived-secret-missing", "derived-secret-undeclared", "derived-store-unknown",
+        "columns-store-undeclared", "hmac_secret-undeclared", "dataset-path-nul", "secret-file-nul",
+        "bind-host-nul",
     ],
 )
 def test_wrong_typed_config_fields_are_config_errors(tmp_path, capsys, path, value, key):
-    """Each is a ConfigError naming the file and the key, which the CLI
-    reports in one line instead of a traceback. A key no loader reads,
-    misspelt or retired, is refused too: ignored, it would leave the node
-    on a default its author did not mean."""
+    """Each is a ConfigError naming the file and the key, which boot and
+    check-trace both report in one line instead of a traceback. A key no
+    loader reads, misspelt or retired, is refused too: ignored, it would
+    leave the node on a default its author did not mean. A name outside
+    its registry, an empty key, an undeclared store or secret and a NUL in
+    a path are refused as the config loads, not when a request first
+    meets them."""
     ws = write_demo_workspace(tmp_path / "ws")
     record = json.loads(ws.clinic_config.read_text())
     *parents, last = path
     owner = record
     for step in parents:
         owner = owner[step]
-    owner[last] = value
+    if value is DELETE:
+        del owner[last]
+    else:
+        owner[last] = value
     ws.clinic_config.write_text(json.dumps(record))
 
     with pytest.raises(ConfigError) as err:
@@ -345,6 +380,43 @@ def test_wrong_typed_config_fields_are_config_errors(tmp_path, capsys, path, val
 
     assert main(_run_args(ws)) == 1
     assert capsys.readouterr().err == f"error: ConfigError: {err.value}\n"
+    trace = tmp_path / "empty.jsonl"
+    trace.write_text("")
+    assert main(["check-trace", "--trace", str(trace), "--topology", str(ws.topology_config)]) == 1
+    assert capsys.readouterr().err == f"error: ConfigError: {err.value}\n"
+
+
+@pytest.mark.parametrize(
+    "path, value, text",
+    [
+        (("protected", 3, "allowed_to"), ["insurar"],
+         "clinic.json:protected[3]: key 'allowed_to' names 'insurar', which is not a node of the deployment"),
+        (("relay_targets", "insurar"), {"url": "local:insurar", "operation_id": "coverage_inquiry",
+                                        "access_key": "insurer-demo-key-0002"},
+         "clinic.json: relay target 'insurar' is not a node of the deployment"),
+    ],
+    ids=["allowed_to", "relay_target"],
+)
+def test_names_outside_the_deployment_are_refused_by_boot_and_audit(tmp_path, capsys, path, value, text):
+    """Accepted, a misspelt ``allowed_to`` node would block every inquiry,
+    and a misspelt relay target would fail each request; both paths see
+    every config, so both refuse either in the same words."""
+    ws = write_demo_workspace(tmp_path / "ws")
+    record = json.loads(ws.clinic_config.read_text())
+    *parents, last = path
+    owner = record
+    for step in parents:
+        owner = owner[step]
+    owner[last] = value
+    ws.clinic_config.write_text(json.dumps(record))
+    load_node_config(ws.clinic_config)  # the file alone is well formed
+
+    assert main(_run_args(ws)) == 1
+    assert capsys.readouterr().err == f"error: ConfigError: {text}\n"
+    trace = tmp_path / "empty.jsonl"
+    trace.write_text("")
+    assert main(["check-trace", "--trace", str(trace), "--topology", str(ws.topology_config)]) == 1
+    assert capsys.readouterr().err == f"error: ConfigError: {text}\n"
 
 
 @pytest.mark.parametrize("config", ["clinic_config", "topology_config"])
@@ -364,6 +436,76 @@ def test_unreadable_config_files_are_config_errors(tmp_path, config, content):
         load(path)
     assert str(err.value).startswith(f"{path.name}: invalid ")
     assert len(str(err.value)) < 200
+
+
+# --- totality of the config loaders ---
+
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.just("") | st.text()
+    | st.text().map(lambda t: t + "\0")
+)
+_JSON_VALUES = _JSON_LEAVES | st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=8,
+)
+_CONFIGS = ("clinic_config", "insurer_config", "specialist_config", "topology_config")
+
+
+def _key_paths(value, prefix=()):
+    """Every path to a member of a JSON object or list, outermost first."""
+    members = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, member in members:
+        yield prefix + (key,)
+        yield from _key_paths(member, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory, workspace):
+    """A writable copy of each demo config, and the fixture's indexes."""
+    copies = tmp_path_factory.mktemp("configs")
+    records = {name: json.loads(getattr(workspace, name).read_text()) for name in _CONFIGS}
+    return copies, records, load_audit_context(workspace.topology_config)[1]
+
+
+def _loads_or_refuses(path, indexes) -> None:
+    """The loader for ``path`` loads it or raises a ConfigError whose text
+    starts with the file's name, is short and repeats no protected value."""
+    load = load_topology_config if path.name == "topology.json" else load_node_config
+    try:
+        load(path)
+    except ConfigError as exc:
+        text = str(exc)
+        assert text.startswith(path.name) and len(text) <= 300, text
+        for node_id, index in indexes.items():
+            assert oracle_scan(text, index, (node_id, "nowhere")) == [], text
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data(), config=st.sampled_from(_CONFIGS), delete=st.booleans())
+def test_config_loaders_refuse_any_edit_with_a_config_error(config_dir, data, config, delete):
+    copies, records, indexes = config_dir
+    record = json.loads(json.dumps(records[config]))
+    *parents, last = data.draw(st.sampled_from(list(_key_paths(record))))
+    owner = record
+    for step in parents:
+        owner = owner[step]
+    if delete:
+        del owner[last]
+    else:
+        owner[last] = data.draw(_JSON_VALUES)
+    path = copies / f"{config.split('_')[0]}.json"
+    path.write_text(json.dumps(record))
+    _loads_or_refuses(path, indexes)
+
+
+@settings(deadline=None, max_examples=100)
+@given(content=st.binary(), config=st.sampled_from(_CONFIGS))
+def test_config_loaders_refuse_any_bytes_with_a_config_error(config_dir, content, config):
+    copies, _, indexes = config_dir
+    path = copies / f"{config.split('_')[0]}.json"
+    path.write_bytes(content)
+    _loads_or_refuses(path, indexes)
 
 
 def _patients_error(ws, capsys) -> RowError:

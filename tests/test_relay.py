@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import oracle_scan
 from fedmesh.errors import (
-    ConfigError,
     LeakBlocked,
     RelayAuthError,
     RelayTransportError,
@@ -109,11 +108,6 @@ def test_response_json_round_trip():
 def test_response_json_rejects_a_malformed_reply(raw):
     with pytest.raises(ValueError):
         RelayResponse.from_json(raw)
-
-
-def test_relay_target_requires_all_fields():
-    with pytest.raises(ConfigError):
-        RelayTarget(name="x", url="", operation_id="op", access_key="k")
 
 
 # --- server-side auth and dispatch ---

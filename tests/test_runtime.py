@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
@@ -15,7 +16,6 @@ from fedmesh.datastore import (
 )
 from fedmesh.errors import (
     AuthError,
-    ConfigError,
     LoopLimitExceeded,
     OperationNotFound,
     SecretNotFound,
@@ -32,6 +32,7 @@ from fedmesh.runtime import (
     handle_operation,
 )
 from fedmesh.relay import RelayRequest
+from fedmesh.fixtures import write_demo_workspace
 from fedmesh.scenario import boot_scenario, build_node
 
 from conftest import GOLDEN_TOKENS
@@ -67,7 +68,6 @@ def _test_node(policy, *, loop_limit=8, permitted=("noop",)):
     return Node(
         node_id="test",
         datasets={},
-        secrets=SecretSource(env={}),
         operations={"op": op},
         policies={"op": policy},
         relay_targets={},
@@ -117,16 +117,6 @@ def test_tool_outside_permitted_set():
     node = _test_node(RelayHungryPolicy(), permitted=("noop",))
     with pytest.raises(ToolNotPermitted):
         handle_operation(node, _request())
-
-
-def test_operation_config_with_unknown_tool_rejected():
-    with pytest.raises(ConfigError):
-        _test_node(SilentPolicy(), permitted=("no_such_tool",))
-
-
-def test_empty_access_key_rejected():
-    with pytest.raises(ConfigError):
-        OperationConfig("op", "stub", frozenset(), "")
 
 
 def test_policy_without_tools_answers_at_once():
@@ -271,7 +261,9 @@ def test_hmac_token_tool_matches_golden(nodes):
     assert token == CaseToken(GOLDEN_TOKENS["CLN-0001"])
 
 
-def test_hmac_key_is_read_once_per_node(workspace, monkeypatch):
+def test_serving_requests_reads_no_secret(workspace, monkeypatch):
+    """Boot reads the clinic's key twice, for its index's tokens and for
+    the node's HMAC key; requests and ``hmac_token`` calls read none."""
     reads = []
     resolve = SecretSource.resolve
 
@@ -280,19 +272,29 @@ def test_hmac_key_is_read_once_per_node(workspace, monkeypatch):
         return resolve(self, name)
 
     monkeypatch.setattr(SecretSource, "resolve", counting_resolve)
-    node = build_node(load_node_config(workspace.clinic_config))
-    reads.clear()  # building the index derives tokens with its own read
-    for pid in ["CLN-0001", "CLN-0002", "CLN-0001", "CLN-0005"]:
-        assert _tool(node, "hmac_token", {"patient_id": pid}).hex == GOLDEN_TOKENS[pid]
-    assert reads == ["clinic_hmac_key"]
+    scenario = boot_scenario(workspace.node_configs, run_id="run-runtime-no-reads")
+    try:
+        assert reads == ["clinic_hmac_key", "clinic_hmac_key"]
+        reads.clear()
+        for pid in ["CLN-0001", "CLN-0002", "CLN-0001", "CLN-0005"]:
+            assert scenario.submit(f"Confirm coverage for {pid}").startswith("Coverage: ")
+            assert _tool(scenario.nodes["clinic"], "hmac_token", {"patient_id": pid}).hex == GOLDEN_TOKENS[pid]
+        assert reads == []
+    finally:
+        scenario.close()
 
 
-def test_hmac_token_missing_key_raises_at_each_call():
-    node = _test_node(SilentPolicy(), permitted=("hmac_token",))
-    node.hmac_secret = "absent_key"
-    for _ in range(2):
-        with pytest.raises(SecretNotFound):
-            _tool(node, "hmac_token", {"patient_id": "CLN-0001"})
+def test_missing_hmac_key_fails_at_boot(tmp_path, monkeypatch):
+    """A declared secret that resolves to no key stops the boot, before
+    any request; ``hmac_token`` never meets a missing key."""
+    monkeypatch.delenv("FEDMESH_SECRET_CLINIC_HMAC_KEY", raising=False)
+    ws = write_demo_workspace(tmp_path / "ws")
+    record = json.loads(ws.clinic_config.read_text())
+    record["secrets"]["clinic_hmac_key"] = {}  # resolves through the absent variable
+    record["protected"].pop()  # so the index build reads no secret
+    ws.clinic_config.write_text(json.dumps(record))
+    with pytest.raises(SecretNotFound, match="'clinic_hmac_key'"):
+        build_node(load_node_config(ws.clinic_config))
 
 
 def test_csv_lookup_tool_renders_row(nodes):
