@@ -6,8 +6,8 @@ the audit rules for traffic to and from the node.
 Relative paths resolve against the config file's directory. This module
 alone decides whether a config is valid, and refuses each mistake it can
 see as the config loads, with a ``ConfigError`` naming the file and the
-key. The README documents the full schema; by contract a relay target's
-name must equal the destination node's id.
+key. The README documents the full schema. A relay target is named by the
+node it reaches; the runner tells each transport where that node is.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Callable, Collection, Mapping, Sequence
 
 from .datastore import MatchMode, ProtectedSpec
-from .errors import ConfigError
+from .errors import ConfigError, shown_name
 from .locality import Topology
 from .policies import POLICY_REGISTRY
 from .pseudonym import SecretSource
@@ -65,13 +65,6 @@ _REQUIRED = object()
 _Rule = tuple[Callable[[Any], bool], str]
 
 
-def _name(name: str) -> str:
-    """A name the config chose, as an error text shows it: printable and
-    at most 32 characters, so no text grows with the file."""
-    shown = name if name.isprintable() else repr(name)[1:-1]
-    return shown if len(shown) <= 32 else shown[:29] + "..."
-
-
 def _one_of(names: Collection[str]) -> _Rule:
     return names.__contains__, f"one of {', '.join(names)}"
 
@@ -82,16 +75,6 @@ _PORT: _Rule = (range(65536).__contains__, "in 0..65535")
 _MATCH_MODES = _one_of([mode.value for mode in MatchMode])
 
 
-def _target_url(name: str) -> _Rule:
-    """``local:<name>``, so that the in-process bus delivers to the node the
-    guard and the trace take the target to be, or a URL of another scheme."""
-    local = f"local:{name}"
-    return (
-        lambda url: url == local or (url != "" and not url.startswith("local:")),
-        f"local:{_name(name)} or a network URL",
-    )
-
-
 def _object(value: object, keys: Sequence[str], where: str) -> dict[str, Any]:
     """``value``, which must be an object holding no key but ``keys``. A key
     the loader does not read is a typo or a retired setting; ignoring it
@@ -100,7 +83,7 @@ def _object(value: object, keys: Sequence[str], where: str) -> dict[str, Any]:
         raise ConfigError(f"{where}: must be an object")
     for key in value:
         if key not in keys:
-            raise ConfigError(f"{where}: unknown key {_name(key)!r} (reads {', '.join(keys)})")
+            raise ConfigError(f"{where}: unknown key {shown_name(key)!r} (reads {', '.join(keys)})")
     return value
 
 
@@ -214,36 +197,39 @@ def load_node_config(path: Path | str) -> NodeConfig:
     secrets = _expect(record, "secrets", dict, where, {})
     secret_files: dict[str, Path] = {}
     for name, source in secrets.items():
-        at = f"{where}:{_name(name)}"
+        at = f"{where}:{shown_name(name)}"
         # without a file, the secret resolves through its environment variable
         if "file" in _object(source, ("file",), at):
             secret_files[name] = base_dir / _expect(source, "file", str, at, rule=_NO_NUL)
     secret_names: _Rule = (secrets.__contains__, "the name of an entry of 'secrets'")
+    hmac_secret = _expect(record, "hmac_secret", str, where, None, secret_names)
 
     operations: list[OperationConfig] = []
     ops_record = _expect(record, "operations", dict, where)
     if not ops_record:
         raise ConfigError(f"{where}: node must expose at least one operation")
     for op_id, op in ops_record.items():
-        at = f"{where}:{_name(op_id)}"
+        at = f"{where}:{shown_name(op_id)}"
         op = _object(op, ("policy", "tools", "access_key"), at)
+        tools = frozenset(_expect_strings(op, "tools", at, [], _one_of(TOOL_REGISTRY)))
+        if "hmac_token" in tools and hmac_secret is None:
+            raise ConfigError(f"{at}: key 'tools' lists hmac_token, which needs the node's key 'hmac_secret'")
         operations.append(
             OperationConfig(
                 operation_id=op_id,
                 agent_policy=_expect(op, "policy", str, at, rule=_one_of(POLICY_REGISTRY)),
-                permitted_tools=frozenset(_expect_strings(op, "tools", at, [], _one_of(TOOL_REGISTRY))),
+                permitted_tools=tools,
                 access_key=_expect(op, "access_key", str, at, rule=_NONEMPTY),
             )
         )
 
     targets: list[RelayTarget] = []
     for name, target in _expect(record, "relay_targets", dict, where, {}).items():
-        at = f"{where}:{_name(name)}"
-        target = _object(target, ("url", "operation_id", "access_key"), at)
+        at = f"{where}:{shown_name(name)}"
+        target = _object(target, ("operation_id", "access_key"), at)
         targets.append(
             RelayTarget(
                 name=name,
-                url=_expect(target, "url", str, at, rule=_target_url(name)),
                 operation_id=_expect(target, "operation_id", str, at, rule=_NONEMPTY),
                 access_key=_expect(target, "access_key", str, at, rule=_NONEMPTY),
             )
@@ -255,7 +241,7 @@ def load_node_config(path: Path | str) -> NodeConfig:
         node_id=_expect(record, "node_id", str, where, rule=_NONEMPTY),
         datasets=datasets,
         secrets=SecretSource(files=secret_files),
-        hmac_secret=_expect(record, "hmac_secret", str, where, None, secret_names),
+        hmac_secret=hmac_secret,
         protected=_parse_protected(record, _one_of(tables), secret_names, where),
         operations=tuple(operations),
         relay_targets=tuple(targets),
@@ -301,27 +287,32 @@ def build_topology(configs: Sequence[NodeConfig]) -> Topology:
     """Declared relay edges are exactly the configured (node, target) pairs;
     the audit rules are the ones each node declares for itself. Node ids
     must be unique, every node a config names, as a relay target or in an
-    ``allowed_to`` list, must be one of ``configs``, and each operation may
-    be the relay target of one node only, which is then where its replies
-    go."""
-    seen: set[str] = set()
+    ``allowed_to`` list, must be one of ``configs``, a relay target's
+    operation must be one its node exposes, and each operation may be the
+    relay target of one node only, which is then where its replies go."""
+    exposed: dict[str, set[str]] = {}
     for cfg in configs:
-        if cfg.node_id in seen:
+        if cfg.node_id in exposed:
             raise ConfigError(f"duplicate node id {cfg.node_id!r}")
-        seen.add(cfg.node_id)
+        exposed[cfg.node_id] = {op.operation_id for op in cfg.operations}
     callers: dict[tuple[str, str], str] = {}
     for cfg in configs:
         for i, spec in enumerate(cfg.protected):
-            outside = spec.allowed_to - seen
+            outside = spec.allowed_to - exposed.keys()
             if outside:
                 raise ConfigError(
                     f"{cfg.file_name}:protected[{i}]: key 'allowed_to' names "
-                    f"{_name(min(outside))!r}, which is not a node of the deployment"
+                    f"{shown_name(min(outside))!r}, which is not a node of the deployment"
                 )
         for target in cfg.relay_targets:
-            if target.name not in seen:
+            if target.name not in exposed:
                 raise ConfigError(
-                    f"{cfg.file_name}: relay target {_name(target.name)!r} is not a node of the deployment"
+                    f"{cfg.file_name}: relay target {shown_name(target.name)!r} is not a node of the deployment"
+                )
+            if target.operation_id not in exposed[target.name]:
+                raise ConfigError(
+                    f"{cfg.file_name}:{shown_name(target.name)}: key 'operation_id' names "
+                    f"{shown_name(target.operation_id)!r}, which node {shown_name(target.name)!r} does not expose"
                 )
             caller = callers.setdefault((target.name, target.operation_id), cfg.node_id)
             if caller != cfg.node_id:

@@ -28,7 +28,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import ConfigError, InvalidIdentifier, RowError, SchemaError
+from .errors import ConfigError, InvalidIdentifier, RowError, SchemaError, shown_name
 from .pseudonym import (
     CanonicalId,
     CaseToken,
@@ -115,7 +115,7 @@ def read_table(path: Path | str, name: str, required: Sequence[str]) -> Table:
                     raise SchemaError(col, f"{path.name}: missing column {col!r}")
             for col in header:
                 if header.count(col) > 1:
-                    raise SchemaError(col, f"{path.name}: column {col!r} appears more than once")
+                    raise SchemaError(col, f"{path.name}: column {shown_name(col)!r} appears more than once")
             rows: list[tuple[str, ...]] = []
             lines: list[int] = []
             # A row starts on the line after the previous row ends; blank
@@ -250,16 +250,20 @@ def _parse_observation(
     symptom = _SYMPTOM_CLASSES.get(symptom_class.strip())
     if symptom is None:
         raise RowError(line, "invalid symptom_class")
-    weeks = duration_weeks.strip()
-    if not (weeks.isascii() and weeks.isdigit()):
+    digits = duration_weeks.strip()
+    if not (digits.isascii() and digits.isdigit()):
         raise RowError(line, "invalid duration_weeks: expected ASCII digits")
+    try:
+        weeks = int(digits)
+    except ValueError:  # more digits than int() takes
+        raise RowError(line, "invalid duration_weeks: number too long") from None
     limitation = functional_limitation.strip()
     if not limitation or "\n" in limitation or "\r" in limitation:
         raise RowError(line, "invalid functional_limitation: expected one non-empty line")
     steps = steps_of.get(prior_tx)
     if steps is None:
         steps = steps_of[prior_tx] = _codes(prior_tx, "prior_conservative_tx", line)
-    return _patient_id(patient_id, line), (symptom, int(weeks), limitation, steps)
+    return _patient_id(patient_id, line), (symptom, weeks, limitation, steps)
 
 
 def _parse_patient(cells: tuple[str, ...], line: int) -> str:

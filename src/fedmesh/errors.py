@@ -25,6 +25,13 @@ class WeakSecret(FedmeshError):
 # --- datastore and configuration ---
 
 
+def shown_name(name: str) -> str:
+    """A name an input file chose, as an error text shows it: printable and
+    at most 32 characters, so no text grows with the file."""
+    shown = name if name.isprintable() else repr(name)[1:-1]
+    return shown if len(shown) <= 32 else shown[:29] + "..."
+
+
 class SchemaError(FedmeshError):
     """A required column or heading is missing from an input file."""
 

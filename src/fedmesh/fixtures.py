@@ -143,7 +143,6 @@ def _clinic_config() -> dict:
         },
         "relay_targets": {
             "insurer": {
-                "url": "local:insurer",
                 "operation_id": "coverage_inquiry",
                 "access_key": "insurer-demo-key-0002",
             }
@@ -176,7 +175,6 @@ def _insurer_config() -> dict:
         },
         "relay_targets": {
             "specialist": {
-                "url": "local:specialist",
                 "operation_id": "specialist_consult",
                 "access_key": "specialist-demo-key-0003",
             }

@@ -178,6 +178,8 @@ def read_trace(path: Path | str) -> TraceLog:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise TraceFormatError(line_no, f"invalid JSON: {exc}") from None
+            except ValueError:  # an integer literal longer than int() takes
+                raise TraceFormatError(line_no, "invalid JSON: number too long") from None
             except RecursionError:
                 raise TraceFormatError(line_no, "invalid JSON: nested too deeply") from None
         if not isinstance(record, dict):

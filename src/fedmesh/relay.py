@@ -9,8 +9,10 @@ carried over HTTP POST to ``/operations/<operation_id>``. Requests are
 natural-language text only; no structured record ever rides the wire.
 
 Calls are least-privilege: a remote operation is reachable only through a
-target declared in node config, and the target's name must equal the
-destination node's id so traces and topology checks line up. The guard is
+target declared in node config. A target names the destination node, an
+operation it exposes and the key that operation takes; it carries no
+address, since the transport knows where each node of the deployment is.
+The guard and the trace take the edge from the same name. The guard is
 ``locality.scan_outbound``, the trace checker's own per-envelope check, and
 it fails closed on both sides of a call. A request that breaks a rule
 raises ``LeakBlocked`` before any bytes leave the node, with nothing sent
@@ -32,9 +34,9 @@ non-empty text body, or an ``error`` with a non-empty text code and a text
 message; anything else fails the call. An error text quotes at most
 ``QUOTE_CHARS`` characters of what a peer sent.
 
-An in-process loopback transport serves hermetic runs and tests; requests
-still round-trip through their JSON wire form, and both transports answer
-them through ``_answer``.
+An in-process loopback transport serves hermetic runs and tests; it hands
+each request to the node a target names, still in its JSON wire form, and
+both transports answer requests through ``_answer``.
 """
 
 from __future__ import annotations
@@ -46,9 +48,7 @@ import logging
 import select
 import socket
 import socketserver
-import ssl
 import threading
-import urllib.parse
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Protocol
 
@@ -86,10 +86,10 @@ def _decode(raw: str) -> object:
 
 @dataclass(frozen=True)
 class RelayTarget:
-    """A remote operation this node may call: name, URL, id, and key."""
+    """A remote operation this node may call: the id of the node that
+    exposes it, the operation's id, and its key."""
 
     name: str
-    url: str
     operation_id: str
     access_key: str
 
@@ -182,7 +182,7 @@ class Transport(Protocol):
 class LoopbackTransport:
     """In-process transport for hermetic runs.
 
-    Targets use ``local:<node_id>`` URLs resolved against a shared bus of
+    Delivers each request to the node its target names, on a shared bus of
     booted nodes. The request still round-trips through its JSON wire form
     so loopback and network behave identically.
     """
@@ -193,11 +193,7 @@ class LoopbackTransport:
         self.bytes_sent = 0
 
     def send(self, target: RelayTarget, request: RelayRequest) -> RelayResponse:
-        if not target.url.startswith("local:"):
-            raise RelayTransportError(f"loopback transport cannot reach url {target.url!r}")
-        node = self.bus.get(target.url[len("local:"):])
-        if node is None:
-            raise RelayTransportError(f"no local node behind url {target.url!r}")
+        node = self.bus[target.name]
         payload = request.to_json().encode("utf-8")
         self.sends += 1
         self.bytes_sent += len(payload)
@@ -210,37 +206,43 @@ class LoopbackTransport:
 class HttpTransport:
     """JSON-over-HTTP POST transport with a 30 s timeout.
 
-    Speaks the listener's subset of HTTP/1.1 by hand (see ``_read_head``):
-    each request goes out as one write of head and body, and only a ``200``
-    response whose body is framed by ``Content-Length`` is accepted.
-    Connections are kept alive and pooled per ``(scheme, host, port)``: a
-    call takes an idle connection, or opens one with Nagle's algorithm off,
-    and returns it once the whole response is read and decoded, so concurrent
-    conversations each hold their own. An idle connection the peer has
-    closed is dropped before use, and one is never pooled after
-    ``Connection: close`` or an HTTP/1.0 response. A request is never sent
-    twice: any failure closes its connection and raises
+    ``addresses`` maps each node id to the ``(host, port)`` of its
+    listener; a request goes to the address of the node its target names,
+    at ``/operations/<operation_id>``. An operation id holding a space, a
+    control character or a non-ASCII character is refused before anything
+    is sent. Speaks the listener's subset of HTTP/1.1 by hand (see
+    ``_read_head``): each request goes out as one write of head and body,
+    and only a ``200`` response whose body is framed by ``Content-Length``
+    is accepted. Connections are kept alive and pooled per ``(host,
+    port)``: a call takes an idle connection, or opens one with Nagle's
+    algorithm off, and returns it once the whole response is read and
+    decoded, so concurrent conversations each hold their own. An idle
+    connection the peer has closed is dropped before use, and one is never
+    pooled after ``Connection: close`` or an HTTP/1.0 response. A request
+    is never sent twice: any failure closes its connection and raises
     ``RelayTransportError``. ``sends`` and ``bytes_sent`` count a request
     once a connected socket has taken all of it. Proxy environment
     variables are not consulted.
     """
 
-    def __init__(self, timeout: float = DEFAULT_TIMEOUT_SECONDS) -> None:
+    def __init__(
+        self, addresses: Mapping[str, tuple[str, int]], timeout: float = DEFAULT_TIMEOUT_SECONDS
+    ) -> None:
+        self.addresses = addresses
         self.timeout = timeout
         self.sends = 0
         self.bytes_sent = 0
         self._routes: dict[RelayTarget, _Route] = {}
-        self._idle: dict[tuple[str, str, int], list[_Connection]] = {}
+        self._idle: dict[tuple[str, int], list[_Connection]] = {}
         self._lock = threading.Lock()
-        self._tls: ssl.SSLContext | None = None
 
     def send(self, target: RelayTarget, request: RelayRequest) -> RelayResponse:
-        route = self._routes.get(target) or self._routes.setdefault(target, _route(target))
+        route = self._routes.get(target) or self._routes.setdefault(target, self._route(target))
         payload = request.to_json().encode("utf-8")
-        connection = self._checkout(route.key)
+        connection = self._checkout(route.address)
         try:
             if connection is None:
-                connection = self._open(route.key)
+                connection = self._open(route.address)
             connection.sock.sendall(route.head + b"%d\r\n\r\n" % len(payload) + payload)
             with self._lock:
                 self.sends += 1
@@ -249,38 +251,51 @@ class HttpTransport:
         except (OSError, ValueError) as exc:
             if connection is not None:
                 connection.close()
-            raise RelayTransportError(f"relay transport failed for {route.url}: {exc}") from exc
+            raise RelayTransportError(f"relay transport failed for {route.where}: {exc}") from exc
         try:
             response = RelayResponse.from_json(raw.decode("utf-8"))
         except ValueError as exc:
             connection.close()
-            raise RelayTransportError(f"malformed relay response from {route.url}: {exc}") from exc
+            raise RelayTransportError(f"malformed relay response from {route.where}: {exc}") from exc
         if reusable:
             with self._lock:
-                self._idle.setdefault(route.key, []).append(connection)
+                self._idle.setdefault(route.address, []).append(connection)
         else:
             connection.close()
         return response
 
-    def _checkout(self, key: tuple[str, str, int]) -> _Connection | None:
-        """An idle connection to ``key`` the peer has not closed, if any."""
+    def _route(self, target: RelayTarget) -> _Route:
+        """The address of the node ``target`` names, and the head of a
+        request for its operation."""
+        host, port = address = self.addresses[target.name]
+        selector = f"/operations/{target.operation_id}"
+        try:
+            if any(char <= " " or char == "\x7f" for char in selector):
+                raise ValueError("a space or control character in the request target")
+            head = (
+                f"POST {selector} HTTP/1.1\r\nHost: {host}:{port}\r\n"
+                "Content-Type: application/json\r\nContent-Length: "
+            ).encode("ascii")
+        except ValueError as exc:
+            raise RelayTransportError(
+                f"relay transport cannot send operation {target.operation_id[:QUOTE_CHARS]!r}: {exc}"
+            ) from exc
+        return _Route(f"{selector} on node {target.name!r} at {host}:{port}", address, head)
+
+    def _checkout(self, address: tuple[str, int]) -> _Connection | None:
+        """An idle connection to ``address`` the peer has not closed, if any."""
         while True:
             with self._lock:
-                idle = self._idle.get(key)
+                idle = self._idle.get(address)
                 connection = idle.pop() if idle else None
             if connection is None or _is_quiet(connection.sock):
                 return connection
             connection.close()
 
-    def _open(self, key: tuple[str, str, int]) -> _Connection:
-        scheme, host, port = key
-        sock = socket.create_connection((host, port), timeout=self.timeout)
+    def _open(self, address: tuple[str, int]) -> _Connection:
+        sock = socket.create_connection(address, timeout=self.timeout)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            if scheme == "https":
-                if self._tls is None:
-                    self._tls = ssl.create_default_context()
-                sock = self._tls.wrap_socket(sock, server_hostname=host)
         except BaseException:
             sock.close()
             raise
@@ -299,29 +314,9 @@ class HttpTransport:
 class _Route:
     """Where a target's requests go, worked out once per target."""
 
-    url: str
-    key: tuple[str, str, int]  # (scheme, host, port): the connection pool
+    where: str  # the path, node and address, as error texts name them
+    address: tuple[str, int]  # the listener's, and the connection pool's key
     head: bytes  # the request head, up to the value of its Content-Length
-
-
-def _route(target: RelayTarget) -> _Route:
-    url = f"{target.url.rstrip('/')}/operations/{target.operation_id}"
-    try:
-        parts = urllib.parse.urlsplit(url)
-        port = parts.port or (443 if parts.scheme == "https" else 80)
-        if parts.scheme not in ("http", "https") or not parts.hostname:
-            raise ValueError("not an http or https URL with a host")
-        selector = f"{parts.path}?{parts.query}" if parts.query else parts.path
-        host = parts.netloc.rpartition("@")[2]
-        if any(char <= " " or char == "\x7f" for char in selector + host):
-            raise ValueError("a space or control character in the request target or host")
-        head = (
-            f"POST {selector} HTTP/1.1\r\nHost: {host}\r\n"
-            "Content-Type: application/json\r\nContent-Length: "
-        ).encode("ascii")
-    except ValueError as exc:
-        raise RelayTransportError(f"relay transport cannot reach url {target.url!r}: {exc}") from exc
-    return _Route(url, (parts.scheme, parts.hostname, port), head)
 
 
 class _Connection:
@@ -677,11 +672,6 @@ class RelayServer(socketserver.ThreadingTCPServer):
     @property
     def address(self) -> tuple[str, int]:
         return self.server_address[0], self.server_address[1]
-
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
 
     def close(self) -> None:
         # Shutting the listening socket down wakes the listener's select at

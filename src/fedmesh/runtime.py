@@ -46,7 +46,8 @@ from .relay import RelayRequest, RelayTarget, Transport, relay_call
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_LOOP_LIMIT = 8
+# The most turns a request's tool-calling loop runs.
+LOOP_LIMIT = 8
 
 T = TypeVar("T")
 
@@ -98,7 +99,6 @@ class Node:
     transport: Transport | None = None
     trace: TraceLog | None = None
     topology: Topology = field(default_factory=Topology)
-    loop_limit: int = DEFAULT_LOOP_LIMIT
     enforce_guard: bool = True
     outbound_mutators: list[Callable[[str, str], str]] = field(default_factory=list)
     _conversation_locks: dict[str, _ConversationLock] = field(
@@ -110,8 +110,6 @@ class Node:
         for op in self.operations.values():
             if op.operation_id not in self.policies:
                 raise ConfigError(f"operation {op.operation_id!r} has no policy instance")
-        if self.loop_limit < 1:
-            raise ConfigError("loop_limit must be at least 1")
 
     def conversation_lock(self, conversation_id: str) -> _ConversationLock:
         """The conversation's lock, to be held with ``with`` and nothing
@@ -149,7 +147,7 @@ def handle_operation(node: Node, req: RelayRequest) -> str:
     """Run the tool-calling loop for one request and return the answer.
 
     The loop is bounded unconditionally: a policy that keeps requesting
-    tools is cut off after ``node.loop_limit`` turns. Requests in the same
+    tools is cut off after ``LOOP_LIMIT`` turns. Requests in the same
     conversation are serialised; distinct conversations proceed
     concurrently.
     """
@@ -162,7 +160,7 @@ def handle_operation(node: Node, req: RelayRequest) -> str:
     policy = node.policies[req.operation_id]
     with node.conversation_lock(req.conversation_id):
         results: dict[str, object] = {}  # each tool's last value
-        for calls in range(node.loop_limit):
+        for calls in range(LOOP_LIMIT):
             turn = policy.decide(req.body, results)
             if not isinstance(turn, ToolCall):
                 if not turn:
@@ -173,7 +171,7 @@ def handle_operation(node: Node, req: RelayRequest) -> str:
                 return turn
             results[turn.tool] = execute_tool(node, op, turn, conversation_id=req.conversation_id)
     raise LoopLimitExceeded(
-        f"operation {req.operation_id!r} exceeded the loop bound of {node.loop_limit}"
+        f"operation {req.operation_id!r} exceeded the loop bound of {LOOP_LIMIT}"
     )
 
 

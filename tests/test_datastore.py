@@ -193,6 +193,8 @@ _LOAD_ERROR_SITES = {
     "negative-duration": ("observations", "CLN-0001,mild,-7,walks,x\n", "duration_weeks", "-7", 2),
     "underscored-duration": ("observations", "CLN-0001,mild,1_0,walks,x\n", "duration_weeks", "1_0", 2),
     "non-ascii-duration": ("observations", "CLN-0001,mild, \u0663 ,walks,x\n", "duration_weeks", "\u0663", 2),
+    # More digits than int() takes (4300 by default).
+    "long-duration": ("observations", f"CLN-0001,mild,{'7' * 5000},walks,x\n", "duration_weeks", "7777", 2),
     "blank-observation-patient-id": ("observations", " \t ,mild,4,walks,x\n", "patient_id", " \t ", 2),
     "limitation-with-line-feed": (
         "observations", 'CLN-0001,mild,4,"difficulty stairs\nstatus: x",x\n', "functional_limitation",
@@ -493,6 +495,88 @@ def test_loading_builds_no_per_row_record(tmp_path, monkeypatch):
     assert lookup_observation(clinic, normalize_id("CLN-0200")) is not None
     assert match_enrollment(insurer, GOLDEN_TOKENS["CLN-0001"]) is not None
     assert built == Counter(CanonicalId=1, ClinicalObservation=1, EnrollmentRow=1, CaseToken=1)
+
+
+# --- totality of the dataset loaders ---
+
+_TABLE_PATHS = {
+    "observations": "clinic/clinical_observations.csv",
+    "patients": "clinic/patients.csv",
+    "enrollment": "insurer/enrollment.csv",
+    "coverage_rules": "insurer/coverage_rules.csv",
+}
+_CELL_TEXTS = (
+    st.integers(1, 6000).map(lambda n: "7" * n)  # a digit run, past int()'s 4300 digits
+    | st.integers(1, 140_000).map(lambda n: "x" * n)  # past the CSV reader's field limit
+    | st.text(max_size=8).map(lambda t: f"{t}\0{t}")
+    | st.text(max_size=8).map(lambda t: f"{t}\r{t}")  # a lone carriage return
+    | st.text(max_size=12)
+)
+# An edit of a table's text, by line and cell index (each taken modulo the
+# count there is): set a cell, copy a line to another place (the header
+# too), or repeat a cell at the end of its line (a header's: a column
+# named twice).
+_EDITS = (
+    st.tuples(st.just("cell"), st.integers(0, 7), st.integers(0, 4), _CELL_TEXTS)
+    | st.tuples(st.just("copy-line"), st.integers(0, 7), st.integers(0, 7))
+    | st.tuples(st.just("repeat-cell"), st.integers(0, 7), st.integers(0, 4))
+)
+
+
+def _edited(text: str, edits) -> str:
+    lines = text.split("\n")
+    for kind, i, j, *value in edits:
+        i %= len(lines)
+        cells = lines[i].split(",")
+        if kind == "cell":
+            cells[j % len(cells)] = value[0]
+            lines[i] = ",".join(cells)
+        elif kind == "copy-line":
+            lines.insert(j % len(lines), lines[i])
+        else:
+            lines[i] += "," + cells[j % len(cells)]
+    return "\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def loader_dir(tmp_path_factory, workspace):
+    """A writable copy of the fixture tables, their texts, and the fixture's indexes."""
+    root = tmp_path_factory.mktemp("tables")
+    texts = {}
+    for table, rel in _TABLE_PATHS.items():
+        texts[table] = (workspace.root / rel).read_text(encoding="utf-8")
+        (root / rel).parent.mkdir(exist_ok=True)
+    return root, texts, load_audit_context(workspace.topology_config)[1]
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    table=st.sampled_from(list(_TABLE_PATHS)),
+    change=st.binary(max_size=300) | st.lists(_EDITS, min_size=1, max_size=3),
+)
+# A column named twice, whose name is longer than an error text may be.
+@example(table="patients", change=[("repeat-cell", 0, 3), ("cell", 0, 4, "n" * 514), ("repeat-cell", 0, 4)])
+def test_dataset_loaders_refuse_any_edit_with_a_row_or_schema_error(loader_dir, table, change):
+    """Each load succeeds or raises a SchemaError or RowError whose text is
+    short and repeats no protected value."""
+    root, texts, indexes = loader_dir
+    for other, rel in _TABLE_PATHS.items():
+        (root / rel).write_text(texts[other], encoding="utf-8")
+    path = root / _TABLE_PATHS[table]
+    if isinstance(change, bytes):
+        path.write_bytes(change)
+    else:
+        path.write_text(_edited(texts[table], change), encoding="utf-8")
+    try:
+        if table in ("observations", "patients"):
+            load_clinic_store(root / _TABLE_PATHS["observations"], root / _TABLE_PATHS["patients"])
+        else:
+            load_insurer_store(root / _TABLE_PATHS["enrollment"], root / _TABLE_PATHS["coverage_rules"])
+    except (SchemaError, RowError) as exc:
+        text = str(exc)
+        assert len(text) <= 300, text[:400]
+        for node_id, index in indexes.items():
+            assert oracle_scan(text, index, (node_id, "nowhere")) == [], text
 
 
 # --- guidance ---

@@ -513,6 +513,8 @@ _MALFORMED_LINES = {
     "string-seq": (_GOOD_RECORD.replace('"seq": 1', '"seq": "Marina Kovacs"'), "seq must be an integer"),
     "float-seq": (_GOOD_RECORD.replace('"seq": 1', '"seq": 1.9'), "seq must be an integer"),
     "bool-seq": (_GOOD_RECORD.replace('"seq": 1', '"seq": true'), "seq must be an integer"),
+    # More digits than int() takes (4300 by default).
+    "long-seq": (_GOOD_RECORD.replace('"seq": 1', '"seq": ' + "1" * 5000), "invalid JSON: number too long"),
     # Text fields are taken as they are, never converted with str().
     "null-from": (_GOOD_RECORD.replace('"from": "a"', '"from": null'), "from must be a string"),
     "integer-to": (_GOOD_RECORD.replace('"to": "b"', '"to": 2'), "to must be a string"),

@@ -191,7 +191,7 @@ def test_relay_auth_error_on_tampered_key(scenario):
 
 
 def test_default_timeout_is_thirty_seconds():
-    assert HttpTransport().timeout == DEFAULT_TIMEOUT_SECONDS == 30.0
+    assert HttpTransport({}).timeout == DEFAULT_TIMEOUT_SECONDS == 30.0
 
 
 # --- network listener ---
@@ -202,6 +202,11 @@ def specialist_server(scenario):
     server = serve(scenario.nodes["specialist"])
     yield server
     server.close()
+
+
+def _operation_url(server, operation_id: str) -> str:
+    host, port = server.address
+    return f"http://{host}:{port}/operations/{operation_id}"
 
 
 def _post_raw(url: str, payload: bytes) -> dict:
@@ -215,7 +220,7 @@ def _post_raw(url: str, payload: bytes) -> dict:
 def test_http_end_to_end(specialist_server):
     request = RelayRequest("specialist_consult", "specialist-demo-key-0003", "c1", _consult_body())
     record = _post_raw(
-        specialist_server.url + "/operations/specialist_consult",
+        _operation_url(specialist_server, "specialist_consult"),
         request.to_json().encode("utf-8"),
     )
     assert record["status"] == "ok"
@@ -224,7 +229,7 @@ def test_http_end_to_end(specialist_server):
 
 def test_http_truncated_json_is_protocol_error(specialist_server):
     record = _post_raw(
-        specialist_server.url + "/operations/specialist_consult",
+        _operation_url(specialist_server, "specialist_consult"),
         b'{"operation_id": "specialist_consult", "access',
     )
     assert record["status"] == "error"
@@ -234,7 +239,7 @@ def test_http_truncated_json_is_protocol_error(specialist_server):
 def test_http_path_body_mismatch_is_protocol_error(specialist_server):
     request = RelayRequest("specialist_consult", "specialist-demo-key-0003", "c1", _consult_body())
     record = _post_raw(
-        specialist_server.url + "/operations/other_operation",
+        _operation_url(specialist_server, "other_operation"),
         request.to_json().encode("utf-8"),
     )
     assert record["error"]["code"] == "protocol"
@@ -243,7 +248,7 @@ def test_http_path_body_mismatch_is_protocol_error(specialist_server):
 def test_http_wrong_key_is_auth_error(specialist_server):
     request = RelayRequest("specialist_consult", "nope", "c1", _consult_body())
     record = _post_raw(
-        specialist_server.url + "/operations/specialist_consult",
+        _operation_url(specialist_server, "specialist_consult"),
         request.to_json().encode("utf-8"),
     )
     assert record["error"]["code"] == "auth"
@@ -253,15 +258,9 @@ def test_transport_transparency(scenario, specialist_server):
     """The body the caller gets is byte-identical to what the node produced."""
     request = RelayRequest("specialist_consult", "specialist-demo-key-0003", "c1", _consult_body())
     direct = serve_request(scenario.nodes["specialist"], request)
-    transport = HttpTransport()
-    target = RelayTarget(
-        name="specialist",
-        url=specialist_server.url,
-        operation_id="specialist_consult",
-        access_key="specialist-demo-key-0003",
-    )
+    transport = HttpTransport({"specialist": specialist_server.address})
     try:
-        over_http = transport.send(target, request)
+        over_http = transport.send(_specialist_target(), request)
     finally:
         transport.close()
     assert over_http.status == "ok"
@@ -269,18 +268,11 @@ def test_transport_transparency(scenario, specialist_server):
 
 
 def test_transport_error_on_unreachable_port(scenario, specialist_server):
-    host, port = specialist_server.address
     specialist_server.close()
-    transport = HttpTransport(timeout=2)
-    target = RelayTarget(
-        name="specialist",
-        url=f"http://{host}:{port}",
-        operation_id="specialist_consult",
-        access_key="specialist-demo-key-0003",
-    )
+    transport = HttpTransport({"specialist": specialist_server.address}, timeout=2)
     request = RelayRequest("specialist_consult", "specialist-demo-key-0003", "c1", _consult_body())
     with pytest.raises(RelayTransportError):
-        transport.send(target, request)
+        transport.send(_specialist_target(), request)
 
 
 # --- kept-alive connections ---
@@ -290,11 +282,10 @@ def _consult_request() -> RelayRequest:
     return RelayRequest("specialist_consult", "specialist-demo-key-0003", "c1", _consult_body())
 
 
-def _specialist_target(url: str) -> RelayTarget:
+def _specialist_target(operation_id: str = "specialist_consult") -> RelayTarget:
     return RelayTarget(
         name="specialist",
-        url=url,
-        operation_id="specialist_consult",
+        operation_id=operation_id,
         access_key="specialist-demo-key-0003",
     )
 
@@ -315,8 +306,8 @@ def _count_accepts(server) -> list:
 
 def test_http_transport_reuses_one_connection(specialist_server):
     accepted = _count_accepts(specialist_server)
-    transport = HttpTransport()
-    target = _specialist_target(specialist_server.url)
+    transport = HttpTransport({"specialist": specialist_server.address})
+    target = _specialist_target()
     try:
         for _ in range(20):
             assert transport.send(target, _consult_request()).status == "ok"
@@ -339,8 +330,8 @@ def test_http_transport_replaces_connection_the_server_closed(specialist_server,
 
     monkeypatch.setattr(relay, "serve_request", counting)
     accepted = _count_accepts(specialist_server)
-    transport = HttpTransport()
-    target = _specialist_target(specialist_server.url)
+    transport = HttpTransport({"specialist": specialist_server.address})
+    target = _specialist_target()
     try:
         assert transport.send(target, _consult_request()).status == "ok"
         time.sleep(0.6)
@@ -354,8 +345,8 @@ def test_http_transport_replaces_connection_the_server_closed(specialist_server,
 
 def test_http_transport_concurrent_sends_each_hold_a_connection(specialist_server):
     accepted = _count_accepts(specialist_server)
-    transport = HttpTransport()
-    target = _specialist_target(specialist_server.url)
+    transport = HttpTransport({"specialist": specialist_server.address})
+    target = _specialist_target()
     statuses = []
 
     def converse():
@@ -384,24 +375,23 @@ def test_http_transport_concurrent_sends_each_hold_a_connection(specialist_serve
 
 
 @pytest.mark.parametrize(
-    "url",
-    ["local:insurer", "ftp://127.0.0.1/x", "http://", "http://127.0.0.1:99999",
-     "http://127.0.0.1/a b", "http://127.0.0.1/a\x00b", "http://127.0.0.1/a\x7fb"],
+    "operation_id", ["a b", "a\x00b", "a\x7fb", "caf\xe9"], ids=["space", "nul", "del", "non-ascii"]
 )
-def test_http_transport_rejects_unusable_url_before_sending(url):
-    transport = HttpTransport()
-    with pytest.raises(RelayTransportError):
-        transport.send(_specialist_target(url), _consult_request())
+def test_http_transport_rejects_an_unusable_operation_id_before_sending(operation_id):
+    """The request target is written into the head; a character that would
+    end or bend it is refused, and nothing is sent."""
+    transport = HttpTransport({"specialist": ("127.0.0.1", 9)})
+    with pytest.raises(RelayTransportError, match="cannot send operation"):
+        transport.send(_specialist_target(operation_id), _consult_request())
     assert (transport.sends, transport.bytes_sent) == (0, 0)
 
 
 def test_http_transport_counts_no_send_the_peer_refused():
     with socket.socket() as bound:  # bound, never listening: a connect is refused
         bound.bind(("127.0.0.1", 0))
-        target = _specialist_target(f"http://127.0.0.1:{bound.getsockname()[1]}/")
-        transport = HttpTransport()
+        transport = HttpTransport({"specialist": bound.getsockname()})
         with pytest.raises(RelayTransportError) as err:
-            transport.send(target, _consult_request())
+            transport.send(_specialist_target(), _consult_request())
     assert isinstance(err.value.__cause__, ConnectionRefusedError)
     assert (transport.sends, transport.bytes_sent) == (0, 0)
 
@@ -662,7 +652,9 @@ OK_BODY = b'{"status": "ok", "body": "fine"}'
 
 @contextlib.contextmanager
 def _one_shot_server(reply: bytes):
-    """A listener that answers one request with ``reply`` and closes; yields its URL."""
+    """A listener that answers one request with ``reply`` and closes;
+    yields a transport that reaches it as the specialist, and the requests
+    it read."""
     listener = socket.create_server(("127.0.0.1", 0))
     listener.settimeout(2)
     requests = []
@@ -683,7 +675,7 @@ def _one_shot_server(reply: bytes):
     thread = threading.Thread(target=answer)
     thread.start()
     try:
-        yield "http://127.0.0.1:%d" % listener.getsockname()[1], requests
+        yield HttpTransport({"specialist": listener.getsockname()}, timeout=2), requests
     finally:
         thread.join(timeout=5)
         assert not thread.is_alive()
@@ -704,32 +696,29 @@ def _one_shot_server(reply: bytes):
          "closed-before-response", "malformed-status-line", "empty-ok-body"],
 )
 def test_http_transport_refuses_a_bad_response_without_resending(reply):
-    transport = HttpTransport(timeout=2)
-    with _one_shot_server(reply) as (url, requests):
+    with _one_shot_server(reply) as (transport, requests):
         with pytest.raises(RelayTransportError):
-            transport.send(_specialist_target(url), _consult_request())
+            transport.send(_specialist_target(), _consult_request())
     assert transport.sends == len(requests) == 1
     assert transport._idle == {}
     assert requests[0].startswith(b"POST /operations/specialist_consult HTTP/1.1\r\n")
 
 
 def test_http_transport_refuses_a_deeply_nested_reply():
-    transport = HttpTransport(timeout=2)
     nested = b"[" * 100_000
     reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(nested), nested)
-    with _one_shot_server(reply) as (url, requests):
+    with _one_shot_server(reply) as (transport, requests):
         with pytest.raises(RelayTransportError, match="malformed relay response .*: nested too deeply"):
-            transport.send(_specialist_target(url), _consult_request())
+            transport.send(_specialist_target(), _consult_request())
     assert transport.sends == len(requests) == 1
     assert transport._idle == {}
 
 
 def test_http_transport_refuses_an_oversized_reply_before_reading_it():
-    transport = HttpTransport(timeout=2)
     reply = b"HTTP/1.1 200 OK\r\nContent-Length: 5000000\r\n\r\n" + OK_BODY
-    with _one_shot_server(reply) as (url, requests):
+    with _one_shot_server(reply) as (transport, requests):
         with pytest.raises(RelayTransportError) as err:
-            transport.send(_specialist_target(url), _consult_request())
+            transport.send(_specialist_target(), _consult_request())
     assert f"response of 5000000 bytes exceeds the limit of {relay.MAX_REQUEST_BYTES}" in str(err.value)
     assert transport.sends == len(requests) == 1
     assert transport._idle == {}
@@ -743,10 +732,9 @@ def test_http_transport_refuses_an_oversized_reply_before_reading_it():
     ids=["status-code", "status-line", "content-length"],
 )
 def test_http_transport_quotes_at_most_80_characters_of_a_response(reply):
-    transport = HttpTransport(timeout=2)
-    with _one_shot_server(reply) as (url, requests):
+    with _one_shot_server(reply) as (transport, requests):
         with pytest.raises(RelayTransportError) as err:
-            transport.send(_specialist_target(url), _consult_request())
+            transport.send(_specialist_target(), _consult_request())
     text = str(err.value)
     assert "9" * (relay.QUOTE_CHARS + 1) not in text
     assert len(text) < 300
@@ -760,10 +748,9 @@ def test_http_transport_quotes_at_most_80_characters_of_a_response(reply):
     ids=["connection-close", "http-1.0", "repeated-connection"],
 )
 def test_http_transport_does_not_pool_a_closing_response(status_line, extra):
-    transport = HttpTransport(timeout=2)
     reply = status_line + b"\r\n" + extra + b"Content-Length: %d\r\n\r\n" % len(OK_BODY) + OK_BODY
-    with _one_shot_server(reply) as (url, requests):
-        response = transport.send(_specialist_target(url), _consult_request())
+    with _one_shot_server(reply) as (transport, requests):
+        response = transport.send(_specialist_target(), _consult_request())
     assert response == RelayResponse.ok("fine")
     assert transport.sends == len(requests) == 1
     assert transport._idle == {}

@@ -24,6 +24,7 @@ from fedmesh.errors import (
 )
 from fedmesh.pseudonym import CaseToken, SecretSource, normalize_id
 from fedmesh.runtime import (
+    LOOP_LIMIT,
     Node,
     OperationConfig,
     TOOL_REGISTRY,
@@ -56,7 +57,7 @@ class SilentPolicy:
         return f"echo: {request_body}"
 
 
-def _test_node(policy, *, loop_limit=8, permitted=("noop",)):
+def _test_node(policy, *, permitted=("noop",)):
     tools = dict(TOOL_REGISTRY)
     tools["noop"] = lambda node, args, conversation_id: "ok"
     op = OperationConfig(
@@ -73,7 +74,6 @@ def _test_node(policy, *, loop_limit=8, permitted=("noop",)):
         relay_targets={},
         protected_index=ProtectedValueIndex("test", ()),
         tools=tools,
-        loop_limit=loop_limit,
     )
 
 
@@ -98,15 +98,7 @@ def test_loop_limit_hit_at_exact_bound():
     node = _test_node(policy)
     with pytest.raises(LoopLimitExceeded):
         handle_operation(node, _request())
-    assert policy.turns == 8
-
-
-def test_loop_limit_configurable():
-    policy = GreedyPolicy()
-    node = _test_node(policy, loop_limit=3)
-    with pytest.raises(LoopLimitExceeded):
-        handle_operation(node, _request())
-    assert policy.turns == 3
+    assert policy.turns == LOOP_LIMIT == 8
 
 
 def test_tool_outside_permitted_set():
@@ -396,5 +388,4 @@ def test_build_node_from_config(workspace):
     node = build_node(cfg)
     assert node.node_id == "clinic"
     assert set(node.operations) == {"coverage_request"}
-    assert node.loop_limit == 8
     assert "insurer" in node.relay_targets
