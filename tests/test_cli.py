@@ -321,7 +321,8 @@ def test_duplicate_node_id_is_rejected_by_boot_and_audit(workspace, tmp_path, ca
         (("operations", "coverage_request", "policy"), "nope", "policy"),
         (("operations", "coverage_request", "tools"), ["csv_lookup", "nope"], "tools"),
         (("operations", "coverage_request", "access_key"), "", "access_key"),
-        (("relay_targets", "insurer", "url"), "local:insurer", "url"),
+        (("relay_targets", "insurer", "url"), "", "url"),
+        (("relay_targets", "insurer", "url"), "local:specialist", "url"),
         (("relay_targets", "insurer", "operation_id"), "", "operation_id"),
         (("relay_targets", "insurer", "access_key"), "", "access_key"),
         (("protected", 3, "match"), "text", "match"),
@@ -345,7 +346,8 @@ def test_duplicate_node_id_is_rejected_by_boot_and_audit(workspace, tmp_path, ca
         "unread-root-token_fre", "unread-operation-policy_options", "unread-protected-Match",
         "unread-derived-columns", "unread-secret-env", "unread-dataset-path",
         "unread-relay_target-timeout", "unread-bind-hostname", "policy-unknown", "tools-unknown",
-        "operation-access_key-empty", "unread-relay_target-url", "relay_target-operation_id-empty",
+        "operation-access_key-empty", "relay_target-url-empty", "relay_target-url-other-node",
+        "relay_target-operation_id-empty",
         "relay_target-access_key-empty", "unread-derived-match", "derived-unknown",
         "derived-secret-missing", "derived-secret-undeclared", "derived-store-unknown",
         "columns-store-undeclared", "hmac_secret-undeclared", "dataset-path-nul", "secret-file-nul",
