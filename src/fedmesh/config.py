@@ -23,7 +23,7 @@ from .locality import Topology
 from .policies import POLICY_REGISTRY
 from .pseudonym import SecretSource
 from .relay import RelayTarget
-from .runtime import TOOL_REGISTRY, OperationConfig
+from .runtime import TOOL_DATASETS, TOOL_REGISTRY, OperationConfig
 
 # Each dataset kind and the path names it must give. A clinic or insurer
 # path is a table, which a protected entry names as its store; a guidance
@@ -40,7 +40,7 @@ _NODE_KEYS = (
     "operations", "relay_targets", "token_free", "bind",
 )
 _COLUMNS_KEYS = ("store", "columns", "match", "allowed_to")
-_DERIVED_KEYS = ("derived", "store", "column", "secret", "allowed_to")
+_DERIVED_KEYS = ("derived", "allowed_to")
 
 
 @dataclass(frozen=True)
@@ -130,10 +130,13 @@ def _expect_strings(
 
 
 def _parse_protected(
-    record: Mapping[str, object], tables: _Rule, secrets: _Rule, where: str
+    record: Mapping[str, object], datasets: Mapping[str, object], hmac_secret: str | None, where: str
 ) -> tuple[ProtectedSpec, ...]:
-    """The protected entries; each names a table of the node's datasets, and
-    a derived entry a secret the node declares."""
+    """The protected entries; each names a table of the node's datasets. A
+    derived entry confines the case tokens the node can send: those of the
+    clinic's patients under the key ``hmac_secret`` names. A node has
+    both, or neither."""
+    tables = _one_of([name for kind in datasets if kind != "guidance" for name in DATASET_KINDS[kind]])
     specs: list[ProtectedSpec] = []
     for i, entry in enumerate(_expect(record, "protected", list, where, [])):
         at = f"{where}:protected[{i}]"
@@ -141,15 +144,12 @@ def _parse_protected(
         entry = _object(entry, _DERIVED_KEYS if derived else _COLUMNS_KEYS, at)
         allowed_to = frozenset(_expect_strings(entry, "allowed_to", at, []))
         if derived:
-            specs.append(
-                ProtectedSpec(
-                    derived=_expect(entry, "derived", str, at, rule=_one_of(("case_tokens",))),
-                    store=_expect(entry, "store", str, at, "patients", tables),
-                    column=_expect(entry, "column", str, at, "patient_id"),
-                    secret=_expect(entry, "secret", str, at, rule=secrets),
-                    allowed_to=allowed_to,
-                )
-            )
+            kind = _expect(entry, "derived", str, at, rule=_one_of(("case_tokens",)))
+            if hmac_secret is None:
+                raise ConfigError(f"{at}: key 'derived' names {kind}, which needs the node's key 'hmac_secret'")
+            if "clinic" not in datasets:
+                raise ConfigError(f"{at}: key 'derived' names {kind}, which needs a 'clinic' dataset")
+            specs.append(ProtectedSpec(store="patients", derived=kind, allowed_to=allowed_to))
         else:
             columns = _expect_strings(entry, "columns", at)
             if not columns:
@@ -162,6 +162,8 @@ def _parse_protected(
                     allowed_to=allowed_to,
                 )
             )
+    if hmac_secret is not None and not any(spec.derived for spec in specs):
+        raise ConfigError(f"{where}: key 'hmac_secret' needs a 'derived' protected entry to confine its tokens")
     return tuple(specs)
 
 
@@ -192,7 +194,6 @@ def load_node_config(path: Path | str) -> NodeConfig:
         names, at = DATASET_KINDS[kind], f"{where}:{kind}"
         paths = _object(paths, names, at)
         datasets[kind] = {name: base_dir / _expect(paths, name, str, at, rule=_NO_NUL) for name in names}
-    tables = [name for kind in datasets if kind != "guidance" for name in DATASET_KINDS[kind]]
 
     secrets = _expect(record, "secrets", dict, where, {})
     secret_files: dict[str, Path] = {}
@@ -214,6 +215,9 @@ def load_node_config(path: Path | str) -> NodeConfig:
         tools = frozenset(_expect_strings(op, "tools", at, [], _one_of(TOOL_REGISTRY)))
         if "hmac_token" in tools and hmac_secret is None:
             raise ConfigError(f"{at}: key 'tools' lists hmac_token, which needs the node's key 'hmac_secret'")
+        for tool, kind in TOOL_DATASETS.items():
+            if tool in tools and kind not in datasets:
+                raise ConfigError(f"{at}: key 'tools' lists {tool}, which needs a {kind!r} dataset")
         operations.append(
             OperationConfig(
                 operation_id=op_id,
@@ -242,7 +246,7 @@ def load_node_config(path: Path | str) -> NodeConfig:
         datasets=datasets,
         secrets=SecretSource(files=secret_files),
         hmac_secret=hmac_secret,
-        protected=_parse_protected(record, _one_of(tables), secret_names, where),
+        protected=_parse_protected(record, datasets, hmac_secret, where),
         operations=tuple(operations),
         relay_targets=tuple(targets),
         bind_host=_expect(bind, "host", str, f"{where}:bind", "127.0.0.1", _NO_NUL),

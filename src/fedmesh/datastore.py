@@ -29,15 +29,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConfigError, InvalidIdentifier, RowError, SchemaError, shown_name
-from .pseudonym import (
-    CanonicalId,
-    CaseToken,
-    SecretSource,
-    canonical_id,
-    check_token_hex,
-    load_secret,
-    token_hexes,
-)
+from .pseudonym import CanonicalId, CaseToken, SecretKey, canonical_id, check_token_hex, token_hexes
 
 # Appendix-style null marker for empty prerequisite lists.
 EMPTY_LIST_MARKER = "—"
@@ -505,13 +497,12 @@ class ProtectedValue:
 @dataclass(frozen=True)
 class ProtectedSpec:
     """One protected-column (or derived-value) declaration from node config,
-    which ``fedmesh.config`` checked as it loaded."""
+    which ``fedmesh.config`` checked as it loaded. A derived entry's store
+    is the clinic's ``patients`` table."""
 
     store: str
     columns: tuple[str, ...] = ()
     derived: str | None = None  # "case_tokens", the one derived kind
-    secret: str | None = None
-    column: str = "patient_id"
     match: MatchMode = MatchMode.EXACT
     allowed_to: frozenset[str] = frozenset()
 
@@ -786,16 +777,15 @@ def protected_values(
     node_id: str,
     specs: Sequence[ProtectedSpec],
     tables: Mapping[str, Table],
-    secrets: SecretSource | None = None,
+    key: SecretKey | None = None,
 ) -> ProtectedValueIndex:
     """Materialise the protected-value index for a node.
 
     Every distinct cell of each declared column is indexed. A ``derived:
-    case_tokens`` spec additionally indexes the case token of every
-    identifier in the named column, so derived pseudonyms are confined to
-    their whitelisted edge just like stored values; its key resolves
-    through ``secrets``. A value is indexed once per column, match mode and
-    ``allowed_to`` set.
+    case_tokens`` spec additionally indexes the case token, under ``key``,
+    of every ``patient_id`` of its store, so derived pseudonyms are
+    confined to their whitelisted edge just like stored values. A value is
+    indexed once per column, match mode and ``allowed_to`` set.
     """
     values: list[str] = []
     kind_ids: list[int] = []
@@ -816,7 +806,7 @@ def protected_values(
         table = tables.get(spec.store)
         if table is None:
             raise ConfigError(f"node {node_id!r}: protected entry names unknown store {spec.store!r}")
-        for column in spec.columns if spec.derived is None else (spec.column,):
+        for column in spec.columns if spec.derived is None else ("patient_id",):
             if column not in table.header:
                 raise ConfigError(
                     f"node {node_id!r}: protected column {column!r} not in store {spec.store!r}"
@@ -824,9 +814,8 @@ def protected_values(
             if spec.derived is None:
                 add(table.column(column), column, spec.match, spec.allowed_to)
             else:
-                key = load_secret(spec.secret, secrets)  # type: ignore[arg-type]
                 # Equal ids have equal tokens, so each distinct id is hashed once.
                 ids = dict.fromkeys(map(canonical_id, filter(str.strip, table.column(column))))
-                add(token_hexes(key, ids), "case_token", MatchMode.EXACT, spec.allowed_to)
+                add(token_hexes(key, ids), "case_token", MatchMode.EXACT, spec.allowed_to)  # type: ignore[arg-type]
 
     return ProtectedValueIndex(node_id, ProtectedEntries(tuple(values), kind_ids, tuple(kinds)))

@@ -126,13 +126,7 @@ def _clinic_config() -> dict:
             {"store": "patients", "columns": ["patient_id", "dob", "notes"]},
             {"store": "patients", "columns": ["full_name"], "match": "text"},
             {"store": "observations", "columns": ["patient_id"]},
-            {
-                "derived": "case_tokens",
-                "store": "patients",
-                "column": "patient_id",
-                "secret": "clinic_hmac_key",
-                "allowed_to": ["insurer"],
-            },
+            {"derived": "case_tokens", "allowed_to": ["insurer"]},
         ],
         "operations": {
             "coverage_request": {

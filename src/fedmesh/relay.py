@@ -5,8 +5,11 @@ carried over HTTP POST to ``/operations/<operation_id>``. Requests are
 ``{"operation_id", "access_key", "conversation_id", "body"}``; responses are
 ``{"status": "ok", "body": ...}`` or
 ``{"status": "error", "error": {"code", "message"}}`` with codes ``auth``,
-``not_found``, ``protocol``, ``blocked``, and ``internal``. Bodies are
-natural-language text only; no structured record ever rides the wire.
+``not_found``, ``protocol``, ``blocked``, ``unavailable`` and ``internal``.
+Bodies are natural-language text only; no structured record ever rides the
+wire. An ``unavailable`` reply, for a downstream call that failed in
+transport, carries one fixed text; its cause, which names the peer's
+address, stays in the responder's own log.
 
 Calls are least-privilege: a remote operation is reachable only through a
 target declared in node config. A target names the destination node, an
@@ -50,7 +53,7 @@ import socket
 import socketserver
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Protocol
+from typing import TYPE_CHECKING, Callable, Mapping, Protocol
 
 from .errors import (
     AuthError,
@@ -71,6 +74,8 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_TIMEOUT_SECONDS = 30.0
 MAX_REQUEST_BYTES = 1 << 20
+# The text of every ``unavailable`` reply.
+UNAVAILABLE_TEXT = "a downstream relay call failed"
 
 # json.dumps(obj, ensure_ascii=False) would build an encoder per call.
 _encode = json.JSONEncoder(ensure_ascii=False).encode
@@ -171,10 +176,16 @@ class RelayResponse:
 
 
 class Transport(Protocol):
+    """Carries a request to the node its target names. ``on_send`` is
+    called once the transport can write the request, before any of it
+    goes out, and not at all if the peer cannot be reached."""
+
     sends: int
     bytes_sent: int
 
-    def send(self, target: RelayTarget, request: RelayRequest) -> RelayResponse: ...
+    def send(
+        self, target: RelayTarget, request: RelayRequest, on_send: Callable[[], None] = lambda: None
+    ) -> RelayResponse: ...
 
     def close(self) -> None: ...
 
@@ -192,11 +203,14 @@ class LoopbackTransport:
         self.sends = 0
         self.bytes_sent = 0
 
-    def send(self, target: RelayTarget, request: RelayRequest) -> RelayResponse:
+    def send(
+        self, target: RelayTarget, request: RelayRequest, on_send: Callable[[], None] = lambda: None
+    ) -> RelayResponse:
         node = self.bus[target.name]
         payload = request.to_json().encode("utf-8")
         self.sends += 1
         self.bytes_sent += len(payload)
+        on_send()
         return _answer(node, target.operation_id, payload)
 
     def close(self) -> None:
@@ -220,9 +234,10 @@ class HttpTransport:
     connection the peer has closed is dropped before use, and one is never
     pooled after ``Connection: close`` or an HTTP/1.0 response. A request
     is never sent twice: any failure closes its connection and raises
-    ``RelayTransportError``. ``sends`` and ``bytes_sent`` count a request
-    once a connected socket has taken all of it. Proxy environment
-    variables are not consulted.
+    ``RelayTransportError``. ``on_send`` runs once a connection is open or
+    checked out, before the request is written; ``sends`` and
+    ``bytes_sent`` count a request once a connected socket has taken all
+    of it. Proxy environment variables are not consulted.
     """
 
     def __init__(
@@ -236,13 +251,16 @@ class HttpTransport:
         self._idle: dict[tuple[str, int], list[_Connection]] = {}
         self._lock = threading.Lock()
 
-    def send(self, target: RelayTarget, request: RelayRequest) -> RelayResponse:
+    def send(
+        self, target: RelayTarget, request: RelayRequest, on_send: Callable[[], None] = lambda: None
+    ) -> RelayResponse:
         route = self._routes.get(target) or self._routes.setdefault(target, self._route(target))
         payload = request.to_json().encode("utf-8")
         connection = self._checkout(route.address)
         try:
             if connection is None:
                 connection = self._open(route.address)
+            on_send()
             connection.sock.sendall(route.head + b"%d\r\n\r\n" % len(payload) + payload)
             with self._lock:
                 self.sends += 1
@@ -493,6 +511,8 @@ def serve_request(node: "Node", request: RelayRequest) -> RelayResponse:
 
     Authenticates the access key against the addressed operation, runs the
     node's tool-calling loop, and wraps the outcome in the wire response.
+    A downstream call that failed in transport is answered as
+    ``unavailable`` and logged with its cause, keyed by conversation.
     The reply, exactly as the caller will record it, then passes the guard
     on its edge back to the operation's declared caller; one that breaks a
     locality rule is answered as ``error[blocked]``. An operation no
@@ -507,6 +527,11 @@ def serve_request(node: "Node", request: RelayRequest) -> RelayResponse:
         response = RelayResponse.fail("not_found", str(exc))
     except AuthError as exc:
         response = RelayResponse.fail("auth", str(exc))
+    except RelayTransportError as exc:
+        logger.warning(
+            "node=%s conversation=%s operation=%s: %s", node.node_id, request.conversation_id, request.operation_id, exc
+        )
+        response = RelayResponse.fail("unavailable", UNAVAILABLE_TEXT)
     except FedmeshError as exc:
         response = RelayResponse.fail("internal", f"{type(exc).__name__}: {exc}")
     except Exception:
@@ -528,8 +553,10 @@ def relay_call(node: "Node", target_name: str, body: str, conversation_id: str) 
 
     Order matters: target lookup, guard, then transport. When the guard
     finds a broken rule the call aborts with ``LeakBlocked`` and the
-    transport counters confirm zero bytes were sent. Both the request and
-    the response envelope are recorded in the run's trace.
+    transport counters confirm zero bytes were sent. The request is
+    recorded in the run's trace once the transport can write it, so a
+    request refused at connect is not recorded; the response envelope is
+    recorded when it arrives.
     """
     target = node.relay_targets.get(target_name)
     if target is None:
@@ -563,9 +590,8 @@ def relay_call(node: "Node", target_name: str, body: str, conversation_id: str) 
     )
     if node.transport is None:
         raise RelayTransportError(f"node {node.node_id!r} has no transport configured")
-    record(node.node_id, target.name, body)
     logger.debug("relay %s->%s operation=%s chars=%d", node.node_id, target.name, target.operation_id, len(body))
-    response = node.transport.send(target, request)
+    response = node.transport.send(target, request, lambda: record(node.node_id, target.name, body))
     record(target.name, node.node_id, response.trace_body())
 
     if response.status == "ok" and response.body is not None:

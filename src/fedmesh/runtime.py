@@ -212,7 +212,18 @@ def _require_arg(args: Mapping[str, str], name: str, tool: str) -> str:
     return value
 
 
-def _dataset(node: Node, kind: str, expected: type[T], tool: str) -> T:
+# The dataset kind each built-in tool over local data reads, which a node
+# config listing the tool must declare.
+TOOL_DATASETS = {
+    "csv_lookup": "clinic",
+    "enrollment_match": "insurer",
+    "coverage_lookup": "insurer",
+    "guidance_search": "guidance",
+}
+
+
+def _dataset(node: Node, tool: str, expected: type[T]) -> T:
+    kind = TOOL_DATASETS[tool]
     data = node.datasets.get(kind)
     if not isinstance(data, expected):
         raise ToolError(f"tool {tool!r} needs the {kind} dataset on node {node.node_id!r}")
@@ -221,20 +232,20 @@ def _dataset(node: Node, kind: str, expected: type[T], tool: str) -> T:
 
 def tool_csv_lookup(node: Node, args: Mapping[str, str], conversation_id: str) -> ClinicalObservation | None:
     """Fetch the clinical observation row for a patient id."""
-    store = _dataset(node, "clinic", ClinicStore, "csv_lookup")
+    store = _dataset(node, "csv_lookup", ClinicStore)
     raw = _require_arg(args, "patient_id", "csv_lookup")
     return lookup_observation(store, normalize_id(raw))
 
 
 def tool_enrollment_match(node: Node, args: Mapping[str, str], conversation_id: str) -> EnrollmentRow | None:
     """Exact-match a case token against the local enrolment table."""
-    store = _dataset(node, "insurer", InsurerStore, "enrollment_match")
+    store = _dataset(node, "enrollment_match", InsurerStore)
     token = _require_arg(args, "token", "enrollment_match")
     return match_enrollment(store, token)
 
 
 def tool_coverage_lookup(node: Node, args: Mapping[str, str], conversation_id: str) -> CoverageRule | None:
-    store = _dataset(node, "insurer", InsurerStore, "coverage_lookup")
+    store = _dataset(node, "coverage_lookup", InsurerStore)
     plan_id = _require_arg(args, "plan_id", "coverage_lookup")
     treatment = _require_arg(args, "treatment_code", "coverage_lookup")
     return coverage_rule(store, plan_id, treatment)
@@ -242,7 +253,7 @@ def tool_coverage_lookup(node: Node, args: Mapping[str, str], conversation_id: s
 
 def tool_guidance_search(node: Node, args: Mapping[str, str], conversation_id: str) -> list[GuidanceDoc]:
     """Return the guidance documents matching the query (all, when empty)."""
-    docs = _dataset(node, "guidance", list, "guidance_search")
+    docs = _dataset(node, "guidance_search", list)
     query = args.get("query", "").strip().casefold()
 
     def matches(doc: GuidanceDoc) -> bool:

@@ -28,7 +28,7 @@ from .datastore import (
 from .errors import ConfigError, FedmeshError
 from .locality import Topology, TraceLog, Violation, check_trace
 from .policies import POLICY_REGISTRY
-from .pseudonym import load_secret
+from .pseudonym import SecretKey, load_secret
 from .relay import HttpTransport, LoopbackTransport, RelayRequest, RelayServer, serve
 from .runtime import TOOL_REGISTRY, Node, handle_operation
 
@@ -37,12 +37,15 @@ logger = logging.getLogger(__name__)
 TRANSPORTS = ("inprocess", "network")
 
 
-def load_stores(cfg: NodeConfig) -> tuple[dict[str, object], ProtectedValueIndex]:
-    """Load a node's tabular stores and build its protected index.
+def load_stores(cfg: NodeConfig) -> tuple[dict[str, object], ProtectedValueIndex, SecretKey | None]:
+    """Read the key a node's ``hmac_secret`` names, load its tabular
+    stores and build its protected index, whose case tokens that key
+    derives.
 
     The raw tables feed only the index, so they are garbage once this
     returns. Guidance extracts have no tables and are not loaded here.
     """
+    key = None if cfg.hmac_secret is None else load_secret(cfg.hmac_secret, cfg.secrets)
     stores: dict[str, object] = {}
     tables: dict[str, Table] = {}
     for kind, paths in cfg.datasets.items():
@@ -53,7 +56,7 @@ def load_stores(cfg: NodeConfig) -> tuple[dict[str, object], ProtectedValueIndex
         else:
             continue
         tables.update(loaded)
-    return stores, protected_values(cfg.node_id, cfg.protected, tables, cfg.secrets)
+    return stores, protected_values(cfg.node_id, cfg.protected, tables, key), key
 
 
 def build_node(
@@ -63,12 +66,13 @@ def build_node(
     trace: TraceLog | None = None,
 ) -> Node:
     """Load datasets, build the protected index, read the HMAC key and
-    instantiate policies.
+    instantiate policies. The key is read once, for both the index's case
+    tokens and the ``hmac_token`` tool.
 
     ``topology`` is the deployment's. Without one, the node stands alone:
     its relay targets name nodes outside any deployment, so its guard
     permits no edge."""
-    datasets, index = load_stores(cfg)
+    datasets, index, key = load_stores(cfg)
     if "guidance" in cfg.datasets:
         datasets["guidance"] = load_guidance(cfg.datasets["guidance"]["dir"])
 
@@ -80,7 +84,7 @@ def build_node(
         relay_targets={target.name: target for target in cfg.relay_targets},
         protected_index=index,
         tools=dict(TOOL_REGISTRY),
-        hmac_key=None if cfg.hmac_secret is None else load_secret(cfg.hmac_secret, cfg.secrets),
+        hmac_key=key,
         trace=trace,
         topology=topology or Topology(),
     )

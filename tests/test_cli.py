@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -327,7 +329,7 @@ def test_duplicate_node_id_is_rejected_by_boot_and_audit(workspace, tmp_path, ca
         (("relay_targets", "insurer", "access_key"), "", "access_key"),
         (("protected", 3, "match"), "text", "match"),
         (("protected", 3, "derived"), "bogus", "derived"),
-        (("protected", 3, "secret"), DELETE, "secret"),
+        (("protected", 3, "secret"), "clinic_hmac_key", "secret"),
         (("protected", 3, "secret"), "nope", "secret"),
         (("protected", 3, "store"), "nope", "store"),
         (("protected", 0, "store"), "enrollment", "store"),
@@ -336,6 +338,10 @@ def test_duplicate_node_id_is_rejected_by_boot_and_audit(workspace, tmp_path, ca
         (("secrets", "clinic_hmac_key", "file"), "../clinic/hmac.key\0", "file"),
         (("bind", "host"), "127.0.0.1\0", "host"),
         (("hmac_secret",), DELETE, "hmac_secret"),
+        (("datasets", "clinic"), DELETE, "clinic"),
+        (("operations", "coverage_request", "tools"), ["enrollment_match"], "insurer"),
+        (("operations", "coverage_request", "tools"), ["coverage_lookup"], "insurer"),
+        (("operations", "coverage_request", "tools"), ["guidance_search"], "guidance"),
     ],
     ids=[
         "port-text", "port-range", "relay_targets-list", "secrets-list", "allowed_to-number",
@@ -349,9 +355,11 @@ def test_duplicate_node_id_is_rejected_by_boot_and_audit(workspace, tmp_path, ca
         "operation-access_key-empty", "relay_target-url-empty", "relay_target-url-other-node",
         "relay_target-operation_id-empty",
         "relay_target-access_key-empty", "unread-derived-match", "derived-unknown",
-        "derived-secret-missing", "derived-secret-undeclared", "derived-store-unknown",
+        "unread-derived-secret", "derived-secret-undeclared", "derived-store-unknown",
         "columns-store-undeclared", "hmac_secret-undeclared", "dataset-path-nul", "secret-file-nul",
-        "bind-host-nul", "hmac_token-without-hmac_secret",
+        "bind-host-nul", "hmac_token-without-hmac_secret", "csv_lookup-without-clinic",
+        "enrollment_match-without-insurer", "coverage_lookup-without-insurer",
+        "guidance_search-without-guidance",
     ],
 )
 def test_wrong_typed_config_fields_are_config_errors(tmp_path, capsys, path, value, key):
@@ -360,18 +368,62 @@ def test_wrong_typed_config_fields_are_config_errors(tmp_path, capsys, path, val
     loader reads, misspelt or retired, is refused too: ignored, it would
     leave the node on a default its author did not mean. A name outside
     its registry, an empty key, an undeclared store or secret, a NUL in a
-    path and an ``hmac_token`` tool with no key to run it are refused as
-    the config loads, not when a request first meets them."""
+    path, an ``hmac_token`` tool with no key to run it and a tool over a
+    dataset the node lacks are refused as the config loads, not when a
+    request first meets them. A derived entry's leftover ``secret`` once
+    chose its own key, so a second key silently disarmed the case-token
+    rule."""
+    _assert_clinic_edits_refused(tmp_path, capsys, [(path, value)], key)
+
+
+@pytest.mark.parametrize(
+    "edits, key",
+    [
+        ([(("hmac_secret",), DELETE), (("operations", "coverage_request", "tools"), ["csv_lookup", "relay_call"])],
+         "hmac_secret"),
+        ([(("datasets",), {"guidance": {"dir": "../specialist"}}),
+          (("protected",), [{"derived": "case_tokens", "allowed_to": ["insurer"]}]),
+          (("operations", "coverage_request", "tools"), ["hmac_token", "relay_call"])],
+         "clinic"),
+        ([(("protected", 3), DELETE)], "hmac_secret"),
+    ],
+    ids=["derived-without-hmac_secret", "derived-without-clinic", "hmac_secret-without-derived"],
+)
+def test_case_tokens_and_their_key_come_in_pairs(tmp_path, capsys, edits, key):
+    """A derived entry needs the key ``hmac_secret`` names and the clinic
+    patients whose tokens it derives; a node with that key needs a derived
+    entry, so the tokens it sends are always confined."""
+    _assert_clinic_edits_refused(tmp_path, capsys, edits, key)
+
+
+def test_readme_node_config_example_loads(tmp_path):
+    """The README's example node config, its ``//`` comments stripped,
+    loads, so the README cannot drift from the schema unseen."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Node configuration\n", 1)[1]
+    example = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "clinic.json"
+    path.write_text(re.sub(r"//.*", "", example), encoding="utf-8")
+    cfg = load_node_config(path)
+    assert cfg.node_id == "clinic"
+    assert [spec.derived for spec in cfg.protected if spec.derived] == ["case_tokens"]
+
+
+def _assert_clinic_edits_refused(tmp_path, capsys, edits, key) -> None:
+    """The demo clinic config, with each ``(path, value)`` edit made, is a
+    ConfigError naming the file and ``key`` at load, at boot and in
+    check-trace alike."""
     ws = write_demo_workspace(tmp_path / "ws")
     record = json.loads(ws.clinic_config.read_text())
-    *parents, last = path
-    owner = record
-    for step in parents:
-        owner = owner[step]
-    if value is DELETE:
-        del owner[last]
-    else:
-        owner[last] = value
+    for path, value in edits:
+        *parents, last = path
+        owner = record
+        for step in parents:
+            owner = owner[step]
+        if value is DELETE:
+            del owner[last]
+        else:
+            owner[last] = value
     ws.clinic_config.write_text(json.dumps(record))
 
     with pytest.raises(ConfigError) as err:

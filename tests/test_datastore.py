@@ -685,16 +685,8 @@ def test_protected_values_insurer_defaults(insurer_loaded):
 
 def test_protected_values_derived_tokens(clinic_tables, workspace):
     secrets = SecretSource(files={"clinic_hmac_key": workspace.root / "clinic" / "hmac.key"})
-    specs = (
-        ProtectedSpec(
-            derived="case_tokens",
-            store="patients",
-            column="patient_id",
-            secret="clinic_hmac_key",
-            allowed_to=frozenset({"insurer"}),
-        ),
-    )
-    index = protected_values("clinic", specs, clinic_tables, secrets)
+    specs = (ProtectedSpec(store="patients", derived="case_tokens", allowed_to=frozenset({"insurer"})),)
+    index = protected_values("clinic", specs, clinic_tables, load_secret("clinic_hmac_key", secrets))
     assert {e.value for e in index.entries} == set(GOLDEN_TOKENS.values())
 
 
@@ -757,9 +749,8 @@ _SPECS = (
     ProtectedSpec(store="patients", columns=("patient_id", "full_name")),
     ProtectedSpec(store="patients", columns=("full_name",), match=MatchMode.TEXT),
     ProtectedSpec(store="patients", columns=("patient_id",), allowed_to=frozenset({"insurer"})),
-    ProtectedSpec(derived="case_tokens", store="patients", column="patient_id", secret="k",
-                  allowed_to=frozenset({"insurer"})),
-    ProtectedSpec(derived="case_tokens", store="patients", column="full_name", secret="k"),
+    ProtectedSpec(store="patients", derived="case_tokens", allowed_to=frozenset({"insurer"})),
+    ProtectedSpec(store="patients", derived="case_tokens"),
 )
 
 
@@ -773,7 +764,7 @@ def _entries_cell_by_cell(specs, table, key):
             match = spec.match
         else:
             cells = [("case_token", derive_token(key, normalize_id(cell)).hex)
-                     for cell in table.column(spec.column) if cell.strip()]
+                     for cell in table.column("patient_id") if cell.strip()]
             match = MatchMode.EXACT
         for column, value in cells:
             entry = ProtectedValue(value, column, match, spec.allowed_to)
@@ -796,16 +787,15 @@ def test_protected_entries_agree_with_cell_by_cell_reference(ids, names, specs, 
     ``derive_token`` of the cell and the independent RFC 2104 oracle's."""
     rows = tuple(zip(ids, names))
     table = Table("patients", ("patient_id", "full_name"), rows, tuple(range(2, 2 + len(rows))))
-    secrets = SecretSource(env={"FEDMESH_SECRET_K": material})
-    key = load_secret("k", secrets)
+    key = load_secret("k", SecretSource(env={"FEDMESH_SECRET_K": material}))
 
-    index = protected_values("clinic", specs, {"patients": table}, secrets)
+    index = protected_values("clinic", specs, {"patients": table}, key)
 
     assert index.entries == _entries_cell_by_cell(specs, table, key)
     oracle = {
         hmac_sha256_reference(material.encode(), normalize_id(cell).value.encode("utf-8"))
         for spec in specs if spec.derived
-        for cell in table.column(spec.column) if cell.strip()
+        for cell in table.column("patient_id") if cell.strip()
     }
     assert {entry.value for entry in index.entries if entry.source_column == "case_token"} == oracle
 

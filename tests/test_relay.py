@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import logging
 import socket
 import sys
 import threading
@@ -16,6 +17,7 @@ from conftest import oracle_scan
 from fedmesh.errors import (
     LeakBlocked,
     RelayAuthError,
+    RelayRemoteError,
     RelayTransportError,
     TargetNotConfigured,
 )
@@ -273,6 +275,49 @@ def test_transport_error_on_unreachable_port(scenario, specialist_server):
     request = RelayRequest("specialist_consult", "specialist-demo-key-0003", "c1", _consult_body())
     with pytest.raises(RelayTransportError):
         transport.send(_specialist_target(), request)
+
+
+def _submit_with_the_specialist_down(workspace):
+    """Submit the canonical request over the network with the specialist's
+    listener closed; the scenario, the clinic's error and the closed port."""
+    scenario = boot_scenario(workspace.node_configs, transport="network", run_id="run-relay-down")
+    try:
+        (specialist,) = [server for server in scenario.servers if server.node.node_id == "specialist"]
+        port = specialist.address[1]
+        specialist.close()
+        with pytest.raises(RelayRemoteError) as err:
+            scenario.submit(CANONICAL_REQUEST)
+    finally:
+        scenario.close()
+    return scenario, err.value, port
+
+
+def test_a_request_refused_at_connect_is_not_recorded(workspace):
+    """The trace holds only requests that left: the insurer's consult,
+    refused at connect, is neither sent nor recorded, so the audit never
+    checks a body that did not cross."""
+    scenario, _, _ = _submit_with_the_specialist_down(workspace)
+    assert scenario.nodes["insurer"].transport.sends == 0
+    assert [(env.from_node, env.to_node) for env in scenario.trace.envelopes] == [
+        ("clinic", "insurer"),
+        ("insurer", "clinic"),
+    ]
+
+
+def test_a_transport_failure_crosses_as_unavailable_without_its_cause(workspace, caplog):
+    """The insurer answers its failed call to the specialist with the
+    fixed ``unavailable`` text, so the clinic learns neither the
+    specialist's address nor the errno; the cause stays in the insurer's
+    log, keyed by conversation."""
+    with caplog.at_level(logging.WARNING, logger="fedmesh.relay"):
+        scenario, error, port = _submit_with_the_specialist_down(workspace)
+    reply = f"error[unavailable]: {relay.UNAVAILABLE_TEXT}"
+    assert str(error) == f"target 'insurer' answered {reply}"
+    assert "127.0.0.1" not in str(error) and str(port) not in str(error)
+    assert scenario.trace.envelopes[-1].body == reply
+    (record,) = caplog.records
+    assert "node=insurer conversation=run-relay-down-c1" in record.getMessage()
+    assert f"127.0.0.1:{port}" in record.getMessage()
 
 
 # --- kept-alive connections ---

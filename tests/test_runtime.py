@@ -254,7 +254,7 @@ def test_hmac_token_tool_matches_golden(nodes):
 
 
 def test_serving_requests_reads_no_secret(workspace, monkeypatch):
-    """Boot reads the clinic's key twice, for its index's tokens and for
+    """Boot reads the clinic's key once, for both its index's tokens and
     the node's HMAC key; requests and ``hmac_token`` calls read none."""
     reads = []
     resolve = SecretSource.resolve
@@ -266,7 +266,7 @@ def test_serving_requests_reads_no_secret(workspace, monkeypatch):
     monkeypatch.setattr(SecretSource, "resolve", counting_resolve)
     scenario = boot_scenario(workspace.node_configs, run_id="run-runtime-no-reads")
     try:
-        assert reads == ["clinic_hmac_key", "clinic_hmac_key"]
+        assert reads == ["clinic_hmac_key"]
         reads.clear()
         for pid in ["CLN-0001", "CLN-0002", "CLN-0001", "CLN-0005"]:
             assert scenario.submit(f"Confirm coverage for {pid}").startswith("Coverage: ")
@@ -278,12 +278,12 @@ def test_serving_requests_reads_no_secret(workspace, monkeypatch):
 
 def test_missing_hmac_key_fails_at_boot(tmp_path, monkeypatch):
     """A declared secret that resolves to no key stops the boot, before
-    any request; ``hmac_token`` never meets a missing key."""
+    any request; neither the index build nor ``hmac_token`` meets a
+    missing key."""
     monkeypatch.delenv("FEDMESH_SECRET_CLINIC_HMAC_KEY", raising=False)
     ws = write_demo_workspace(tmp_path / "ws")
     record = json.loads(ws.clinic_config.read_text())
     record["secrets"]["clinic_hmac_key"] = {}  # resolves through the absent variable
-    record["protected"].pop()  # so the index build reads no secret
     ws.clinic_config.write_text(json.dumps(record))
     with pytest.raises(SecretNotFound, match="'clinic_hmac_key'"):
         build_node(load_node_config(ws.clinic_config))
