@@ -292,13 +292,14 @@ def build_topology(configs: Sequence[NodeConfig]) -> Topology:
     the audit rules are the ones each node declares for itself. Node ids
     must be unique, every node a config names, as a relay target or in an
     ``allowed_to`` list, must be one of ``configs``, a relay target's
-    operation must be one its node exposes, and each operation may be the
-    relay target of one node only, which is then where its replies go."""
-    exposed: dict[str, set[str]] = {}
+    operation must be one its node exposes and its key that operation's
+    key, and each operation may be the relay target of one node only,
+    which is then where its replies go. No error text quotes a key."""
+    exposed: dict[str, dict[str, str]] = {}  # node id -> operation id -> access key
     for cfg in configs:
         if cfg.node_id in exposed:
             raise ConfigError(f"duplicate node id {cfg.node_id!r}")
-        exposed[cfg.node_id] = {op.operation_id for op in cfg.operations}
+        exposed[cfg.node_id] = {op.operation_id: op.access_key for op in cfg.operations}
     callers: dict[tuple[str, str], str] = {}
     for cfg in configs:
         for i, spec in enumerate(cfg.protected):
@@ -317,6 +318,11 @@ def build_topology(configs: Sequence[NodeConfig]) -> Topology:
                 raise ConfigError(
                     f"{cfg.file_name}:{shown_name(target.name)}: key 'operation_id' names "
                     f"{shown_name(target.operation_id)!r}, which node {shown_name(target.name)!r} does not expose"
+                )
+            if target.access_key != exposed[target.name][target.operation_id]:
+                raise ConfigError(
+                    f"{cfg.file_name}:{shown_name(target.name)}: key 'access_key' is not the key of "
+                    f"operation {shown_name(target.operation_id)!r} of node {shown_name(target.name)!r}"
                 )
             caller = callers.setdefault((target.name, target.operation_id), cfg.node_id)
             if caller != cfg.node_id:

@@ -529,45 +529,55 @@ _Kind = tuple[str, MatchMode, frozenset[str]]
 
 
 class ProtectedEntries(Sequence[ProtectedValue]):
-    """The entries of an index, kept as parallel tables: each position's
-    value and the id of its kind in a small table of kinds.
+    """The entries of an index, kept as parallel tables: the values as one
+    UTF-8 buffer (``surrogatepass``, as ``_utf8`` encodes) cut by an array
+    of offsets, and each position's kind as its id in a small table of
+    kinds. The values at ``str_positions`` are also kept as ``str``, since
+    ``ProtectedValueIndex.find`` may test them entry by entry; any other
+    value is decoded when it is read.
 
     Reads as a sequence of ``ProtectedValue``, made on access, and compares
     equal to the tuple of them.
     """
 
-    __slots__ = ("_values", "_kind_ids", "_kinds")
+    __slots__ = ("_buffer", "_offsets", "_strs", "_kind_ids", "_kinds")
 
     def __init__(
-        self, values: tuple[str, ...], kind_ids: Sequence[int], kinds: tuple[_Kind, ...]
+        self,
+        values: Sequence[str],
+        kind_ids: Sequence[int],
+        kinds: tuple[_Kind, ...],
+        str_positions: Iterable[int] = (),
     ) -> None:
-        self._values = values
+        text = "".join(values)
+        self._buffer = _utf8(text)
+        # Byte lengths are character lengths when every value is ASCII.
+        lengths = map(len, values if len(self._buffer) == len(text) else map(_utf8, values))
+        self._offsets = array("I" if len(self._buffer) <= 0xFFFFFFFF else "Q", accumulate(lengths, initial=0))
+        self._strs = {pos: values[pos] for pos in str_positions}
         self._kind_ids = bytes(kind_ids) if len(kinds) <= 256 else array("L", kind_ids)
         self._kinds = kinds
 
-    @classmethod
-    def of(cls, entries: Iterable[ProtectedValue]) -> ProtectedEntries:
-        values: list[str] = []
-        kind_ids: list[int] = []
-        kinds: dict[_Kind, int] = {}
-        for entry in entries:
-            values.append(entry.value)
-            kind = (entry.source_column, entry.match, entry.allowed_to)
-            kind_ids.append(kinds.setdefault(kind, len(kinds)))
-        return cls(tuple(values), kind_ids, tuple(kinds))
+    def value(self, pos: int) -> str:
+        """The value at ``pos``."""
+        value = self._strs.get(pos)
+        if value is None:
+            value = self._buffer[self._offsets[pos]:self._offsets[pos + 1]].decode("utf-8", "surrogatepass")
+        return value
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self._kind_ids)
 
     def __getitem__(self, pos):  # type: ignore[override]
         if isinstance(pos, slice):
             return tuple(self)[pos]
-        return ProtectedValue(self._values[pos], *self._kinds[self._kind_ids[pos]])
+        pos = range(len(self))[pos]  # negative positions, and IndexError
+        return ProtectedValue(self.value(pos), *self._kinds[self._kind_ids[pos]])
 
     def __iter__(self) -> Iterator[ProtectedValue]:
         kinds = self._kinds
-        for value, kind_id in zip(self._values, self._kind_ids):
-            yield ProtectedValue(value, *kinds[kind_id])
+        for pos, kind_id in enumerate(self._kind_ids):
+            yield ProtectedValue(self.value(pos), *kinds[kind_id])
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ProtectedEntries):
@@ -618,8 +628,9 @@ class ProtectedValueIndex:
     """A node's protected values, compiled for matching when constructed.
 
     ``entries`` may be given as any sequence of ``ProtectedValue``; it is
-    kept as ``ProtectedEntries``. Each entry is filed by its casefolded
-    value, whatever its match mode, in the table of that value's width: a
+    kept as ``ProtectedEntries``, which holds the values as one UTF-8
+    buffer. Each entry is filed by its casefolded value, whatever its
+    match mode, in the table of that value's width: a
     value shorter than ``Q`` under itself, a longer one in the gram table
     (q-gram filtration) under one of its grams, a ``Q``-byte substring of
     its UTF-8 read as a native-order 64-bit integer: the first, from the
@@ -635,11 +646,29 @@ class ProtectedValueIndex:
     _tables: tuple[_Table, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        entries = self.entries
-        if not isinstance(entries, ProtectedEntries):
-            entries = ProtectedEntries.of(entries)
-            object.__setattr__(self, "entries", entries)
-        values, kind_ids = entries._values, entries._kind_ids
+        values: list[str] = []
+        kind_ids: list[int] = []
+        kinds: dict[_Kind, int] = {}
+        for entry in self.entries:
+            values.append(entry.value)
+            kind = (entry.source_column, entry.match, entry.allowed_to)
+            kind_ids.append(kinds.setdefault(kind, len(kinds)))
+        self._build(values, kind_ids, tuple(kinds))
+
+    @classmethod
+    def _of(
+        cls, node_id: str, values: list[str], kind_ids: list[int], kinds: tuple[_Kind, ...]
+    ) -> ProtectedValueIndex:
+        """The index of the entries whose values, kind ids and kinds are
+        given as parallel columns, built without a ``ProtectedValue`` each."""
+        index = cls.__new__(cls)
+        object.__setattr__(index, "node_id", node_id)
+        index._build(values, kind_ids, kinds)
+        return index
+
+    def _build(self, values: list[str], kind_ids: list[int], kinds: tuple[_Kind, ...]) -> None:
+        """File the values, held as ``str`` while the tables are built,
+        then keep them as ``ProtectedEntries``."""
         tables: dict[int, tuple[dict[str | int, _Positions], dict[int, list[int]]]] = {}
         for start in range(0, len(values), _BUILD_SLICE):
             stop = min(start + _BUILD_SLICE, len(values))
@@ -672,10 +701,17 @@ class ProtectedValueIndex:
                 _file(grams, _utf8(values[pos].casefold()), pos)
             for kind_id, run in groupby(longs, kind_ids.__getitem__):
                 (by_kind.get(kind_id) or by_kind.setdefault(kind_id, [])).extend(run)
-        object.__setattr__(self, "_tables", tuple(
+        built = tuple(
             (width, filed, by_kind, sum(map(len, by_kind.values())))
             for width, (filed, by_kind) in tables.items()
-        ))
+        )
+        object.__setattr__(self, "_tables", built)
+        # Only a table of fewer than _WINDOW_COST positions can be tested
+        # entry by entry (see find), so only its values are kept as str.
+        str_positions = (
+            pos for _, _, by_kind, size in built if size < _WINDOW_COST for run in by_kind.values() for pos in run
+        )
+        object.__setattr__(self, "entries", ProtectedEntries(values, kind_ids, kinds, str_positions))
 
     def find(self, bodies: Sequence[str], to_node: str) -> dict[int, list[int]]:
         """The positions, ascending, of the entries not whitelisted for
@@ -694,15 +730,20 @@ class ProtectedValueIndex:
         for the gram table the folded text's UTF-8 read in C as 64-bit
         integers through ``memoryview`` casts at each byte offset below
         ``Q``; each entry filed under a key found there is checked against
-        its own whitelist and match mode. The per-entry way tests only the
-        kinds not whitelisted for ``to_node``. Either way, an entry the text
-        holds is then placed in the bodies that hold it whole.
+        its own whitelist and match mode, its value decoded from the
+        entries' buffer only if it is not whitelisted. The per-entry way
+        tests only the kinds not whitelisted for ``to_node``, and reads the
+        values the entries keep as ``str``: since the window count is below
+        the text's length, it is the cheaper way only for a table of fewer
+        than ``_WINDOW_COST`` positions. Either way, an entry the text holds
+        is then placed in the bodies that hold it whole.
         """
         text = "\n".join(bodies)  # a single body is not copied
         folded = text.casefold()
         present: list[int] = []  # positions whose value the text holds
         entries = self.entries
-        values, kind_ids, kinds = entries._values, entries._kind_ids, entries._kinds  # type: ignore[attr-defined]
+        strs, kind_ids, kinds = entries._strs, entries._kind_ids, entries._kinds  # type: ignore[attr-defined]
+        value = entries.value  # type: ignore[attr-defined]
         for width, filed, by_kind, size in self._tables:
             windows = len(folded) - width + 1
             if windows <= 0:
@@ -720,7 +761,7 @@ class ProtectedValueIndex:
                     for pos in (shared,) if isinstance(shared, int) else shared:
                         _, match, allowed_to = kinds[kind_ids[pos]]
                         if to_node not in allowed_to and (
-                            values[pos].casefold() in folded if match is MatchMode.TEXT else values[pos] in text
+                            value(pos).casefold() in folded if match is MatchMode.TEXT else value(pos) in text
                         ):
                             present.append(pos)
                 continue
@@ -729,7 +770,7 @@ class ProtectedValueIndex:
                 if to_node not in allowed_to:
                     fold = match is MatchMode.TEXT
                     for pos in positions:
-                        if values[pos].casefold() in folded if fold else values[pos] in text:
+                        if strs[pos].casefold() in folded if fold else strs[pos] in text:
                             present.append(pos)
         if not present:
             return {}
@@ -743,9 +784,9 @@ class ProtectedValueIndex:
         hits: dict[int, list[int]] = {}
         for pos in present:
             if kinds[kind_ids[pos]][1] is MatchMode.TEXT:
-                holders = bodies_holding(folded, folded_starts, values[pos].casefold())
+                holders = bodies_holding(folded, folded_starts, value(pos).casefold())
             else:
-                holders = bodies_holding(text, starts, values[pos])
+                holders = bodies_holding(text, starts, value(pos))
             for body in holders:
                 hits.setdefault(body, []).append(pos)
         return hits
@@ -776,7 +817,7 @@ def bodies_holding(text: str, starts: Sequence[int], needle: str) -> list[int]:
 def protected_values(
     node_id: str,
     specs: Sequence[ProtectedSpec],
-    tables: Mapping[str, Table],
+    tables: Mapping[str, Table] | Iterable[tuple[str, Table]],
     key: SecretKey | None = None,
 ) -> ProtectedValueIndex:
     """Materialise the protected-value index for a node.
@@ -786,7 +827,22 @@ def protected_values(
     of every ``patient_id`` of its store, so derived pseudonyms are
     confined to their whitelisted edge just like stored values. A value is
     indexed once per column, match mode and ``allowed_to`` set.
+
+    ``tables`` maps store names to raw tables, or is an iterator of
+    ``(name, table)`` pairs; either way it is read into a dict of this
+    call's own, and nothing given is mutated. That dict and every other
+    load-time transient are released before the gram tables are built, so
+    tables that only a one-shot iterator held (as ``load_stores`` hands
+    them over) are freed by then.
     """
+    values, kind_ids, kinds = _protected_columns(node_id, specs, dict(tables), key)
+    return ProtectedValueIndex._of(node_id, values, kind_ids, kinds)
+
+
+def _protected_columns(
+    node_id: str, specs: Sequence[ProtectedSpec], tables: dict[str, Table], key: SecretKey | None
+) -> tuple[list[str], list[int], tuple[_Kind, ...]]:
+    """The values, kind ids and kinds of ``protected_values``' entries."""
     values: list[str] = []
     kind_ids: list[int] = []
     kinds: dict[_Kind, int] = {}
@@ -818,4 +874,4 @@ def protected_values(
                 ids = dict.fromkeys(map(canonical_id, filter(str.strip, table.column(column))))
                 add(token_hexes(key, ids), "case_token", MatchMode.EXACT, spec.allowed_to)  # type: ignore[arg-type]
 
-    return ProtectedValueIndex(node_id, ProtectedEntries(tuple(values), kind_ids, tuple(kinds)))
+    return values, kind_ids, tuple(kinds)

@@ -8,8 +8,9 @@ carried over HTTP POST to ``/operations/<operation_id>``. Requests are
 ``not_found``, ``protocol``, ``blocked``, ``unavailable`` and ``internal``.
 Bodies are natural-language text only; no structured record ever rides the
 wire. An ``unavailable`` reply, for a downstream call that failed in
-transport, carries one fixed text; its cause, which names the peer's
-address, stays in the responder's own log.
+transport or that the next node answered with an error, carries one fixed
+text; its cause, which names the peer's address or quotes the peer's own
+error, stays in the responder's own log.
 
 Calls are least-privilege: a remote operation is reachable only through a
 target declared in node config. A target names the destination node, an
@@ -511,8 +512,10 @@ def serve_request(node: "Node", request: RelayRequest) -> RelayResponse:
 
     Authenticates the access key against the addressed operation, runs the
     node's tool-calling loop, and wraps the outcome in the wire response.
-    A downstream call that failed in transport is answered as
-    ``unavailable`` and logged with its cause, keyed by conversation.
+    A downstream call that failed in transport, or that the next node
+    answered with an error, is answered as ``unavailable`` and logged
+    with its cause, keyed by conversation: no peer's error text crosses
+    a second edge.
     The reply, exactly as the caller will record it, then passes the guard
     on its edge back to the operation's declared caller; one that breaks a
     locality rule is answered as ``error[blocked]``. An operation no
@@ -527,7 +530,7 @@ def serve_request(node: "Node", request: RelayRequest) -> RelayResponse:
         response = RelayResponse.fail("not_found", str(exc))
     except AuthError as exc:
         response = RelayResponse.fail("auth", str(exc))
-    except RelayTransportError as exc:
+    except (RelayTransportError, RelayRemoteError, RelayAuthError) as exc:
         logger.warning(
             "node=%s conversation=%s operation=%s: %s", node.node_id, request.conversation_id, request.operation_id, exc
         )

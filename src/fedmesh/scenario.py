@@ -42,12 +42,22 @@ def load_stores(cfg: NodeConfig) -> tuple[dict[str, object], ProtectedValueIndex
     stores and build its protected index, whose case tokens that key
     derives.
 
-    The raw tables feed only the index, so they are garbage once this
-    returns. Guidance extracts have no tables and are not loaded here.
+    The raw tables feed only the index. They reach ``protected_values``
+    through a one-shot iterator, their one holder, so they are freed before
+    the index's gram tables are built. Guidance extracts have no tables and
+    are not loaded here.
     """
     key = None if cfg.hmac_secret is None else load_secret(cfg.hmac_secret, cfg.secrets)
     stores: dict[str, object] = {}
-    tables: dict[str, Table] = {}
+    # A list iterator lets go of its list once it is exhausted.
+    tables = iter(_load_tables(cfg, stores))
+    return stores, protected_values(cfg.node_id, cfg.protected, tables, key), key
+
+
+def _load_tables(cfg: NodeConfig, stores: dict[str, object]) -> list[tuple[str, Table]]:
+    """Load a node's tabular stores into ``stores``; returns their raw
+    tables, each with its name."""
+    tables: list[tuple[str, Table]] = []
     for kind, paths in cfg.datasets.items():
         if kind == "clinic":
             stores[kind], loaded = load_clinic_store(paths["observations"], paths["patients"])
@@ -55,8 +65,8 @@ def load_stores(cfg: NodeConfig) -> tuple[dict[str, object], ProtectedValueIndex
             stores[kind], loaded = load_insurer_store(paths["enrollment"], paths["coverage_rules"])
         else:
             continue
-        tables.update(loaded)
-    return stores, protected_values(cfg.node_id, cfg.protected, tables, key), key
+        tables += loaded.items()
+    return tables
 
 
 def build_node(

@@ -448,14 +448,16 @@ def _assert_clinic_edits_refused(tmp_path, capsys, edits, key) -> None:
          "clinic.json: relay target 'insurar' is not a node of the deployment"),
         (("relay_targets", "insurer", "operation_id"), "coverage_inquiri",
          "clinic.json:insurer: key 'operation_id' names 'coverage_inquiri', which node 'insurer' does not expose"),
+        (("relay_targets", "insurer", "access_key"), "insurer-demo-key-9999",
+         "clinic.json:insurer: key 'access_key' is not the key of operation 'coverage_inquiry' of node 'insurer'"),
     ],
-    ids=["allowed_to", "relay_target", "relay_target-operation"],
+    ids=["allowed_to", "relay_target", "relay_target-operation", "relay_target-access_key"],
 )
 def test_names_outside_the_deployment_are_refused_by_boot_and_audit(tmp_path, capsys, path, value, text):
     """Accepted, a misspelt ``allowed_to`` node would block every inquiry,
-    and a misspelt relay target or target operation would fail each
-    request; both paths see every config, so both refuse each in the same
-    words."""
+    and a misspelt relay target or target operation, or a target key that
+    is not its operation's, would fail each request; both paths see every
+    config, so both refuse each in the same words, none quoting a key."""
     ws = write_demo_workspace(tmp_path / "ws")
     record = json.loads(ws.clinic_config.read_text())
     *parents, last = path

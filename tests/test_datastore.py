@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import csv
+import gc
 import importlib.util
 import string
 import sys
 import tempfile
+import weakref
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -38,7 +40,8 @@ from fedmesh.datastore import (
 from fedmesh.errors import ConfigError, RowError, SchemaError
 from fedmesh.locality import Topology, scan_outbound
 from fedmesh.pseudonym import CanonicalId, CaseToken, SecretSource, derive_token, load_secret, normalize_id
-from fedmesh.scenario import boot_scenario, load_audit_context
+from fedmesh.config import load_node_config
+from fedmesh.scenario import boot_scenario, load_audit_context, load_stores
 
 from conftest import GOLDEN_TOKENS, hmac_sha256_reference, oracle_scan
 
@@ -829,7 +832,8 @@ def _tables_entry_by_entry(index):
 @settings(deadline=None, max_examples=200)
 @given(
     cells=st.lists(
-        st.tuples(st.text("aAbß€Σς", min_size=1, max_size=14), st.sampled_from(list(MatchMode)), st.booleans()),
+        st.tuples(st.text("aAbß€Σς\U00010400\ud800", min_size=1, max_size=14),
+                  st.sampled_from(list(MatchMode)), st.booleans()),
         max_size=40,
     ),
     build_slice=st.sampled_from([1, 3, 1024]),
@@ -838,13 +842,40 @@ def _tables_entry_by_entry(index):
 # next gram, which is the third value's last: the third must find it taken.
 @example([(value, MatchMode.EXACT, False) for value in ("aaaaaaaa", "baaaaaaaa", "abaaaaaaa")], 1024)
 def test_index_files_entries_by_its_stated_rule(cells, build_slice):
-    """Values over a few letters, some multi-byte and some folding to two,
-    so last grams are often shared and often not ASCII, built a slice of
-    entries at a time: every table holds what the rule, applied one entry
-    at a time, files."""
+    """Values over a few letters, some multi-byte (an astral one and a lone
+    surrogate among them) and some folding to two, so last grams are often
+    shared and often not ASCII, built a slice of entries at a time: every
+    table holds what the rule, applied one entry at a time, files, and the
+    entries read back from their UTF-8 buffer as given, in order."""
     entries = [ProtectedValue(value, "c", match, frozenset({"insurer"}) if allowed else frozenset())
                for value, match, allowed in cells]
     with mock.patch.object(datastore, "_BUILD_SLICE", build_slice):
         built = ProtectedValueIndex("clinic", entries)
     assert {width: (filed, by_kind, size) for width, filed, by_kind, size in built._tables} == \
         _tables_entry_by_entry(built)
+    assert tuple(built.entries) == tuple(entries)
+
+
+def test_load_stores_frees_the_raw_tables_before_the_gram_tables_are_built(workspace, monkeypatch):
+    """The raw tables feed only a node's index, and the index's build is
+    where a load peaks, so no raw table is alive by then."""
+    read: list[weakref.ref] = []
+    alive_at_build: list[bool] = []
+    read_table, build = datastore.read_table, ProtectedValueIndex._build
+
+    def reading(*args, **kwargs):
+        table = read_table(*args, **kwargs)
+        read.append(weakref.ref(table))
+        return table
+
+    def building(index, *args):
+        gc.collect()
+        alive_at_build.append(any(ref() is not None for ref in read))
+        return build(index, *args)
+
+    monkeypatch.setattr(datastore, "read_table", reading)
+    monkeypatch.setattr(ProtectedValueIndex, "_build", building)
+    indexes = [load_stores(load_node_config(path))[1] for path in workspace.node_configs]
+    assert len(read) == 4
+    assert alive_at_build == [False, False, False]
+    assert [len(index.entries) for index in indexes] == [25, 13, 0]

@@ -20,6 +20,7 @@ from fedmesh.errors import (
     RelayRemoteError,
     RelayTransportError,
     TargetNotConfigured,
+    ToolError,
 )
 from fedmesh import relay
 from fedmesh.fixtures import CANONICAL_REQUEST, write_demo_workspace
@@ -318,6 +319,48 @@ def test_a_transport_failure_crosses_as_unavailable_without_its_cause(workspace,
     (record,) = caplog.records
     assert "node=insurer conversation=run-relay-down-c1" in record.getMessage()
     assert f"127.0.0.1:{port}" in record.getMessage()
+
+
+_SPECIALIST_FAULT = "guidance index at /srv/specialist/guidance is corrupt"
+
+
+def _break_the_specialist(scenario, fault: str) -> None:
+    if fault == "error":
+        def corrupt(node, args, conversation_id):
+            raise ToolError(_SPECIALIST_FAULT)
+
+        scenario.nodes["specialist"].tools["guidance_search"] = corrupt
+    else:  # the insurer's key for the specialist is stale
+        insurer = scenario.nodes["insurer"]
+        target = insurer.relay_targets["specialist"]
+        insurer.relay_targets["specialist"] = dataclasses.replace(target, access_key="specialist-demo-key-9999")
+
+
+@pytest.mark.parametrize("transport", ["inprocess", "network"])
+@pytest.mark.parametrize("fault", ["error", "auth"])
+def test_a_downstream_error_reply_crosses_as_unavailable_without_its_text(workspace, caplog, transport, fault):
+    """The specialist's error reply, whether its own failure or a refused
+    key, reaches the insurer, who answers the clinic with the fixed
+    ``unavailable`` text: no part of the specialist's text crosses the
+    second edge, and the cause stays in the insurer's log."""
+    scenario = boot_scenario(workspace.node_configs, transport=transport, run_id="run-relay-remote")
+    try:
+        _break_the_specialist(scenario, fault)
+        with caplog.at_level(logging.WARNING, logger="fedmesh.relay"):
+            with pytest.raises(RelayRemoteError) as err:
+                scenario.submit(CANONICAL_REQUEST)
+    finally:
+        scenario.close()
+    reply = f"error[unavailable]: {relay.UNAVAILABLE_TEXT}"
+    assert str(err.value) == f"target 'insurer' answered {reply}"
+    to_clinic = [env.body for env in scenario.trace.envelopes if env.to_node == "clinic"]
+    assert to_clinic == [reply]
+    for word in ("ToolError", "RelayAuthError", "guidance", "/srv", "corrupt", "specialist", "key"):
+        assert word not in str(err.value) and word not in to_clinic[0]
+    (record,) = caplog.records
+    assert "node=insurer conversation=run-relay-remote-c1" in record.getMessage()
+    cause = _SPECIALIST_FAULT if fault == "error" else "rejected the access key"
+    assert cause in record.getMessage()
 
 
 # --- kept-alive connections ---
