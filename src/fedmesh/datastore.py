@@ -20,6 +20,7 @@ import re
 import struct
 from array import array
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, compress, filterfalse, groupby
@@ -71,12 +72,15 @@ _STATUSES = {member.value: member for member in EnrollmentStatus}
 class Table:
     """One CSV file as loaded: header order and raw cell text preserved,
     each row as the tuple of its cells in header order, with the source
-    line each row starts on."""
+    line each row starts on. A clinic ``patients`` table that
+    ``load_clinic_store`` checked also keeps each row's canonical
+    ``patient_id``, so the case tokens need not canonicalise them again."""
 
     name: str
     header: tuple[str, ...]
     rows: tuple[tuple[str, ...], ...]
-    lines: tuple[int, ...]
+    lines: Sequence[int]
+    canonical_ids: tuple[str, ...] | None = None
 
     def column(self, name: str) -> tuple[str, ...]:
         """The cells of a present column, in row order."""
@@ -84,6 +88,8 @@ class Table:
 
     def select(self, columns: Sequence[str]) -> Iterator[tuple[str, ...]]:
         """Each row's cells of two or more present ``columns``, in that order."""
+        if tuple(columns) == self.header:
+            return iter(self.rows)
         return map(itemgetter(*map(self.header.index, columns)), self.rows)
 
 
@@ -94,7 +100,13 @@ def read_table(path: Path | str, name: str, required: Sequence[str]) -> Table:
     A UTF-8 byte-order mark, which spreadsheet tools write, is skipped.
     Bytes that are not UTF-8, and a row the CSV reader refuses (a cell
     longer than its field limit, say), raise ``RowError`` naming the line;
-    its text quotes no cell."""
+    its text quotes no cell.
+
+    The rows are read in C. When each took one line and none is ragged,
+    row k starts on the k-th line after the header, and blank lines are
+    dropped; otherwise, or if the reader fails, the file is read again
+    row by row, which numbers the rows by the line each starts on and
+    raises the first error."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -105,22 +117,28 @@ def read_table(path: Path | str, name: str, required: Sequence[str]) -> Table:
             for col in required:
                 if col not in header:
                     raise SchemaError(col, f"{path.name}: missing column {col!r}")
-            for col in header:
-                if header.count(col) > 1:
-                    raise SchemaError(col, f"{path.name}: column {shown_name(col)!r} appears more than once")
-            rows: list[tuple[str, ...]] = []
-            lines: list[int] = []
-            # A row starts on the line after the previous row ends; blank
-            # lines come back as empty rows, so they are counted too.
+            if len(set(header)) < len(header):
+                counts = Counter(header)
+                col = next(col for col in header if counts[col] > 1)
+                raise SchemaError(col, f"{path.name}: column {shown_name(col)!r} appears more than once")
             start = reader.line_num + 1
-            for cells in reader:
-                line, start = start, reader.line_num + 1
-                if not cells:
-                    continue
-                if len(cells) != len(header):
-                    raise RowError(line, f"{path.name}: expected {len(header)} cells, got {len(cells)}")
-                rows.append(tuple(cells))
-                lines.append(line)
+            try:
+                rows: list[tuple[str, ...]] = list(map(tuple, reader))
+                lines: Sequence[int] | None = range(start, reader.line_num + 1)
+            except (csv.Error, UnicodeDecodeError):
+                rows, lines = [], None
+            widths = set(map(len, rows))
+            if lines is not None and len(lines) == len(rows) and widths <= {len(header), 0}:
+                if 0 in widths:  # a blank line, which took one line too, is skipped
+                    lines = list(compress(lines, rows))
+                    rows = list(filter(None, rows))
+            else:
+                # A row failed, took more than one line, or was ragged.
+                rows.clear()
+                fh.seek(0)  # the decoder skips the byte-order mark again
+                reader = csv.reader(fh)
+                next(reader)
+                rows, lines = _walk_rows(reader, len(header), path.name)
         except UnicodeDecodeError:
             # The file is decoded a block at a time, ahead of the reader's
             # line count, so the line of the first bad byte is found anew.
@@ -133,7 +151,29 @@ def read_table(path: Path | str, name: str, required: Sequence[str]) -> Table:
             raise RowError(data.count(b"\n", 0, bad) + 1, f"{path.name}: invalid UTF-8") from None
         except csv.Error as exc:
             raise RowError(reader.line_num, f"{path.name}: {exc}") from None
-    return Table(name=name, header=tuple(header), rows=tuple(rows), lines=tuple(lines))
+    return Table(name=name, header=tuple(header), rows=tuple(rows), lines=lines)
+
+
+def _walk_rows(
+    reader: Iterator[list[str]], width: int, file_name: str
+) -> tuple[list[tuple[str, ...]], list[int]]:
+    """The rows left in ``reader`` and the line each starts on, read one
+    at a time; a blank line is skipped, and a row of other than ``width``
+    cells raises ``RowError``."""
+    rows: list[tuple[str, ...]] = []
+    lines: list[int] = []
+    # A row starts on the line after the previous row ends; blank lines
+    # come back as empty rows, so they are counted too.
+    start = reader.line_num + 1  # type: ignore[attr-defined]
+    for cells in reader:
+        line, start = start, reader.line_num + 1  # type: ignore[attr-defined]
+        if not cells:
+            continue
+        if len(cells) != width:
+            raise RowError(line, f"{file_name}: expected {width} cells, got {len(cells)}")
+        rows.append(tuple(cells))
+        lines.append(line)
+    return rows, lines
 
 
 # A treatment code, as the messages carry it: a letter, then letters, digits
@@ -234,10 +274,15 @@ _EnrollmentCells = tuple[str, str, EnrollmentStatus]
 
 
 def _parse_observation(
-    cells: tuple[str, ...], line: int, steps_of: dict[str, tuple[str, ...]]
+    cells: tuple[str, ...], line: int, steps_of: dict[str, tuple[str, ...]], patient_ids: Mapping[str, str]
 ) -> tuple[str, _ObservationCells]:
     """``steps_of`` holds each ``prior_conservative_tx`` cell checked so far
-    in this load, with its codes: a cell is checked at its first row only."""
+    in this load, with its codes: a cell is checked at its first row only.
+    ``patient_ids`` maps each canonical patient id to itself. A
+    ``patient_id`` cell equal to one is its own canonical form, since
+    ``canonical_id`` maps its every result to itself, so only another cell
+    is canonicalised. The id returned is that mapped string, not the cell:
+    a kept cell would pin the memory of its freed row."""
     patient_id, symptom_class, duration_weeks, functional_limitation, prior_tx = cells
     symptom = _SYMPTOM_CLASSES.get(symptom_class.strip())
     if symptom is None:
@@ -255,7 +300,10 @@ def _parse_observation(
     steps = steps_of.get(prior_tx)
     if steps is None:
         steps = steps_of[prior_tx] = _codes(prior_tx, "prior_conservative_tx", line)
-    return _patient_id(patient_id, line), (symptom, weeks, limitation, steps)
+    canonical = patient_ids.get(patient_id)
+    if canonical is None:
+        canonical = _patient_id(patient_id, line)
+    return canonical, (symptom, weeks, limitation, steps)
 
 
 def _parse_patient(cells: tuple[str, ...], line: int) -> str:
@@ -329,22 +377,23 @@ def load_clinic_store(
     """Load both clinic tables; every observation must reference a patient.
 
     Returns the store and the raw tables, which only the protected index
-    reads.
+    reads. The patients table keeps its canonical ids, so each patient id
+    is canonicalised once per load.
     """
     patients_table = read_table(patients_path, "patients", PATIENT_COLUMNS)
     obs_table = read_table(observations_path, "observations", OBSERVATION_COLUMNS)
 
-    seen_ids: set[str] = set()
+    seen_ids: dict[str, str] = {}
     for cells, line in zip(patients_table.select(PATIENT_COLUMNS), patients_table.lines):
         patient_id = _parse_patient(cells, line)
         if patient_id in seen_ids:
             raise RowError(line, "duplicate patient_id")
-        seen_ids.add(patient_id)
+        seen_ids[patient_id] = patient_id
 
     observations: dict[str, _ObservationCells] = {}
     steps_of: dict[str, tuple[str, ...]] = {}
     for cells, line in zip(obs_table.select(OBSERVATION_COLUMNS), obs_table.lines):
-        patient_id, row = _parse_observation(cells, line, steps_of)
+        patient_id, row = _parse_observation(cells, line, steps_of, seen_ids)
         if patient_id in observations:
             raise RowError(line, "duplicate patient_id")
         if patient_id not in seen_ids:
@@ -353,7 +402,9 @@ def load_clinic_store(
 
     return ClinicStore(observations=observations), {
         "observations": obs_table,
-        "patients": patients_table,
+        "patients": Table(
+            "patients", patients_table.header, patients_table.rows, patients_table.lines, tuple(seen_ids)
+        ),
     }
 
 
@@ -674,22 +725,28 @@ class ProtectedValueIndex:
             stop = min(start + _BUILD_SLICE, len(values))
             folded = list(map(str.casefold, values[start:stop]))
             lengths = list(map(len, folded))
-            for pos, value in compress(zip(range(start, stop), folded), map(Q.__gt__, lengths)):
-                kind_id = kind_ids[pos]
-                # get() first: a setdefault() default per entry is garbage that
-                # sets the cyclic collector going over the whole heap.
-                filed, by_kind = tables.get(len(value)) or tables.setdefault(len(value), ({}, {}))
-                (by_kind.get(kind_id) or by_kind.setdefault(kind_id, [])).append(pos)
-                shared = filed.get(value)
-                filed[value] = pos if shared is None else (
-                    (shared if isinstance(shared, tuple) else (shared,)) + (pos,)
-                )
-            longs = list(compress(range(start, stop), map(Q.__le__, lengths)))
-            if not longs:
-                continue
+            # The positions stay ints of a list, shared by the gram table and
+            # by_kind: a range would make each of them an int of its own.
+            if min(lengths) >= Q:  # no short value, as in most slices
+                longs, long_folded = list(range(start, stop)), folded
+            else:
+                for pos, value in compress(zip(range(start, stop), folded), map(Q.__gt__, lengths)):
+                    kind_id = kind_ids[pos]
+                    # get() first: a setdefault() default per entry is garbage that
+                    # sets the cyclic collector going over the whole heap.
+                    filed, by_kind = tables.get(len(value)) or tables.setdefault(len(value), ({}, {}))
+                    (by_kind.get(kind_id) or by_kind.setdefault(kind_id, [])).append(pos)
+                    shared = filed.get(value)
+                    filed[value] = pos if shared is None else (
+                        (shared if isinstance(shared, tuple) else (shared,)) + (pos,)
+                    )
+                longs = list(compress(range(start, stop), map(Q.__le__, lengths)))
+                if not longs:
+                    continue
+                long_folded = compress(folded, map(Q.__le__, lengths))
             # A value's last gram is the end of its last Q characters' UTF-8,
             # which is all of it when they are ASCII, as they mostly are.
-            tails = list(map(itemgetter(slice(-Q, None)), compress(folded, map(Q.__le__, lengths))))
+            tails = list(map(itemgetter(slice(-Q, None)), long_folded))
             raw = _utf8("".join(tails))
             if len(raw) != Q * len(tails):
                 raw = b"".join([_utf8(tail)[-Q:] for tail in tails])
@@ -846,15 +903,19 @@ def _protected_columns(
     values: list[str] = []
     kind_ids: list[int] = []
     kinds: dict[_Kind, int] = {}
-    seen: dict[int, set[str]] = {}
+    seen: dict[int, dict[str, None]] = {}  # each kind's values so far
 
     def add(cells: Iterable[str], column: str, match: MatchMode, allowed_to: frozenset[str]) -> None:
         kind_id = kinds.setdefault((column, match, allowed_to), len(kinds))
-        indexed = seen.setdefault(kind_id, set())
         fresh = dict.fromkeys(map(str.strip, cells))
         fresh.pop("", None)
-        new = list(filterfalse(indexed.__contains__, fresh))
-        indexed.update(new)
+        indexed = seen.get(kind_id)
+        if indexed is None:  # a kind's first column: every value is new
+            seen[kind_id] = fresh
+            new = list(fresh)
+        else:
+            new = list(filterfalse(indexed.__contains__, fresh))
+            indexed.update(dict.fromkeys(new))
         values.extend(new)
         kind_ids.extend([kind_id] * len(new))
 
@@ -870,8 +931,10 @@ def _protected_columns(
             if spec.derived is None:
                 add(table.column(column), column, spec.match, spec.allowed_to)
             else:
+                ids: Iterable[str] | None = table.canonical_ids
+                if ids is None:
+                    ids = map(canonical_id, filter(str.strip, table.column(column)))
                 # Equal ids have equal tokens, so each distinct id is hashed once.
-                ids = dict.fromkeys(map(canonical_id, filter(str.strip, table.column(column))))
-                add(token_hexes(key, ids), "case_token", MatchMode.EXACT, spec.allowed_to)  # type: ignore[arg-type]
+                add(token_hexes(key, dict.fromkeys(ids)), "case_token", MatchMode.EXACT, spec.allowed_to)  # type: ignore[arg-type]
 
     return values, kind_ids, tuple(kinds)

@@ -4,15 +4,18 @@ A case token is the lowercase-hex HMAC-SHA256 of the canonical (trimmed,
 uppercased) identifier under a node-held secret key. The token links a case
 across organisations without revealing the identifier itself.
 
-HMAC's keyed inner and outer hash states depend on the key alone, so they
-can be computed once per key and reused for every message (RFC 2104 §4).
-A ``SecretKey`` keys one HMAC-SHA256 state when it is made, and every token
-under it, one or ten thousand, is a copy of that state fed one identifier.
+HMAC's inner and outer hash states depend on the key alone, so they can be
+computed once per key and reused for every message (RFC 2104 §4). A
+``SecretKey`` keeps the two SHA-256 states of its key when it is made: the
+key, hashed first if it is longer than SHA-256's 64-byte block, zero-padded
+to the block and XORed with 0x36 for the inner state and 0x5c for the outer.
+Every token under it, one or ten thousand, feeds a copy of the inner state
+one identifier and a copy of the outer state that inner digest.
 """
 
 from __future__ import annotations
 
-import hmac
+import hashlib
 import os
 import re
 from dataclasses import dataclass, field
@@ -26,6 +29,12 @@ TOKEN_RE = re.compile(r"^[0-9a-f]{64}$")
 MIN_KEY_BYTES = 16
 
 ENV_PREFIX = "FEDMESH_SECRET_"
+
+# SHA-256's block size, and the tables that XOR each byte of a padded key
+# with HMAC's inner and outer pads.
+_BLOCK_BYTES = 64
+_IPAD = bytes(byte ^ 0x36 for byte in range(256))
+_OPAD = bytes(byte ^ 0x5C for byte in range(256))
 
 
 @dataclass(frozen=True)
@@ -43,12 +52,14 @@ class CanonicalId:
 
 @dataclass(frozen=True)
 class SecretKey:
-    """Named key material. Neither the material nor the HMAC state keyed
-    by it appears in repr or logs."""
+    """Named key material. Neither the material nor the HMAC states keyed
+    by it appear in repr or logs, and the states take no part in ``==``
+    or ``hash``."""
 
     name: str
     material: bytes = field(repr=False)
-    _keyed: hmac.HMAC = field(init=False, repr=False, compare=False)
+    _inner: hashlib._Hash = field(init=False, repr=False, compare=False)
+    _outer: hashlib._Hash = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.material) < MIN_KEY_BYTES:
@@ -56,7 +67,12 @@ class SecretKey:
                 f"secret {self.name!r} is {len(self.material)} bytes; "
                 f"minimum is {MIN_KEY_BYTES}"
             )
-        object.__setattr__(self, "_keyed", hmac.new(self.material, digestmod="sha256"))
+        block = self.material
+        if len(block) > _BLOCK_BYTES:
+            block = hashlib.sha256(block).digest()
+        block = block.ljust(_BLOCK_BYTES, b"\0")
+        object.__setattr__(self, "_inner", hashlib.sha256(block.translate(_IPAD)))
+        object.__setattr__(self, "_outer", hashlib.sha256(block.translate(_OPAD)))
 
 
 @dataclass(frozen=True)
@@ -94,13 +110,15 @@ def normalize_id(raw: str) -> CanonicalId:
 
 def token_hexes(key: SecretKey, canonical_ids: Iterable[str]) -> list[str]:
     """The lowercase-hex HMAC-SHA256 of each canonical identifier's UTF-8,
-    in order, each from a copy of the key's keyed state."""
-    copy = key._keyed.copy
+    in order, each from copies of the key's inner and outer states."""
+    inner_copy, outer_copy = key._inner.copy, key._outer.copy
     hexes: list[str] = []
     for value in canonical_ids:
-        mac = copy()
-        mac.update(value.encode("utf-8"))
-        hexes.append(mac.hexdigest())
+        inner = inner_copy()
+        inner.update(value.encode("utf-8"))
+        outer = outer_copy()
+        outer.update(inner.digest())
+        hexes.append(outer.hexdigest())
     return hexes
 
 

@@ -14,6 +14,7 @@ another node, returns a message.
 
 from __future__ import annotations
 
+import hmac
 import logging
 import threading
 from dataclasses import dataclass, field
@@ -154,7 +155,12 @@ def handle_operation(node: Node, req: RelayRequest) -> str:
     op = node.operations.get(req.operation_id)
     if op is None:
         raise OperationNotFound(f"node {node.node_id!r} exposes no operation {req.operation_id!r}")
-    if req.access_key != op.access_key:
+    # Compared in time that does not depend on where the keys differ; as
+    # bytes, since compare_digest refuses a non-ASCII str. A key decoded
+    # from JSON may hold a lone surrogate, which "surrogatepass" encodes.
+    if not hmac.compare_digest(
+        req.access_key.encode("utf-8", "surrogatepass"), op.access_key.encode("utf-8", "surrogatepass")
+    ):
         raise AuthError(f"access key mismatch for operation {req.operation_id!r}")
 
     policy = node.policies[req.operation_id]

@@ -3,11 +3,14 @@ from __future__ import annotations
 import csv
 import gc
 import importlib.util
+import io
 import string
 import sys
 import tempfile
+import time
 import weakref
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -134,6 +137,27 @@ def test_repeated_column_is_a_schema_error(tmp_path, workspace):
         load_clinic_store(workspace.root / "clinic" / "clinical_observations.csv", patients)
     assert err.value.name == "full_name"
     assert "Ann Lee" not in str(err.value)
+
+
+def test_repeated_column_error_names_the_first_repeated_in_header_order(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("x,b,a,b,a\n")
+    with pytest.raises(SchemaError) as err:
+        read_table(path, "t", [])
+    assert err.value.name == "b"
+
+
+def test_wide_header_with_a_repeated_column_is_refused_within_a_second(tmp_path):
+    """Each column is counted once, so a 200,000-column header (about
+    1.5 MB) whose last column repeats the one before costs a linear pass,
+    not one count over the header per column."""
+    path = tmp_path / "wide.csv"
+    path.write_text(",".join([f"c{i}" for i in range(200_000)] + ["c199999"]) + "\n")
+    began = time.perf_counter()
+    with pytest.raises(SchemaError) as err:
+        read_table(path, "wide", [])
+    assert time.perf_counter() - began < 1.0
+    assert err.value.name == "c199999"
 
 
 def test_row_error_carries_line_number(tmp_path, workspace):
@@ -319,6 +343,73 @@ def test_byte_order_mark_is_skipped(tmp_path, workspace):
         return load_clinic_store(observations, patients), load_insurer_store(enrollment, rules)
 
     assert load(tmp_path) == load(workspace.root)
+
+
+def _read_row_by_row(path):
+    """Reference: the csv module's rows of a file whose first row is its
+    header, walked one at a time. A row starts on the line after the last
+    one ended, a blank line is skipped, and the first row whose width is
+    not the header's is the error: its ``(line, text)``."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows, lines = [], []
+        start = reader.line_num + 1
+        for cells in reader:
+            line, start = start, reader.line_num + 1
+            if not cells:
+                continue
+            if len(cells) != len(header):
+                return (line, f"line {line}: t.csv: expected {len(header)} cells, got {len(cells)}")
+            rows.append(tuple(cells))
+            lines.append(line)
+    return tuple(header), rows, lines
+
+
+_CSV_CELLS = st.sampled_from(["", "a", "b c", "x,y", 'say "hi"', "two\nlines", "two\r\nlines", "end\r"]) | st.text(
+    "ab \r\n,\"é", max_size=6
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    rows=st.lists(st.lists(_CSV_CELLS, max_size=4), max_size=8),
+    ending=st.sampled_from(["\n", "\r\n", "\r"]),
+    bom=st.booleans(),
+    last_ending=st.booleans(),
+    header=st.sampled_from([["p", "q", "r"], []]),
+)
+@example(rows=[["1", "2", "3"], [], ["4", "5", "6"]], ending="\n", bom=False, last_ending=True, header=["p", "q", "r"])
+@example(rows=[["1", "two\nlines", "3"], ["4", "5"]], ending="\r\n", bom=True, last_ending=False, header=["p", "q", "r"])
+@example(rows=[[], []], ending="\n", bom=False, last_ending=True, header=[])
+def test_read_table_numbers_rows_as_a_row_by_row_walk_does(tmp_path_factory, rows, ending, bom, last_ending, header):
+    """Blank lines, cells holding a newline or CRLF, CR and CRLF endings, a
+    byte-order mark, ragged rows and a blank header line: ``read_table``
+    reads the rows and the lines they start on that a row-by-row walk
+    reads, and refuses the same row with the same text. This holds for
+    both of its ways of numbering rows: all at once, when each took one
+    line, and walked otherwise."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator=ending)
+    writer.writerow(header)
+    for row in rows:
+        if row:
+            writer.writerow(row)
+        else:
+            buffer.write(ending)
+    text = buffer.getvalue()
+    if not last_ending and rows:
+        text = text[: -len(ending)]
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_bytes(("\ufeff" if bom else "").encode() + text.encode("utf-8"))
+
+    expected = _read_row_by_row(path)
+    try:
+        table = read_table(path, "t", [])
+    except RowError as err:
+        assert (err.line, str(err)) == expected
+    else:
+        assert (table.header, list(table.rows), list(table.lines)) == expected
 
 
 def test_match_enrollment_by_fixture_token(insurer):
@@ -691,6 +782,55 @@ def test_protected_values_derived_tokens(clinic_tables, workspace):
     specs = (ProtectedSpec(store="patients", derived="case_tokens", allowed_to=frozenset({"insurer"})),)
     index = protected_values("clinic", specs, clinic_tables, load_secret("clinic_hmac_key", secrets))
     assert {e.value for e in index.entries} == set(GOLDEN_TOKENS.values())
+
+
+def test_each_patient_id_is_canonicalised_once_per_load(workspace, monkeypatch):
+    """A clinic load canonicalises each ``patients`` id as it checks the row;
+    an observation whose cell is already a canonical id and the derived
+    case tokens reuse those ids."""
+    canonicalised: Counter[str] = Counter()
+    canonical_id = datastore.canonical_id
+
+    def counted(raw):
+        canonicalised[raw] += 1
+        return canonical_id(raw)
+
+    monkeypatch.setattr(datastore, "canonical_id", counted)
+    clinic = load_node_config(workspace.node_configs[0])
+    assert any(spec.derived for spec in clinic.protected)
+    load_stores(clinic)
+    patient_ids = read_table(workspace.root / "clinic" / "patients.csv", "patients", []).column("patient_id")
+    assert canonicalised == Counter(patient_ids)
+
+
+def test_case_tokens_of_the_loaded_ids_are_those_of_the_cells(tmp_path, workspace):
+    """Padded and lower-case ids: the canonical ids the clinic load keeps
+    give the case tokens that canonicalising the cells again gives, and an
+    observation's non-canonical cell still finds its patient."""
+    patients = tmp_path / "patients.csv"
+    patients.write_text(
+        "patient_id,full_name,dob,notes\n cln-0001 ,Ann Lee,1968-02-03,n\nCLN-0002,Bo Lee,1970-01-01,n\n"
+    )
+    obs = tmp_path / "obs.csv"
+    obs.write_text(
+        "patient_id,symptom_class,duration_weeks,functional_limitation,prior_conservative_tx\n"
+        "cln-0001,mild,4,walks,x\nCLN-0002,mild,4,walks,x\n"
+    )
+    store, tables = load_clinic_store(obs, patients)
+    assert tables["patients"].canonical_ids == ("CLN-0001", "CLN-0002")
+    assert list(store.observations) == ["CLN-0001", "CLN-0002"]
+    # No observation cell is kept as a key: it would pin the memory of its
+    # freed row.
+    cells = tables["observations"].column("patient_id")
+    assert not set(map(id, store.observations)) & set(map(id, cells))
+    key = load_secret("clinic_hmac_key", SecretSource(files={"clinic_hmac_key": workspace.root / "clinic" / "hmac.key"}))
+    specs = (ProtectedSpec(store="patients", derived="case_tokens", allowed_to=frozenset({"insurer"})),)
+    from_cells = {name: replace(table, canonical_ids=None) for name, table in tables.items()}
+    assert protected_values("clinic", specs, tables, key).entries == \
+        protected_values("clinic", specs, from_cells, key).entries
+    assert {entry.value for entry in protected_values("clinic", specs, tables, key).entries} == {
+        GOLDEN_TOKENS["CLN-0001"], GOLDEN_TOKENS["CLN-0002"]
+    }
 
 
 def test_protected_values_empty_store():

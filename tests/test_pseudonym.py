@@ -12,6 +12,7 @@ from fedmesh.pseudonym import (
     CaseToken,
     SecretKey,
     SecretSource,
+    canonical_id,
     derive_token,
     load_secret,
     normalize_id,
@@ -82,6 +83,14 @@ def test_matches_independent_oracle(raw):
 
 
 @given(nonblank_ids)
+def test_canonical_id_maps_its_results_to_themselves(raw):
+    """The clinic load takes a cell that is already a canonical id as its
+    own canonical form, which holds because this does."""
+    canonical = canonical_id(raw)
+    assert canonical_id(canonical) == canonical
+
+
+@given(nonblank_ids)
 def test_raw_and_canonical_agree(raw):
     canonical = raw.strip().upper()
     assert derive_token(KEY, normalize_id(raw)) == derive_token(KEY, normalize_id(canonical))
@@ -96,13 +105,22 @@ def test_secret_key_repr_redacts_material():
 
 
 def test_keyed_state_and_material_stay_out_of_repr_and_errors():
-    """The HMAC state a key caches is as hidden as its material: only the
-    name shows in repr, and no error met while resolving a key or deriving
+    """The HMAC inner and outer hash states a key keeps are as hidden as
+    its material: only the name shows in repr, the states take no part in
+    ``==`` or ``hash``, and no error met while resolving a key or deriving
     a token quotes the material, raw or in hex."""
     assert [f.name for f in fields(SecretKey) if f.repr] == ["name"]
+    states = [f.name for f in fields(SecretKey) if not f.init]
+    assert states == ["_inner", "_outer"]
+    assert [f.name for f in fields(SecretKey) if f.compare] == ["name", "material"]
     material = "demo-secret-key-000"
     weak_material = material[:12]  # also a part of the full material
     key = load_secret("k", SecretSource(env={"FEDMESH_SECRET_K": material}))
+    twin = load_secret("k", SecretSource(env={"FEDMESH_SECRET_K": material}))
+    assert key._inner is not twin._inner and key == twin and hash(key) == hash(twin)
+    # A key that differs only in its states is still the same key.
+    object.__setattr__(twin, "_inner", twin._outer)
+    assert key == twin and hash(key) == hash(twin)
     texts = [repr(key), str(key)]
     with pytest.raises(WeakSecret) as weak:
         load_secret("k", SecretSource(env={"FEDMESH_SECRET_K": weak_material}))

@@ -93,6 +93,22 @@ def test_access_key_mismatch():
         handle_operation(node, _request(key="wrong"))
 
 
+@pytest.mark.parametrize("key", ["key-2", "kéy-1", "key-\ud800"], ids=["same-length", "non-ascii", "lone-surrogate"])
+def test_access_key_compared_as_bytes_refuses_every_other_key(key):
+    """The key check compares UTF-8 bytes in constant time: a wrong key of
+    the right length, a non-ASCII one and one a JSON body could carry with
+    a lone surrogate are each refused as ``AuthError``, never a TypeError
+    or UnicodeEncodeError."""
+    node = _test_node(SilentPolicy())
+    with pytest.raises(AuthError):
+        handle_operation(node, _request(key=key))
+
+
+def test_access_key_right_key_is_served():
+    node = _test_node(SilentPolicy())
+    assert handle_operation(node, _request(key="key-1")) == "echo: hello"
+
+
 def test_loop_limit_hit_at_exact_bound():
     policy = GreedyPolicy()
     node = _test_node(policy)
