@@ -50,16 +50,9 @@ def cmd_token(args: argparse.Namespace) -> int:
 def cmd_gen_fixtures(args: argparse.Namespace) -> int:
     patients = read_table(args.patients, "patients", PATIENT_COLUMNS)
     patient_ids = patients.column("patient_id")
-    if args.template:
-        template_table = read_table(
-            args.template, "template", ("insurance_number", "plan_id", "status")
-        )
-        template = tuple(template_table.select(("insurance_number", "plan_id", "status")))
-    else:
-        template = ENROLLMENT_TEMPLATE
     key = load_secret(args.secret, _secret_source(args.secret, args.key_file))
     Path(args.out).write_text(
-        build_enrollment_csv(patient_ids, template, key), encoding="utf-8"
+        build_enrollment_csv(patient_ids, ENROLLMENT_TEMPLATE, key), encoding="utf-8"
     )
     print(f"wrote {len(patient_ids)} enrolment row(s) to {args.out}", file=sys.stderr)
     return 0
@@ -101,12 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
     token.add_argument("--key-file")
     token.set_defaults(func=cmd_token)
 
-    gen = sub.add_parser("gen-fixtures", help="regenerate enrollment.csv from patients and template triples")
+    gen = sub.add_parser("gen-fixtures", help="regenerate enrollment.csv from patients and built-in template triples")
     gen.add_argument("--patients", required=True)
     gen.add_argument("--secret", required=True)
     gen.add_argument("--key-file")
     gen.add_argument("--out", required=True)
-    gen.add_argument("--template", help="CSV of insurance_number,plan_id,status triples (default: built-in)")
     gen.set_defaults(func=cmd_gen_fixtures)
 
     check = sub.add_parser("check-trace", help="audit a JSONL trace against the topology")

@@ -227,8 +227,11 @@ def load_node_config(path: Path | str) -> NodeConfig:
             )
         )
 
+    node_id = _expect(record, "node_id", str, where, rule=_NONEMPTY)
     targets: list[RelayTarget] = []
     for name, target in _expect(record, "relay_targets", dict, where, {}).items():
+        if name == node_id:
+            raise ConfigError(f"{where}: key 'relay_targets' names {shown_name(name)!r}, the node's own node_id")
         at = f"{where}:{shown_name(name)}"
         target = _object(target, ("operation_id", "access_key"), at)
         targets.append(
@@ -242,7 +245,7 @@ def load_node_config(path: Path | str) -> NodeConfig:
     bind = _object(_expect(record, "bind", dict, where, {}), ("host", "port"), f"{where}:bind")
     return NodeConfig(
         file_name=where,
-        node_id=_expect(record, "node_id", str, where, rule=_NONEMPTY),
+        node_id=node_id,
         datasets=datasets,
         secrets=SecretSource(files=secret_files),
         hmac_secret=hmac_secret,

@@ -19,7 +19,6 @@ import datetime as dt
 import re
 import struct
 from array import array
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -776,24 +775,25 @@ class ProtectedValueIndex:
         casefolded value occurs in its casefolded form (``text``), keyed by
         the body's index in ``bodies``; a body that holds none is left out.
 
-        The bodies are scanned as one text, joined by newlines, and an
-        occurrence counts for a body only when it lies wholly inside it: no
-        match spans two bodies. The cost is bounded by the text's length,
-        however many entries the index holds. Each table is tested the
-        cheaper of two ways on that text, as ``_WINDOW_COST`` and
-        ``_TEST_COST`` price them. Testing each of its positions with ``in``
-        costs the positions times the text's length. Looking each window up
-        costs about one step a window: string slices for short widths, and
-        for the gram table the folded text's UTF-8 read in C as 64-bit
-        integers through ``memoryview`` casts at each byte offset below
-        ``Q``; each entry filed under a key found there is checked against
-        its own whitelist and match mode, its value decoded from the
-        entries' buffer only if it is not whitelisted. The per-entry way
-        tests only the kinds not whitelisted for ``to_node``, and reads the
-        values the entries keep as ``str``: since the window count is below
-        the text's length, it is the cheaper way only for a table of fewer
-        than ``_WINDOW_COST`` positions. Either way, an entry the text holds
-        is then placed in the bodies that hold it whole.
+        The bodies, joined by newlines into one text, serve only the index's
+        filtration pass: it finds the entries the text holds at a cost
+        bounded by the text's length, however many entries the index holds.
+        Each table is tested the cheaper of two ways on that text, as
+        ``_WINDOW_COST`` and ``_TEST_COST`` price them. Testing each of its
+        positions with ``in`` costs the positions times the text's length.
+        Looking each window up costs about one step a window: string slices
+        for short widths, and for the gram table the folded text's UTF-8
+        read in C as 64-bit integers through ``memoryview`` casts at each
+        byte offset below ``Q``; each entry filed under a key found there is
+        checked against its own whitelist and match mode, its value decoded
+        from the entries' buffer only if it is not whitelisted. The
+        per-entry way tests only the kinds not whitelisted for ``to_node``,
+        and reads the values the entries keep as ``str``: since the window
+        count is below the text's length, it is the cheaper way only for a
+        table of fewer than ``_WINDOW_COST`` positions. Every entry found is
+        then placed by testing each body on its own, a ``text`` entry
+        against the casefolded bodies (built once), so no match spans two
+        bodies; a batch of one needs no placing.
         """
         text = "\n".join(bodies)  # a single body is not copied
         folded = text.casefold()
@@ -834,41 +834,19 @@ class ProtectedValueIndex:
         present.sort()
         if len(bodies) == 1:
             return {0: present}
-        # Place each value in the bodies that hold it. Casefolding may
-        # lengthen a character (ß to ss), and so move the bodies' starts.
-        starts = body_starts(bodies)
-        folded_starts = starts if len(folded) == len(text) else body_starts(list(map(str.casefold, bodies)))
+        # Place each value in the bodies that hold it, testing each on its own.
+        folded_bodies: list[str] | None = None
         hits: dict[int, list[int]] = {}
         for pos in present:
             if kinds[kind_ids[pos]][1] is MatchMode.TEXT:
-                holders = bodies_holding(folded, folded_starts, value(pos).casefold())
+                folded_bodies = folded_bodies or list(map(str.casefold, bodies))
+                needle, haystacks = value(pos).casefold(), folded_bodies
             else:
-                holders = bodies_holding(text, starts, value(pos))
-            for body in holders:
-                hits.setdefault(body, []).append(pos)
+                needle, haystacks = value(pos), bodies
+            for body, haystack in enumerate(haystacks):
+                if needle in haystack:
+                    hits.setdefault(body, []).append(pos)
         return hits
-
-
-def body_starts(bodies: Sequence[str]) -> list[int]:
-    """Where each of ``bodies`` starts in ``"\\n".join(bodies)``, followed by
-    one past the joined text's end."""
-    return list(accumulate(map((1).__add__, map(len, bodies)), initial=0))
-
-
-def bodies_holding(text: str, starts: Sequence[int], needle: str) -> list[int]:
-    """Which of the bodies joined into ``text`` hold ``needle`` wholly
-    inside them, ascending; ``starts`` is theirs (``body_starts``)."""
-    holders = []
-    at = text.find(needle)
-    while at >= 0:
-        body = bisect_right(starts, at) - 1
-        # Body k ends at starts[k + 1] - 1, where the joining newline is.
-        if at + len(needle) < starts[body + 1]:
-            holders.append(body)
-            at = text.find(needle, starts[body + 1])
-        else:
-            at = text.find(needle, at + 1)
-    return holders
 
 
 def protected_values(

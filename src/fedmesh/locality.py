@@ -25,13 +25,12 @@ import json
 import json.scanner
 import re
 import threading
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .datastore import ProtectedValueIndex, body_starts
+from .datastore import ProtectedValueIndex
 from .errors import TraceFormatError
 
 HEX64_RE = re.compile(r"[0-9a-fA-F]{64}")
@@ -155,8 +154,10 @@ def read_trace(path: Path | str) -> TraceLog:
     A line the JSON scanner reads whole, from its first character to its
     last, is taken as scanned; any other goes through ``json.loads``, which
     accepts it or raises, so every line reads as ``json.loads`` reads it.
+    A record holds exactly the seven fields, none missing and none more.
     ``seq`` must be a JSON integer, not a float or a boolean, and every
-    other field a string. No error text repeats a value read from the file.
+    other field a string. No error text repeats a key or value read from
+    the file.
     """
     run_id: str | None = None
     envelopes: list[MessageEnvelope] = []
@@ -184,9 +185,11 @@ def read_trace(path: Path | str) -> TraceLog:
                 raise TraceFormatError(line_no, "invalid JSON: nested too deeply") from None
         if not isinstance(record, dict):
             raise TraceFormatError(line_no, "envelope record must be a JSON object")
-        if not record.keys() >= _TRACE_KEYS:
+        if record.keys() != _TRACE_KEYS:
             missing = [key for key in _TRACE_FIELDS if key not in record]
-            raise TraceFormatError(line_no, f"missing fields: {', '.join(missing)}")
+            if missing:
+                raise TraceFormatError(line_no, f"missing fields: {', '.join(missing)}")
+            raise TraceFormatError(line_no, "fields beyond the seven of a trace record")
         if not isinstance(record["run_id"], str):
             raise TraceFormatError(line_no, "run_id must be a string")
         for key in _TEXT_FIELDS:
@@ -282,16 +285,16 @@ def scan_bodies(
 
     Protected values are plain substrings: case-insensitive for values
     marked as human-readable text (names), case-sensitive for identifiers,
-    dates and tokens. The bodies are scanned as one text joined by
-    newlines, so each rule's fixed cost is paid once per call, and no match
-    spans two bodies (``ProtectedValueIndex.find``). The value rule's cost
-    is bounded by the text's length, not by the index's size: the index
-    keeps one table per value width, and each table is tested either by
-    looking each window of the casefolded text up once or by testing its
-    values with ``in``, whichever costs less on this text. Neither regex
-    can match across a newline, so each runs over the joined text, from
-    one body to the next that holds a match. The bodies are never mutated;
-    the caller decides what to do with a message that breaks a rule.
+    dates and tokens. ``ProtectedValueIndex.find`` runs its filtration pass
+    once over the bodies joined by newlines, so its fixed cost is paid once
+    per call, and its cost is bounded by that text's length, not by the
+    index's size: the index keeps one table per value width, and each
+    table is tested either by looking each window of the casefolded text
+    up once or by testing its values with ``in``, whichever costs less on
+    this text. Every value it finds is then placed by testing each body on
+    its own, and the two regex rules run on each body on its own, so no
+    match spans two bodies. The bodies are never mutated; the caller
+    decides what to do with a message that breaks a rule.
     """
     if topology.permits(*edge):
         findings: dict[int, list[Finding]] = {}
@@ -305,23 +308,16 @@ def scan_bodies(
             for pos in positions:
                 entry = entries[pos]
                 found.append(Finding(ViolationKind.PROTECTED_VALUE, entry.source_column, entry.value))
-    text = "\n".join(bodies)
-    token = HEX64_RE.search(text) if edge[1] in topology.token_free_nodes else None
-    hint = PATIENT_ID_PRETEST.search(text)
-    if token or hint:
-        starts = body_starts(bodies)
-        while token:
-            body = bisect_right(starts, token.start()) - 1
-            finding = Finding(ViolationKind.TOKEN_LEAK, offending_value=token.group(0))
-            findings.setdefault(body, []).append(finding)
-            token = HEX64_RE.search(text, starts[body + 1])
-        while hint:
-            body = bisect_right(starts, hint.start()) - 1
-            match = PATIENT_ID_RE.search(text, starts[body], starts[body + 1] - 1)
-            if match:
-                finding = Finding(ViolationKind.RAW_PATIENT_ID, offending_value=match.group(0))
-                findings.setdefault(body, []).append(finding)
-            hint = PATIENT_ID_PRETEST.search(text, starts[body + 1])
+    token_free = edge[1] in topology.token_free_nodes
+    for body, text in enumerate(bodies):
+        token = HEX64_RE.search(text) if token_free else None
+        patient_id = PATIENT_ID_PRETEST.search(text) and PATIENT_ID_RE.search(text)
+        if token or patient_id:
+            found = findings.setdefault(body, [])
+            if token:
+                found.append(Finding(ViolationKind.TOKEN_LEAK, offending_value=token.group(0)))
+            if patient_id:
+                found.append(Finding(ViolationKind.RAW_PATIENT_ID, offending_value=patient_id.group(0)))
     return findings
 
 

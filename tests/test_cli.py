@@ -86,21 +86,18 @@ def test_gen_fixtures_matches_workspace(workspace, tmp_path, capsys):
 
 
 def test_gen_fixtures_row_count_mismatch(workspace, tmp_path, capsys):
-    template = tmp_path / "template.csv"
-    template.write_text(
-        "insurance_number,plan_id,status\n"
-        "INS-1,PLAN-A,active\nINS-2,PLAN-B,active\nINS-3,PLAN-C,active\nINS-4,PLAN-A,active\n"
-    )
+    patients = tmp_path / "patients.csv"
+    rows = (workspace.root / "clinic" / "patients.csv").read_text().splitlines(keepends=True)
+    patients.write_text("".join(rows[:5]))
     args = [
         "gen-fixtures",
-        "--patients", str(workspace.root / "clinic" / "patients.csv"),
+        "--patients", str(patients),
         "--secret", "clinic_hmac_key",
         "--key-file", str(workspace.root / "clinic" / "hmac.key"),
         "--out", str(tmp_path / "enrollment.csv"),
-        "--template", str(template),
     ]
     assert main(args) == 1
-    assert "5 patient row(s) but 4" in capsys.readouterr().err
+    assert "4 patient row(s) but 5" in capsys.readouterr().err
 
 
 # --- run-scenario ---
@@ -342,6 +339,8 @@ def test_duplicate_node_id_is_rejected_by_boot_and_audit(workspace, tmp_path, ca
         (("operations", "coverage_request", "tools"), ["enrollment_match"], "insurer"),
         (("operations", "coverage_request", "tools"), ["coverage_lookup"], "insurer"),
         (("operations", "coverage_request", "tools"), ["guidance_search"], "guidance"),
+        (("relay_targets", "clinic"), {"operation_id": "coverage_request", "access_key": "clinic-demo-key-0001"},
+         "relay_targets"),
     ],
     ids=[
         "port-text", "port-range", "relay_targets-list", "secrets-list", "allowed_to-number",
@@ -359,7 +358,7 @@ def test_duplicate_node_id_is_rejected_by_boot_and_audit(workspace, tmp_path, ca
         "columns-store-undeclared", "hmac_secret-undeclared", "dataset-path-nul", "secret-file-nul",
         "bind-host-nul", "hmac_token-without-hmac_secret", "csv_lookup-without-clinic",
         "enrollment_match-without-insurer", "coverage_lookup-without-insurer",
-        "guidance_search-without-guidance",
+        "guidance_search-without-guidance", "relay_target-self",
     ],
 )
 def test_wrong_typed_config_fields_are_config_errors(tmp_path, capsys, path, value, key):
@@ -372,7 +371,8 @@ def test_wrong_typed_config_fields_are_config_errors(tmp_path, capsys, path, val
     dataset the node lacks are refused as the config loads, not when a
     request first meets them. A derived entry's leftover ``secret`` once
     chose its own key, so a second key silently disarmed the case-token
-    rule."""
+    rule. A relay target named after the node itself once loaded, and its
+    every call failed, since an envelope's two endpoints must differ."""
     _assert_clinic_edits_refused(tmp_path, capsys, [(path, value)], key)
 
 

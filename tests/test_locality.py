@@ -506,6 +506,10 @@ _MALFORMED_LINES = {
     "missing-fields": (
         '{"run_id": "r", "seq": 1, "body": "x"}', "missing fields: from, to, operation_id, conversation_id",
     ),
+    # A field outside the seven may carry a protected value unscanned.
+    "extra-field": (
+        _GOOD_RECORD[:-1] + ', "note": "Marina Kovacs"}', "fields beyond the seven of a trace record",
+    ),
     "nan-seq": (_GOOD_RECORD.replace('"seq": 1', '"seq": NaN'), "seq must be an integer"),
     "infinite-seq": (_GOOD_RECORD.replace('"seq": 1', '"seq": Infinity'), "seq must be an integer"),
     "negative-infinite-seq": (_GOOD_RECORD.replace('"seq": 1', '"seq": -Infinity'), "seq must be an integer"),
@@ -591,6 +595,8 @@ def _reference_read_trace(text: str) -> tuple[str, object, object]:
                    if key not in record]
         if missing:
             return "error", line_no, f"missing fields: {', '.join(missing)}"
+        if len(record) != 7:
+            return "error", line_no, "fields beyond the seven of a trace record"
         if not isinstance(record["run_id"], str):
             return "error", line_no, "run_id must be a string"
         text_keys = ("from", "to", "operation_id", "conversation_id", "body")
@@ -644,7 +650,7 @@ def _trace_texts(draw) -> str:
             "body": json.dumps(body, ensure_ascii=False),
         }
         fault = draw(st.sampled_from(["none"] * 20 + [
-            "seq", "from", "to", "run_id", "missing", "truncated", "doubled", "repeated", "non-object",
+            "seq", "from", "to", "run_id", "missing", "extra", "truncated", "doubled", "repeated", "non-object",
         ]))
         if fault == "seq":
             fields["seq"] = draw(st.sampled_from(_ODD_SEQS))
@@ -654,6 +660,8 @@ def _trace_texts(draw) -> str:
             fields["run_id"] = draw(st.sampled_from(['"r2"', "7"]))
         elif fault == "missing":
             del fields[draw(st.sampled_from(sorted(fields)))]
+        elif fault == "extra":
+            fields[draw(st.sampled_from(["note", "Body", ""]))] = '"Marina Kovacs"'
         line = "{" + ", ".join(f'"{key}": {value}' for key, value in fields.items()) + "}"
         if fault == "truncated":
             line = line[:draw(st.integers(0, len(line) - 1))]
