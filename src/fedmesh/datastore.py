@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import fnmatch
+import os
 import re
 import struct
 from array import array
@@ -101,11 +103,12 @@ def read_table(path: Path | str, name: str, required: Sequence[str]) -> Table:
     longer than its field limit, say), raise ``RowError`` naming the line;
     its text quotes no cell.
 
-    The rows are read in C. When each took one line and none is ragged,
-    row k starts on the k-th line after the header, and blank lines are
-    dropped; otherwise, or if the reader fails, the file is read again
-    row by row, which numbers the rows by the line each starts on and
-    raises the first error."""
+    The file is read once, every row in C. Row k starts on the k-th line
+    after the header when the reader read one line per row; otherwise a
+    row takes one line and one more per line break (CR, LF or CRLF) in its
+    quoted cells. Blank lines are dropped. The first error in file order
+    is raised: a row whose width is not the header's, or else the
+    reader's own failure."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -121,58 +124,47 @@ def read_table(path: Path | str, name: str, required: Sequence[str]) -> Table:
                 col = next(col for col in header if counts[col] > 1)
                 raise SchemaError(col, f"{path.name}: column {shown_name(col)!r} appears more than once")
             start = reader.line_num + 1
+            rows: list[tuple[str, ...]] = []
+            failure: Exception | None = None
             try:
-                rows: list[tuple[str, ...]] = list(map(tuple, reader))
-                lines: Sequence[int] | None = range(start, reader.line_num + 1)
-            except (csv.Error, UnicodeDecodeError):
-                rows, lines = [], None
+                rows.extend(map(tuple, reader))
+            except (csv.Error, UnicodeDecodeError) as exc:
+                failure = exc  # the rows read before it are kept
+            lines: Sequence[int] = range(start, reader.line_num + 1)
+            if len(lines) != len(rows):
+                breaks = map(_line_breaks, map(",".join, rows[:-1]))  # a comma keeps one cell's CR from the next one's LF
+                lines = list(accumulate(breaks, lambda line, n: line + 1 + n, initial=start))
             widths = set(map(len, rows))
-            if lines is not None and len(lines) == len(rows) and widths <= {len(header), 0}:
-                if 0 in widths:  # a blank line, which took one line too, is skipped
-                    lines = list(compress(lines, rows))
-                    rows = list(filter(None, rows))
-            else:
-                # A row failed, took more than one line, or was ragged.
-                rows.clear()
-                fh.seek(0)  # the decoder skips the byte-order mark again
-                reader = csv.reader(fh)
-                next(reader)
-                rows, lines = _walk_rows(reader, len(header), path.name)
+            if not widths <= {len(header), 0}:
+                k = next(k for k, row in enumerate(rows) if len(row) not in (len(header), 0))
+                raise RowError(lines[k], f"{path.name}: expected {len(header)} cells, got {len(rows[k])}")
+            if failure is not None:
+                raise failure
+            if 0 in widths:  # a blank line, which took one line too, is skipped
+                lines = list(compress(lines, rows))
+                rows = list(filter(None, rows))
         except UnicodeDecodeError:
             # The file is decoded a block at a time, ahead of the reader's
             # line count, so the line of the first bad byte is found anew.
-            data = path.read_bytes()
-            bad = len(data)
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                bad = exc.start
-            raise RowError(data.count(b"\n", 0, bad) + 1, f"{path.name}: invalid UTF-8") from None
+            raise _invalid_utf8(path) from None
         except csv.Error as exc:
             raise RowError(reader.line_num, f"{path.name}: {exc}") from None
     return Table(name=name, header=tuple(header), rows=tuple(rows), lines=lines)
 
 
-def _walk_rows(
-    reader: Iterator[list[str]], width: int, file_name: str
-) -> tuple[list[tuple[str, ...]], list[int]]:
-    """The rows left in ``reader`` and the line each starts on, read one
-    at a time; a blank line is skipped, and a row of other than ``width``
-    cells raises ``RowError``."""
-    rows: list[tuple[str, ...]] = []
-    lines: list[int] = []
-    # A row starts on the line after the previous row ends; blank lines
-    # come back as empty rows, so they are counted too.
-    start = reader.line_num + 1  # type: ignore[attr-defined]
-    for cells in reader:
-        line, start = start, reader.line_num + 1  # type: ignore[attr-defined]
-        if not cells:
-            continue
-        if len(cells) != width:
-            raise RowError(line, f"{file_name}: expected {width} cells, got {len(cells)}")
-        rows.append(tuple(cells))
-        lines.append(line)
-    return rows, lines
+def _line_breaks(text: str) -> int:
+    """The line breaks in ``text`` as ``open(newline="")`` splits lines: CR, LF or CRLF."""
+    return text.count("\n") + text.count("\r") - text.count("\r\n")
+
+
+def _invalid_utf8(path: Path) -> RowError:
+    """The error for a file that is not UTF-8, at the line of its first bad byte."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        data = data[: exc.start]
+    return RowError(_line_breaks(data.decode("utf-8")) + 1, f"{path.name}: invalid UTF-8")
 
 
 # A treatment code, as the messages carry it: a letter, then letters, digits
@@ -517,10 +509,17 @@ def parse_guidance_text(doc_id: str, text: str) -> GuidanceDoc:
 
 
 def load_guidance(dir_path: Path | str) -> list[GuidanceDoc]:
-    """Parse every markdown file in the guidance directory, sorted by name."""
+    """Parse every markdown file in the guidance directory, sorted by name.
+    A path that is not a directory raises ``OSError``, as a missing table
+    file does; an extract that is not UTF-8, ``RowError`` at its first bad byte."""
     docs: list[GuidanceDoc] = []
-    for path in sorted(Path(dir_path).glob("*.md")):
-        docs.append(parse_guidance_text(path.name, path.read_text(encoding="utf-8")))
+    for name in sorted(fnmatch.filter(os.listdir(dir_path), "*.md")):
+        path = Path(dir_path, name)
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            raise _invalid_utf8(path) from None
+        docs.append(parse_guidance_text(name, text))
     return docs
 
 

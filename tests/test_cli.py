@@ -578,23 +578,56 @@ def _patients_error(ws, capsys) -> RowError:
     return err.value
 
 
-def test_patients_csv_that_is_not_utf8_is_a_row_error(tmp_path, capsys):
+@pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_patients_csv_that_is_not_utf8_is_a_row_error(tmp_path, capsys, ending):
     """The line is that of the first bad byte, even when it lies past the
-    first block of the file the reader decodes."""
+    first block of the file the reader decodes, whatever ends the lines."""
     ws = write_demo_workspace(tmp_path / "ws")
     patients = ws.root / "clinic" / "patients.csv"
     good = patients.read_bytes().rstrip(b"\n").split(b"\n")
     rows = good + [b"CLN-%04d,Ann Lee,1968-02-03,n" % i for i in range(100, 1100)]
-    patients.write_bytes(b"\n".join(rows + ["CLN-0099,Zoë Lee,1970-01-01,n".encode("latin-1")]) + b"\n")
+    patients.write_bytes(ending.join(rows + ["CLN-0099,Zoë Lee,1970-01-01,n".encode("latin-1")]) + ending)
     assert _patients_error(ws, capsys).line == len(rows) + 1
 
 
-def test_patients_csv_cell_past_the_field_limit_is_a_row_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "before, line, text",
+    [([], 3, "field larger than field limit"), (["CLN-0098,Ann Lee"], 2, "expected 4 cells, got 2")],
+    ids=["cell-past-the-limit", "ragged-row-ahead-of-it"],
+)
+def test_patients_csv_cell_past_the_field_limit_is_a_row_error(tmp_path, capsys, before, line, text):
+    """The reader refuses the over-limit row; a ragged row ahead of it is
+    the first error in the file, so it is the one reported."""
     ws = write_demo_workspace(tmp_path / "ws")
     patients = ws.root / "clinic" / "patients.csv"
     lines = patients.read_text().splitlines()
+    lines[1:1] = before
     lines.insert(2, "CLN-0099,Ann Lee,1968-02-03," + "x" * 200_000)
     patients.write_text("\n".join(lines) + "\n")
     error = _patients_error(ws, capsys)
-    assert error.line == 3
+    assert error.line == line
+    assert text in str(error)
     assert "xxxx" not in str(error)
+
+
+def test_misspelt_guidance_dir_stops_the_boot(tmp_path, capsys):
+    """As a missing table file does, where it once loaded no guidance and
+    every verdict read "Not currently appropriate"."""
+    ws = write_demo_workspace(tmp_path / "ws")
+    config = json.loads(ws.specialist_config.read_text())
+    config["datasets"]["guidance"]["dir"] += "t"
+    ws.specialist_config.write_text(json.dumps(config))
+    missing = ws.specialist_config.parent / config["datasets"]["guidance"]["dir"]
+    assert main(_run_args(ws)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+
+
+def test_guidance_extract_that_is_not_utf8_is_a_row_error(tmp_path, capsys):
+    ws = write_demo_workspace(tmp_path / "ws")
+    extract = ws.root / "specialist" / "osteoarthritis_knee_red_flags.md"
+    extract.write_bytes(extract.read_bytes().replace(b"Locked knee", b"Locked kn\xe9e"))
+    line = extract.read_bytes().split(b"\n").index(b"- Locked kn\xe9e") + 1
+    assert main(_run_args(ws)) == 1
+    assert capsys.readouterr().err == f"error: RowError: line {line}: {extract.name}: invalid UTF-8\n"

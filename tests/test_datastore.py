@@ -382,13 +382,15 @@ _CSV_CELLS = st.sampled_from(["", "a", "b c", "x,y", 'say "hi"', "two\nlines", "
 @example(rows=[["1", "2", "3"], [], ["4", "5", "6"]], ending="\n", bom=False, last_ending=True, header=["p", "q", "r"])
 @example(rows=[["1", "two\nlines", "3"], ["4", "5"]], ending="\r\n", bom=True, last_ending=False, header=["p", "q", "r"])
 @example(rows=[[], []], ending="\n", bom=False, last_ending=True, header=[])
+# A CR that ends one cell and an LF that starts the next are two line breaks.
+@example(rows=[["a\r", "\nb", "c"], ["d", "e", "f"]], ending="\r\n", bom=False, last_ending=True, header=["p", "q", "r"])
 def test_read_table_numbers_rows_as_a_row_by_row_walk_does(tmp_path_factory, rows, ending, bom, last_ending, header):
     """Blank lines, cells holding a newline or CRLF, CR and CRLF endings, a
     byte-order mark, ragged rows and a blank header line: ``read_table``
     reads the rows and the lines they start on that a row-by-row walk
-    reads, and refuses the same row with the same text. This holds for
-    both of its ways of numbering rows: all at once, when each took one
-    line, and walked otherwise."""
+    reads, and refuses the same row with the same text. This holds
+    whether each row took one line or some row's quoted cells hold line
+    breaks, which ``read_table`` counts in its one read."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator=ending)
     writer.writerow(header)
@@ -598,6 +600,7 @@ _TABLE_PATHS = {
     "patients": "clinic/patients.csv",
     "enrollment": "insurer/enrollment.csv",
     "coverage_rules": "insurer/coverage_rules.csv",
+    "guidance": "specialist/osteoarthritis_knee_guidance.md",
 }
 _CELL_TEXTS = (
     st.integers(1, 6000).map(lambda n: "7" * n)  # a digit run, past int()'s 4300 digits
@@ -650,9 +653,12 @@ def loader_dir(tmp_path_factory, workspace):
 )
 # A column named twice, whose name is longer than an error text may be.
 @example(table="patients", change=[("repeat-cell", 0, 3), ("cell", 0, 4, "n" * 514), ("repeat-cell", 0, 4)])
+# A guidance extract, CR-ended, with a byte that is not UTF-8.
+@example(table="guidance", change=b"# Ladder\r1. rest\r2. \xff\r")
 def test_dataset_loaders_refuse_any_edit_with_a_row_or_schema_error(loader_dir, table, change):
     """Each load succeeds or raises a SchemaError or RowError whose text is
-    short and repeats no protected value."""
+    short and repeats no protected value. The guidance loader reads the
+    edited extract alone."""
     root, texts, indexes = loader_dir
     for other, rel in _TABLE_PATHS.items():
         (root / rel).write_text(texts[other], encoding="utf-8")
@@ -664,6 +670,8 @@ def test_dataset_loaders_refuse_any_edit_with_a_row_or_schema_error(loader_dir, 
     try:
         if table in ("observations", "patients"):
             load_clinic_store(root / _TABLE_PATHS["observations"], root / _TABLE_PATHS["patients"])
+        elif table == "guidance":
+            load_guidance(path.parent)
         else:
             load_insurer_store(root / _TABLE_PATHS["enrollment"], root / _TABLE_PATHS["coverage_rules"])
     except (SchemaError, RowError) as exc:
@@ -703,6 +711,27 @@ def test_guidance_missing_heading(tmp_path):
 
 def test_guidance_empty_directory(tmp_path):
     assert load_guidance(tmp_path) == []
+
+
+def test_guidance_dir_that_is_a_file_is_refused(tmp_path):
+    (tmp_path / "guidance.md").write_text("# Ladder\n1. rest\n")
+    with pytest.raises(NotADirectoryError):
+        load_guidance(tmp_path / "guidance.md")
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_guidance_extracts_read_alike_whatever_ends_their_lines(tmp_path, workspace, ending):
+    for extract in (workspace.root / "specialist").glob("*.md"):
+        (tmp_path / extract.name).write_bytes(extract.read_bytes().replace(b"\n", ending.encode()))
+    assert load_guidance(tmp_path) == load_guidance(workspace.root / "specialist")
+
+
+@pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_guidance_extract_that_is_not_utf8_names_the_line(tmp_path, ending):
+    (tmp_path / "a.md").write_bytes(ending.join([b"# Ladder", b"1. rest", b"2. \xe9", b""]))
+    with pytest.raises(RowError) as err:
+        load_guidance(tmp_path)
+    assert str(err.value) == "line 3: a.md: invalid UTF-8"
 
 
 def test_guidance_ladder_preserves_order():
