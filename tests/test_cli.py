@@ -611,8 +611,8 @@ def test_patients_csv_cell_past_the_field_limit_is_a_row_error(tmp_path, capsys,
 
 
 def test_misspelt_guidance_dir_stops_the_boot(tmp_path, capsys):
-    """As a missing table file does, where it once loaded no guidance and
-    every verdict read "Not currently appropriate"."""
+    """As a missing table file does: loaded as no guidance, a misspelt
+    directory would make every verdict "Not currently appropriate"."""
     ws = write_demo_workspace(tmp_path / "ws")
     config = json.loads(ws.specialist_config.read_text())
     config["datasets"]["guidance"]["dir"] += "t"
